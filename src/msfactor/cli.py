@@ -132,8 +132,7 @@ def cmd_simulate(cfg, out_dir):
 
 
 def _fit_single_chain(args):
-    (chain_id, data_text, cfg, seed_words, out_dir) = args
-    data = NetworkDataset.from_json(data_text)
+    (chain_id, data, cfg, seed_words, out_dir) = args
     rng = np.random.default_rng(seed_words)
     tau = cfg["tau"]
     state = initial_state(data, cfg["k"], tau, rng)
@@ -198,14 +197,16 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
         data_text = Path(data_path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read data file {data_path}: {err}") from err
-    NetworkDataset.from_json(data_text)  # validate up front, fail with exit 2
+    # parsed and validated once, here, so bad data fails with exit 2; pool
+    # workers receive the parsed dataset
+    data = NetworkDataset.from_json(data_text)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     root_seq = np.random.SeedSequence(seed)
     children = root_seq.spawn(chains)
     jobs = [
-        (c, data_text, run_cfg, children[c].generate_state(4).tolist(), str(out))
+        (c, data, run_cfg, children[c].generate_state(4).tolist(), str(out))
         for c in range(chains)
     ]
     start = time.perf_counter()

@@ -10,6 +10,7 @@ Diagonals are excluded throughout.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,11 @@ OFFSET_SD = 10.0      # normal prior sd for each offset
 
 @dataclass(frozen=True)
 class NetworkDataset:
-    """S binary undirected networks on a common node set."""
+    """S binary undirected networks on a common node set.
+
+    The adjacency is a read-only copy, so what the likelihood derives
+    from it once per dataset stays valid.
+    """
 
     n: int
     adjacency: np.ndarray  # S x n x n, arrays of 0/1
@@ -31,7 +36,9 @@ class NetworkDataset:
         a = np.asarray(self.adjacency)
         if a.ndim != 3 or a.shape[1] != self.n or a.shape[2] != self.n:
             raise ValueError(f"adjacency must be S x {self.n} x {self.n}, got {a.shape}")
-        object.__setattr__(self, "adjacency", a.astype(np.float64))
+        a = a.astype(np.float64)
+        a.flags.writeable = False
+        object.__setattr__(self, "adjacency", a)
 
     @property
     def n_subjects(self):
@@ -98,29 +105,81 @@ class SubjectParams:
         return self.log_loadings.shape[1]
 
 
-def _log_odds(q, sp):
-    d = np.exp(sp.log_loadings)
-    psi = np.einsum("ik,sk,jk->sij", q, d, q, optimize=True)
-    return psi + sp.offsets[:, None, None]
+# Work arrays of the likelihood pass, held for one dataset at a time:
+# (weak reference to the dataset, A - 1/2, two S x n x n scratch arrays).
+# Reusing them spares a page-faulting allocation per call; they live
+# here rather than on the dataset, so pickling a dataset never copies
+# them.  Not thread-safe: chains run in separate processes.
+_workspace = None
 
 
-def _log1p_exp(t):
-    # stable log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|))
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+def _work_arrays(data):
+    global _workspace
+    if _workspace is None or _workspace[0]() is not data:
+        _workspace = None  # free the previous dataset's arrays first
+        shape = data.adjacency.shape
+        _workspace = (
+            weakref.ref(data), data.adjacency - 0.5, np.empty(shape), np.empty(shape)
+        )
+    return _workspace[1:]
 
 
-def log_likelihood(data, q, sp):
-    """Bernoulli log-likelihood over all subjects' upper triangles."""
+def _diagonals(a):
+    """Writable view of the diagonal of every S x n x n slice."""
+    s, n, _ = a.shape
+    return a.reshape(s, n * n)[:, :: n + 1]
+
+
+def _likelihood_pass(data, q, sp, value, grads):
+    """One forward pass: (log-likelihood or None, gradients or None).
+
+    Works on the full n x n matrices: every off-diagonal pair appears
+    twice, so upper-triangle sums are halves of full sums.
+    """
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != data.n:
         raise ValueError(f"frame has {q.shape[0]} rows, data has {data.n} nodes")
     if sp.n_subjects != data.n_subjects or sp.depth != q.shape[1]:
         raise ValueError("subject parameters do not match data/frame dimensions")
-    psi = _log_odds(q, sp)
-    iu = np.triu_indices(data.n, k=1)
-    psi_u = psi[:, iu[0], iu[1]]
-    a_u = data.adjacency[:, iu[0], iu[1]]
-    return float(np.sum(a_u * psi_u - _log1p_exp(psi_u)))
+    a_half, psi, work = _work_arrays(data)
+    d = np.exp(sp.log_loadings)
+    np.matmul(q * d[:, None, :], q.T, out=psi)
+    psi += sp.offsets[:, None, None]
+
+    g = None
+    if grads:
+        # residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
+        np.multiply(psi, 0.5, out=work)
+        np.tanh(work, out=work)
+        work *= -0.5
+        work += a_half
+        _diagonals(work)[:] = 0.0
+        rq = work @ q
+        g_q = np.einsum("sim,sm->im", rq, d)
+        g_ld = 0.5 * d * np.einsum("im,sim->sm", q, rq)
+        g_z = 0.5 * work.sum(axis=(1, 2))
+        g = (g_q, g_ld, g_z)
+
+    ll = None
+    if value:
+        # sum of A psi - log(1 + exp(psi)) off the diagonal, with
+        # log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)); psi is spent
+        _diagonals(psi)[:] = 0.0
+        a_psi = np.vdot(data.adjacency, psi)
+        np.abs(psi, out=work)
+        np.negative(work, out=work)
+        np.exp(work, out=work)
+        np.log1p(work, out=work)
+        np.maximum(psi, 0.0, out=psi)
+        psi += work
+        _diagonals(psi)[:] = 0.0
+        ll = 0.5 * float(a_psi - psi.sum())
+    return ll, g
+
+
+def log_likelihood(data, q, sp):
+    """Bernoulli log-likelihood over all subjects' upper triangles."""
+    return _likelihood_pass(data, q, sp, value=True, grads=False)[0]
 
 
 def log_prior_theta(sp):
@@ -138,27 +197,24 @@ def log_prior_theta(sp):
     return float(per.sum() + kern)
 
 
-def log_likelihood_grads(data, q, sp):
+def log_likelihood_grads(data, q, sp, with_value=False):
     """Gradients of log_likelihood w.r.t. (q, log_loadings, offsets).
 
-    Works through the symmetric zero-diagonal residual R_s with
-    entries A[s,i,j] - sigmoid(psi[s,i,j]):
-      d/dq[i, m]          = sum_s d[s, m] * (R_s q[:, m])[i]
-      d/dlog_loadings[s,m]= d[s, m] * q[:, m]' R_s q[:, m] / 2
+    One fused pass per call.  The log-odds of all subjects come from a
+    single batched product psi = (q diag(d_s)) q' + z_s.  The symmetric
+    zero-diagonal residual R_s = A_s - sigmoid(psi_s) is formed in place
+    through sigmoid(x) = (1 + tanh(x/2)) / 2, as (A_s - 1/2) -
+    tanh(psi_s/2) / 2, and RQ_s = R_s q is taken once; all three
+    gradients reduce from it:
+      d/dq[i, m]          = sum_s d[s, m] * RQ_s[i, m]
+      d/dlog_loadings[s,m]= d[s, m] * q[:, m]' RQ_s[:, m] / 2
       d/doffsets[s]       = sum of R_s above the diagonal
+                          = sum of all of R_s / 2
+    With with_value, returns (log_likelihood, g_q, g_ld, g_z), the value
+    taken from the same pass.
     """
-    q = np.asarray(q, dtype=np.float64)
-    psi = _log_odds(q, sp)
-    resid = data.adjacency - expit(psi)
-    idx = np.arange(data.n)
-    resid[:, idx, idx] = 0.0
-    d = np.exp(sp.log_loadings)
-    g_q = np.einsum("sij,jm,sm->im", resid, q, d, optimize=True)
-    quad = np.einsum("im,sij,jm->sm", q, resid, q, optimize=True)
-    g_ld = 0.5 * d * quad
-    iu = np.triu_indices(data.n, k=1)
-    g_z = resid[:, iu[0], iu[1]].sum(axis=1)
-    return g_q, g_ld, g_z
+    ll, g = _likelihood_pass(data, q, sp, value=with_value, grads=True)
+    return (ll, *g) if with_value else g
 
 
 def simulate_dataset(rp, values, probs, sp, rng):
@@ -173,7 +229,8 @@ def simulate_dataset(rp, values, probs, sp, rng):
     w = rp.membership_matrix().astype(np.float64)
     x = build_x(StructuredMatrix(w=w, values=values))
     q = whiten(x)
-    psi = _log_odds(q, sp)
+    d = np.exp(sp.log_loadings)
+    psi = np.matmul(q * d[:, None, :], q.T) + sp.offsets[:, None, None]
     prob = expit(psi)
     upper = rng.random(prob.shape) < prob
     adj = np.triu(upper, k=1)

@@ -143,15 +143,8 @@ def _relaxed_x(state):
     return w, build_x(StructuredMatrix(w=w, values=state.values))
 
 
-def potential(state, data):
-    """Joint potential U; raises NotPositiveDefiniteError on rank failure.
-
-    data may be None, dropping the likelihood term (prior-only chain).
-    """
-    w, x = _relaxed_x(state)
+def _potential_from(state, w, x, passes, ll):
     n, k = x.shape
-    q, passes = whiten_with_factors(x)
-    ll = 0.0 if data is None else log_likelihood(data, q, state.subject_params)
     lp = log_prior_theta(state.subject_params)
     lg = log_bernoulli_mass(w, state.probs)
     gram = (n - k - 1) * float(np.sum(np.log(passes[0][1].diagonal())))
@@ -159,30 +152,51 @@ def potential(state, data):
     return -(ll + lp + lg + gram + lab)
 
 
-def potential_grad(state, data):
-    """Gradient of U over (log_loadings, offsets, logits)."""
+def potential(state, data):
+    """Joint potential U; raises NotPositiveDefiniteError on rank failure.
+
+    data may be None, dropping the likelihood term (prior-only chain).
+    """
+    w, x = _relaxed_x(state)
+    q, passes = whiten_with_factors(x)
+    ll = 0.0 if data is None else log_likelihood(data, q, state.subject_params)
+    return _potential_from(state, w, x, passes, ll)
+
+
+def potential_grad(state, data, with_potential=False):
+    """Gradient of U over (log_loadings, offsets, logits).
+
+    With with_potential, returns (U, grad_ld, grad_z, grad_logits), U
+    taken from the same forward pass and equal to potential(state, data).
+    """
     w, x = _relaxed_x(state)
     n, k = x.shape
     q, passes = whiten_with_factors(x)
     sp = state.subject_params
     d = np.exp(sp.log_loadings)
+    ll = 0.0
     if data is None:
         gx_like = np.zeros_like(x)
         g_ld = np.zeros_like(sp.log_loadings)
         g_z = np.zeros_like(sp.offsets)
     else:
-        g_q, g_ld, g_z = log_likelihood_grads(data, q, sp)
+        if with_potential:
+            ll, g_q, g_ld, g_z = log_likelihood_grads(data, q, sp, with_value=True)
+        else:
+            g_q, g_ld, g_z = log_likelihood_grads(data, q, sp)
         if not np.isfinite(g_q).all():
             raise _DivergenceError("non-finite frame gradient")
         gx_like = whiten_backward(passes, g_q)
     # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
     q1, low1 = passes[0]
-    gx_gram = (n - k - 1) * solve_triangular(low1.T, q1.T, lower=False).T
+    gx_gram = (n - k - 1) * solve_triangular(low1.T, q1.T, lower=False, check_finite=False).T
     gu_x = -(gx_like + gx_gram)
     sig_slope = w * (1.0 - w) / state.tau
     grad_logits = (gu_x * (state.values.a - state.values.b) - logit(state.probs.p)) * sig_slope
     grad_ld = -g_ld + LOADING_SHAPE - LOADING_RATE / d
     grad_z = -g_z + sp.offsets / OFFSET_SD**2
+    if with_potential:
+        return _potential_from(state, w, x, passes, ll), grad_ld, grad_z, grad_logits
     return grad_ld, grad_z, grad_logits
 
 
@@ -204,17 +218,13 @@ def _unpack(vec, state):
     )
 
 
-def _flat_grad(state, data):
-    g_ld, g_z, g_lg = potential_grad(state, data)
-    return np.concatenate([g_ld.ravel(), g_z, g_lg.ravel()])
-
-
 def leapfrog(position, velocity, grad_fn, step, n_steps, omega):
     """Stoermer-Verlet integration of ds/dt = omega*v, dv/dt = -grad U(s).
 
     omega is the diagonal of the kinetic form v' Omega v / 2 (velocity
-    covariance Omega^-1).  Exceptions from grad_fn propagate so the
-    caller can reject the whole trajectory.
+    covariance Omega^-1).  grad_fn is called n_steps + 1 times, the last
+    time at the returned position.  Exceptions from grad_fn propagate so
+    the caller can reject the whole trajectory.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -233,11 +243,22 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur=None):
     pos = _pack(state.subject_params, state.logits)
     vel = rng.standard_normal(pos.size) / np.sqrt(omega)
     kin0 = 0.5 * vel @ (omega * vel)
+    calls = 0
+    prop = u_prop = None
 
     def grad_fn(v):
+        nonlocal calls, prop, u_prop
         if not np.isfinite(v).all():
             raise _DivergenceError("non-finite position")
-        g = _flat_grad(_unpack(v, state), data)
+        calls += 1
+        moved = _unpack(v, state)
+        if calls == n_steps + 1:
+            # the last pass is at the proposal and also yields its potential
+            u_prop, *grads = potential_grad(moved, data, with_potential=True)
+            prop = moved
+        else:
+            grads = potential_grad(moved, data)
+        g = np.concatenate([part.ravel() for part in grads])
         if not np.isfinite(g).all():
             raise _DivergenceError("non-finite gradient")
         return g
@@ -246,9 +267,7 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur=None):
     # is rejected rather than letting inf/nan escape
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            pos1, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
-            prop = _unpack(pos1, state)
-            u_prop = potential(prop, data)
+            _, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
             kin1 = 0.5 * vel1 @ (omega * vel1)
     except (NotPositiveDefiniteError, _DivergenceError):
         return state, False, 0.0, u_cur

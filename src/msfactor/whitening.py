@@ -52,7 +52,7 @@ def cholesky(s, eps=PIVOT_EPS):
 
 def _whiten_pass(x):
     low = cholesky(x.T @ x)
-    q = solve_triangular(low, x.T, lower=True).T
+    q = solve_triangular(low, x.T, lower=True, check_finite=False).T
     return q, low
 
 
@@ -144,5 +144,5 @@ def whiten_backward(passes, grad_q):
     g = grad_q
     for q, low in reversed(passes):
         h = _half_lower(g.T @ q)
-        g = solve_triangular(low.T, (g - q @ (h + h.T)).T, lower=False).T
+        g = solve_triangular(low.T, (g - q @ (h + h.T)).T, lower=False, check_finite=False).T
     return g

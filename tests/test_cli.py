@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import msfactor.cli
 from msfactor.cli import main
 from msfactor.diagnostics import summarize
+from msfactor.model import NetworkDataset
 from msfactor.sampler import SampleLog
 
 
@@ -161,6 +163,47 @@ class TestMultiChain:
         payload = json.loads((tmp_path / "sum" / "summary.json").read_text())
         assert payload["meta"]["chains"] == ["chain_00", "chain_01"]
         assert set(payload["ess"]) == {"chain_00", "chain_01"}
+
+
+class _SerialPool:
+    """In-process stand-in for the chain pool, built from max_workers only."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestDatasetParsing:
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_fit_parses_the_dataset_once(self, tmp_path, monkeypatch, chains):
+        sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        fit = _write(tmp_path / "fit.json", {
+            "data": str(tmp_path / "sim" / "dataset.json"),
+            "k": 1, "seed": 17, "iterations": 4, "warmup": 2,
+            "tau": 0.3, "leapfrog_steps": 2, "chains": chains,
+        })
+        parses = []
+        from_json = NetworkDataset.from_json.__func__
+
+        def counting(cls, text):
+            parses.append(text)
+            return from_json(cls, text)
+
+        monkeypatch.setattr(NetworkDataset, "from_json", classmethod(counting))
+        monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", _SerialPool)
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
+        assert len(parses) == 1
+        for c in range(chains):
+            assert (tmp_path / "fit" / f"chain_{c:02d}" / "trace.csv").exists()
 
 
 class TestFailureModes:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -168,6 +169,95 @@ class TestGradients:
         np.testing.assert_allclose(g_q2[:, 1], g_q[:, 1], atol=1e-12)
         np.testing.assert_allclose(g_ld2, g_ld, atol=1e-12)
         np.testing.assert_allclose(g_z2, g_z, atol=1e-12)
+
+
+def _textbook(data, q, sp):
+    """Reference value and gradients: einsum log-odds, expit residual,
+    upper-triangle sums."""
+    d = np.exp(sp.log_loadings)
+    psi = np.einsum("ik,sk,jk->sij", q, d, q) + sp.offsets[:, None, None]
+    iu = np.triu_indices(data.n, k=1)
+    psi_u = psi[:, iu[0], iu[1]]
+    a_u = data.adjacency[:, iu[0], iu[1]]
+    softplus = np.maximum(psi_u, 0.0) + np.log1p(np.exp(-np.abs(psi_u)))
+    value = float(np.sum(a_u * psi_u - softplus))
+    resid = data.adjacency - expit(psi)
+    idx = np.arange(data.n)
+    resid[:, idx, idx] = 0.0
+    g_q = np.einsum("sij,jm,sm->im", resid, q, d)
+    g_ld = 0.5 * d * np.einsum("im,sij,jm->sm", q, resid, q)
+    g_z = resid[:, iu[0], iu[1]].sum(axis=1)
+    return value, (g_q, g_ld, g_z), psi
+
+
+def _random_problem(seed, n, s, k, log_mean=0.0, offset_scale=1.0):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    sp = SubjectParams(
+        log_loadings=log_mean + 0.5 * rng.standard_normal((s, k)),
+        offsets=rng.standard_normal(s) * offset_scale,
+    )
+    adj = np.triu(rng.random((s, n, n)) < 0.4, 1)
+    adj = adj + np.swapaxes(adj, 1, 2)
+    return NetworkDataset(n=n, adjacency=adj.astype(np.float64)), q, sp
+
+
+def _assert_close(got, ref):
+    scale = max(np.abs(ref).max(), 1e-300)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("n, s, k, log_mean, offset_scale", [
+        (2, 1, 1, 0.0, 1.0),
+        (2, 3, 2, 0.0, 1.0),
+        (7, 1, 3, 0.0, 1.0),
+        (9, 4, 3, 0.0, 1.0),
+        (12, 3, 4, 5.0, 20.0),  # saturated: log-odds beyond +-40
+    ])
+    def test_matches_textbook_formulas(self, n, s, k, log_mean, offset_scale):
+        data, q, sp = _random_problem(n * 100 + s, n, s, k, log_mean, offset_scale)
+        value, grads, psi = _textbook(data, q, sp)
+        if log_mean > 0.0:
+            assert np.abs(psi).max() > 40.0
+        assert log_likelihood(data, q, sp) == pytest.approx(value, rel=1e-12, abs=0.0)
+        for got, ref in zip(log_likelihood_grads(data, q, sp), grads):
+            _assert_close(got, ref)
+        fused = log_likelihood_grads(data, q, sp, with_value=True)
+        assert fused[0] == log_likelihood(data, q, sp)
+        for got, ref in zip(fused[1:], grads):
+            _assert_close(got, ref)
+
+    def test_interleaved_datasets_leave_earlier_results_intact(self):
+        small = _random_problem(1, 5, 3, 2)
+        large = _random_problem(2, 11, 2, 3, log_mean=3.0, offset_scale=5.0)
+        first = [log_likelihood_grads(*p, with_value=True) for p in (small, large)]
+        kept = [[np.copy(part) for part in out] for out in first]
+        for p in (small, large, small, large):
+            data, q, sp = p
+            moved = SubjectParams(sp.log_loadings + 0.3, sp.offsets - 0.2)
+            log_likelihood(data, q, moved)
+            log_likelihood_grads(data, q, moved)
+        for out, copy, p in zip(first, kept, (small, large)):
+            for part, saved in zip(out, copy):
+                np.testing.assert_array_equal(part, saved)
+            value, grads, _ = _textbook(*p)
+            assert out[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+            for got, ref in zip(out[1:], grads):
+                _assert_close(got, ref)
+
+    def test_pickled_dataset_carries_only_its_adjacency(self):
+        data, q, sp = _random_problem(3, 16, 4, 2)
+        log_likelihood_grads(data, q, sp, with_value=True)
+        payload = pickle.dumps(data)
+        assert len(payload) < data.adjacency.nbytes + 1024
+        back = pickle.loads(payload)
+        assert log_likelihood(back, q, sp) == log_likelihood(data, q, sp)
+
+    def test_adjacency_is_read_only(self):
+        data, _, _ = _random_problem(4, 4, 1, 1)
+        with pytest.raises(ValueError):
+            data.adjacency[0, 0, 1] = 1.0
 
 
 class TestNetworkDataset:

@@ -185,6 +185,57 @@ class TestPotentialGrad:
         assert np.all(g_lg == 0.0)
 
 
+    def test_with_potential_matches_separate_calls(self):
+        state = _generic_state(16)
+        data = _toy_data(4, 2, 17)
+        u, g_ld, g_z, g_lg = potential_grad(state, data, with_potential=True)
+        assert u == potential(state, data)
+        for got, ref in zip((g_ld, g_z, g_lg), potential_grad(state, data)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_full_scale_central_differences(self):
+        # n=128, k=30, S=3 with loadings and offsets large enough that the
+        # log-odds saturate (|psi| > 30); sampled coordinates of all blocks
+        n, k, s, tau = 128, 30, 3, 0.2
+        rng = np.random.default_rng(2024)
+        data = _toy_data(n, s, 2025, density=0.3)
+        state = initial_state(data, k, tau, rng)
+        state = dataclasses.replace(
+            state,
+            subject_params=SubjectParams(
+                log_loadings=rng.normal(4.0, 1.5, size=(s, k)),
+                offsets=np.array([-6.0, -1.0, 4.0]),
+            ),
+        )
+        q = _frame_of(state)
+        sp = state.subject_params
+        psi = np.einsum("ik,sk,jk->sij", q, np.exp(sp.log_loadings), q)
+        psi += sp.offsets[:, None, None]
+        off = ~np.eye(n, dtype=bool)
+        assert np.abs(psi[:, off]).max() > 30.0
+
+        grad = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+        vec = _flatten(state)
+        sizes = (s * k, s, n * k)
+        starts = (0, s * k, s * k + s)
+        coords = np.concatenate([
+            start + rng.choice(size, size=min(6, size), replace=False)
+            for start, size in zip(starts, sizes)
+        ])
+        h = 1e-5
+        u0 = abs(potential(state, data))
+        for i in coords:
+            vp, vm = vec.copy(), vec.copy()
+            vp[i] += h
+            vm[i] -= h
+            fd = (potential(_rebuild(state, vp), data) - potential(_rebuild(state, vm), data)) / (
+                2 * h
+            )
+            # 1e-6 relative, plus the rounding of U (~9e4 here) in the difference
+            allowed = 1e-6 * max(1.0, abs(fd)) + 10.0 * np.finfo(float).eps * u0 / h
+            assert abs(grad[i] - fd) <= allowed, (i, grad[i], fd)
+
+
 class TestCanonicalize:
     def _state(self):
         return ChainState(
@@ -323,6 +374,60 @@ class TestUpdates:
         )
         assert log.hmc_accept.sum() == 0
         assert np.isfinite(log.u).all()
+
+
+    def test_overflowing_frame_gradient_rejects(self, monkeypatch):
+        # tiny loadings meet the loading prior's steep pull toward larger
+        # values: one step of 0.8073 lands the log-loadings near 708,
+        # where the frame gradient is still finite but its backward pass
+        # through the whitening overflows
+        data = _toy_data(12, 2, 31)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(3))
+        state = dataclasses.replace(
+            init,
+            subject_params=SubjectParams(
+                log_loadings=np.full((2, 2), -10.0), offsets=init.subject_params.offsets
+            ),
+        )
+        backward = []
+        original = msfactor.sampler.whiten_backward
+
+        def spy(passes, grad_q):
+            out = original(passes, grad_q)
+            backward.append((np.isfinite(grad_q).all(), np.isfinite(out).all()))
+            return out
+
+        monkeypatch.setattr(msfactor.sampler, "whiten_backward", spy)
+        omega = np.ones(_flatten(state).size)
+        new, accepted, alpha, u = msfactor.sampler._hmc_step(
+            state, data, np.random.default_rng(0), 0.8073, 1, omega, u_cur=1.5
+        )
+        assert (True, False) in backward
+        assert new is state
+        assert not accepted
+        assert alpha == 0.0
+        assert u == 1.5
+
+    def test_trajectory_end_reuses_last_gradient_pass(self, monkeypatch):
+        state = _generic_state(32)
+        data = _toy_data(4, 2, 33)
+        values = []
+        original = msfactor.sampler.log_likelihood
+
+        def counting(*args):
+            values.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(msfactor.sampler, "log_likelihood", counting)
+        omega = np.ones(_flatten(state).size)
+        u_cur = potential(state, data)
+        values.clear()
+        new, accepted, _, u = msfactor.sampler._hmc_step(
+            state, data, np.random.default_rng(5), 0.05, 4, omega, u_cur=u_cur
+        )
+        assert values == []
+        assert accepted
+        assert u == potential(new, data)
 
 
 class TestExchangeTargets:
