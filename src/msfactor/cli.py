@@ -200,6 +200,14 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
     # parsed and validated once, here, so bad data fails with exit 2; pool
     # workers receive the parsed dataset
     data = NetworkDataset.from_json(data_text)
+    nodes = run_cfg["w_trace_nodes"]
+    if nodes is not None and (
+        len(set(nodes)) != len(nodes)
+        or not all(type(i) is int and 0 <= i < data.n for i in nodes)
+    ):
+        raise ConfigError(
+            f"config field w_trace_nodes must hold distinct node ids in [0, {data.n})"
+        )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,9 +252,21 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     if not chain_dirs:
         raise ConfigError(f"no chain_* directories under {fit_dir}")
 
-    logs = [
-        SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv") for d in chain_dirs
-    ]
+    try:
+        meta = json.loads((fit_dir / "run_meta.json").read_text())
+        fit_n = {d.name: meta["chains"][d.name]["n"] for d in chain_dirs}
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"cannot read node counts from {fit_dir / 'run_meta.json'}: {err}") from err
+    logs = []
+    for d in chain_dirs:
+        log = SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv")
+        if log.w_hard.shape[1] != fit_n[d.name]:
+            raise ConfigError(
+                f"{d.name}: w_trace covers {log.w_hard.shape[1]} of the fit's "
+                f"{fit_n[d.name]} nodes; summarize needs them all, so fit without "
+                "w_trace_nodes"
+            )
+        logs.append(log)
     per_chain_ess = {}
     for d, log in zip(chain_dirs, logs):
         per_chain_ess[d.name] = summarize(log, burn_in=burn_in).ess

@@ -165,7 +165,9 @@ def _likelihood_pass(data, q, sp, value, grads):
         # sum of A psi - log(1 + exp(psi)) off the diagonal, with
         # log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)); psi is spent
         _diagonals(psi)[:] = 0.0
-        a_psi = np.vdot(data.adjacency, psi)
+        # einsum's own loop, not a BLAS dot: OpenBLAS splits a long dot
+        # product across threads, so its rounding follows the thread count
+        a_psi = np.einsum("sij,sij->", data.adjacency, psi)
         np.abs(psi, out=work)
         np.negative(work, out=work)
         np.exp(work, out=work)

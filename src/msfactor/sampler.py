@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit, logit
 
 from .model import (
@@ -189,7 +189,7 @@ def potential_grad(state, data, with_potential=False):
         gx_like = whiten_backward(passes, g_q)
     # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
     q1, low1 = passes[0]
-    gx_gram = (n - k - 1) * solve_triangular(low1.T, q1.T, lower=False, check_finite=False).T
+    gx_gram = (n - k - 1) * dtrtrs(low1, q1.T, lower=1, trans=1)[0].T
     gu_x = -(gx_like + gx_gram)
     sig_slope = w * (1.0 - w) / state.tau
     grad_logits = (gu_x * (state.values.a - state.values.b) - logit(state.probs.p)) * sig_slope
@@ -448,7 +448,7 @@ class SampleLog:
     def to_csv(self, trace_path, w_trace_path, nodes=None):
         k = self.a.shape[1]
         s = self.offsets.shape[1]
-        cols = ["iteration", "U", "hmc_accept", "exch_accept", "h"]
+        cols = ["iteration", "U", "hmc_accept", "exch_accept", "h", "exch_skipped"]
         cols += [f"a_{j + 1}" for j in range(k)]
         cols += [f"b_{j + 1}" for j in range(k)]
         cols += [f"p_{j + 1}" for j in range(k)]
@@ -463,6 +463,7 @@ class SampleLog:
                     str(int(self.hmc_accept[t])),
                     str(int(self.exch_accept[t])),
                     format(self.step_sizes[t], ".17g"),
+                    str(int(self.exch_skipped[t])),
                 ]
                 row += [format(v, ".17g") for v in self.a[t]]
                 row += [format(v, ".17g") for v in self.b[t]]
@@ -475,14 +476,17 @@ class SampleLog:
         wcols = ["iteration"] + [
             f"w_{i}_{j + 1}" for i in sel for j in range(k)
         ]
-        with open(w_trace_path, "w") as fh:
-            fh.write(",".join(wcols) + "\n")
-            for t in range(self.n_draws):
-                row = [str(int(self.iterations[t]))]
-                row += [
-                    str(int(self.w_hard[t, i, j])) for i in sel for j in range(k)
-                ]
-                fh.write(",".join(row) + "\n")
+        # every row after its iteration number is ",c,c,...,c\n" with
+        # 0/1 cells, built for all rows at once as bytes
+        cells = self.w_hard[:, sel, :].reshape(self.n_draws, len(sel) * k)
+        body = np.empty((self.n_draws, 2 * cells.shape[1] + 1), dtype=np.uint8)
+        body[:, :-1:2] = ord(",")
+        body[:, 1::2] = cells.astype(np.uint8) + ord("0")
+        body[:, -1] = ord("\n")
+        with open(w_trace_path, "wb") as fh:
+            fh.write((",".join(wcols) + "\n").encode())
+            for it, row in zip(self.iterations, body):
+                fh.write(str(int(it)).encode() + row.tobytes())
 
     @classmethod
     def from_csv(cls, trace_path, w_trace_path):
@@ -518,7 +522,10 @@ class SampleLog:
         )
         node_ids = sorted({int(name.split("_")[1]) for name in w_header[1:]})
         if node_ids != list(range(len(node_ids))):
-            raise ValueError("w_trace does not cover a contiguous node range from 0")
+            raise ValueError(
+                "w_trace does not cover a contiguous node range from 0"
+                " (written with a w_trace_nodes subset?)"
+            )
         n = len(node_ids)
         w_hard = np.zeros((t_n, n, k))
         w_col = {name: idx for idx, name in enumerate(w_header)}
@@ -531,7 +538,7 @@ class SampleLog:
             u=raw[:, col["U"]],
             hmc_accept=raw[:, col["hmc_accept"]].astype(bool),
             exch_accept=raw[:, col["exch_accept"]].astype(bool),
-            exch_skipped=np.zeros(t_n, dtype=bool),
+            exch_skipped=raw[:, col["exch_skipped"]].astype(bool),
             step_sizes=raw[:, col["h"]],
             a=a,
             b=b,

@@ -1,16 +1,19 @@
 """Cholesky whitening of structured matrices onto the Stiefel manifold.
 
 whiten() maps a full-column-rank n x k matrix X to Q = X L^-T with
-L the lower Cholesky factor of X'X, via triangular solves.  Because
-L^-T is upper triangular, column j of Q mixes only columns 1..j of X,
-so a matrix whose first j columns are constant on a cell keeps that
-cell structure in Q.
+L the lower Cholesky factor of X'X.  Because L^-T is upper triangular,
+column j of Q mixes only columns 1..j of X, so a matrix whose first j
+columns are constant on a cell keeps that cell structure in Q.
+
+The factor is LAPACK potrf and every solve against L or L' is LAPACK
+trtrs.  The solves skip scipy's finite check: an overflowed gradient
+comes back as inf/nan for the sampler to reject as a divergence.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 PIVOT_EPS = 1e-12
 
@@ -37,42 +40,32 @@ def cholesky(s, eps=PIVOT_EPS):
     scale = max(np.abs(s).max(), 1.0)
     if np.abs(s - s.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    k = s.shape[0]
     floor = eps * max(s.diagonal().max(), 0.0)
-    low = np.zeros((k, k))
-    for j in range(k):
-        pivot = s[j, j] - low[j, :j] @ low[j, :j]
-        if not pivot > floor:
-            raise NotPositiveDefiniteError(j)
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < k:
-            low[j + 1:, j] = (s[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    low, info = dpotrf(s, lower=1, clean=1)
+    # potrf stops at the first pivot <= 0 (info is its 1-based index);
+    # the pivots before it are final, and squared they are the loop's
+    # pivots, so the relative floor is applied to them afterwards
+    valid = s.shape[0] if info == 0 else info - 1
+    above = low.diagonal()[:valid] ** 2 > floor
+    if not above.all():
+        raise NotPositiveDefiniteError(int(np.argmin(above)))
+    if info:
+        raise NotPositiveDefiniteError(info - 1)
     return low
 
 
 def _whiten_pass(x):
     low = cholesky(x.T @ x)
-    q = solve_triangular(low, x.T, lower=True, check_finite=False).T
+    q = dtrtrs(low, x.T, lower=1)[0].T
     return q, low
 
 
 def whiten(x):
-    """Orthonormalize the columns of x by Cholesky whitening.
-
-    Two passes: the second whitens the first-pass frame again, taking
-    orthonormality error from eps * cond(X)^2 down to ~eps.  The
-    composite is still X (L2 L1)^-T with L2 L1 lower triangular, so
-    the triangular column structure is preserved exactly.
-    """
+    """Orthonormalize the columns of x by two-pass Cholesky whitening."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    n, k = x.shape
-    if n < k:
-        raise ValueError(f"need n >= k, got {n} x {k}")
-    q, _ = _whiten_pass(x)
-    q, _ = _whiten_pass(q)
-    return q
+    return whiten_with_factors(x)[0]
 
 
 def rank_ok(x):
@@ -115,6 +108,11 @@ def extract_column_partition(column, tol=1e-8):
 def whiten_with_factors(x):
     """Both whitening passes with their factors, for gradient work.
 
+    The second pass whitens the first-pass frame again, taking the
+    orthonormality error from eps * cond(X)^2 down to ~eps.  The
+    composite is still X (L2 L1)^-T with L2 L1 lower triangular, so
+    the triangular column structure is preserved exactly.
+
     Returns (q, passes) where passes = [(q1, low1), (q2, low2)] and
     q = q2 is the refined frame.
     """
@@ -144,5 +142,5 @@ def whiten_backward(passes, grad_q):
     g = grad_q
     for q, low in reversed(passes):
         h = _half_lower(g.T @ q)
-        g = solve_triangular(low.T, (g - q @ (h + h.T)).T, lower=False, check_finite=False).T
+        g = dtrtrs(low, (g - q @ (h + h.T)).T, lower=1, trans=1)[0].T
     return g

@@ -1,6 +1,10 @@
 """End-to-end command-line pipeline: simulate -> fit -> summarize."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +266,69 @@ class TestFailureModes:
         })
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "warmup" in capsys.readouterr().err
+
+
+class TestWTraceNodes:
+    @pytest.fixture
+    def fit_cfg(self, tmp_path):
+        sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 3})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+
+        def write(nodes):
+            return _write(tmp_path / "fit.json", {
+                "data": str(tmp_path / "sim" / "dataset.json"),
+                "k": 1, "seed": 5, "iterations": 6, "warmup": 2,
+                "tau": 0.3, "leapfrog_steps": 2, "w_trace_nodes": nodes,
+            })
+        return write
+
+    @pytest.mark.parametrize("nodes", [[0, 8], [-1], [2, 2], [0, "1"], [True]])
+    def test_fit_rejects_bad_node_ids(self, tmp_path, capsys, fit_cfg, nodes):
+        assert main(["fit", "--config", fit_cfg(nodes), "--out", str(tmp_path / "fit")]) == 2
+        assert "w_trace_nodes" in capsys.readouterr().err
+        assert not (tmp_path / "fit" / "chain_00").exists()
+
+    @pytest.mark.parametrize("nodes", [[0, 1, 2, 3, 4], [5, 6, 7]])
+    def test_summarize_rejects_partial_w_trace(self, tmp_path, capsys, fit_cfg, nodes):
+        assert main(["fit", "--config", fit_cfg(nodes), "--out", str(tmp_path / "fit")]) == 0
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
+        assert "w_trace_nodes" in capsys.readouterr().err
+        assert not (tmp_path / "sum" / "summary.json").exists()
+
+    def test_full_node_list_in_any_order_summarizes(self, tmp_path, fit_cfg):
+        nodes = [7, 6, 5, 4, 3, 2, 1, 0]
+        assert main(["fit", "--config", fit_cfg(nodes), "--out", str(tmp_path / "fit")]) == 0
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 0
+
+
+class TestBlasThreads:
+    def test_traces_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # n=128, k=20 puts the frame products above OpenBLAS's threshold
+        # for splitting a matrix product across threads
+        sim = _write(tmp_path / "sim.json", {"n": 128, "k": 20, "subjects": 2, "seed": 9})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        fit = _write(tmp_path / "fit.json", {
+            "data": str(tmp_path / "sim" / "dataset.json"),
+            "k": 20, "seed": 4, "iterations": 8, "warmup": 4,
+            "tau": 0.3, "leapfrog_steps": 3, "step_size": 0.01,
+        })
+        src = str(Path(msfactor.cli.__file__).parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            out = tmp_path / f"threads_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "msfactor.cli", "fit", "--config", fit, "--out", str(out)],
+                env=env, check=True, timeout=120, capture_output=True,
+            )
+            outputs[threads] = out / "chain_00"
+        for name in ("trace.csv", "w_trace.csv"):
+            assert (outputs["1"] / name).read_bytes() == (outputs["2"] / name).read_bytes()

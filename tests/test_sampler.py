@@ -788,3 +788,62 @@ class TestSampleLogCsv:
         assert "logd_1_1" in header
         w_header = w_trace.read_text().splitlines()[0].split(",")
         assert w_header == ["iteration", "w_0_1", "w_1_1", "w_2_1"]
+
+    def test_exch_skipped_round_trip(self, tmp_path):
+        # one auxiliary attempt per move, so some moves are skipped
+        values = ColumnValues(a=np.array([0.9, 1.7]), b=np.array([-1.1, 0.4]))
+        w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        init = ChainState(
+            logits=0.5 * 800.0 * (2.0 * w0 - 1.0),
+            values=values,
+            probs=MixtureProbs(p=np.full(2, 0.5)),
+            subject_params=SubjectParams(log_loadings=np.zeros((1, 2)), offsets=np.zeros(1)),
+            tau=0.5,
+        )
+        log = run_chain(
+            data=None,
+            init=init,
+            hmc_cfg=HmcConfig(step_size=0.1, leapfrog_steps=1, warmup=0),
+            exch_cfg=ExchangeConfig(window=0.0, max_rejection_attempts=1),
+            iterations=60,
+            rng=np.random.default_rng(9),
+        )
+        assert 0 < log.exch_skipped.sum() < log.n_draws
+        trace = tmp_path / "trace.csv"
+        w_trace = tmp_path / "w_trace.csv"
+        log.to_csv(trace, w_trace)
+        back = SampleLog.from_csv(trace, w_trace)
+        np.testing.assert_array_equal(back.exch_skipped, log.exch_skipped)
+
+    @staticmethod
+    def _reference_w_trace(log, path, nodes):
+        """Per-cell writer the buffered w_trace writer must match byte for byte."""
+        k = log.a.shape[1]
+        sel = list(range(log.w_hard.shape[1])) if nodes is None else list(nodes)
+        with open(path, "w") as fh:
+            fh.write(",".join(["iteration"] + [f"w_{i}_{j + 1}" for i in sel for j in range(k)]) + "\n")
+            for t in range(log.n_draws):
+                row = [str(int(log.iterations[t]))]
+                row += [str(int(log.w_hard[t, i, j])) for i in sel for j in range(k)]
+                fh.write(",".join(row) + "\n")
+
+    @pytest.mark.parametrize("nodes", [None, [5, 0, 3], []])
+    def test_w_trace_bytes_match_per_cell_writer(self, tmp_path, nodes):
+        data = _toy_data(7, 2, 29)
+        init = initial_state(data, 3, 0.5, np.random.default_rng(4))
+        log = run_chain(
+            data,
+            init,
+            HmcConfig(step_size=0.05, leapfrog_steps=2, warmup=5),
+            ExchangeConfig(window=0.25),
+            iterations=25,
+            rng=np.random.default_rng(17),
+        )
+        rng = np.random.default_rng(3)
+        # patterns that vary from draw to draw and iteration numbers of
+        # several widths
+        log.w_hard[:] = rng.random(log.w_hard.shape) < 0.5
+        log.iterations[:] = np.arange(log.n_draws) * 7 + 5
+        log.to_csv(tmp_path / "trace.csv", tmp_path / "w_trace.csv", nodes=nodes)
+        self._reference_w_trace(log, tmp_path / "reference.csv", nodes)
+        assert (tmp_path / "w_trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

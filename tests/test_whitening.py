@@ -212,3 +212,117 @@ class TestWhitenBackward:
                 dn[i, j] -= h
                 num[i, j] = (scalar(up) - scalar(dn)) / (2 * h)
         np.testing.assert_allclose(g_x, num, rtol=1e-6, atol=1e-8)
+
+
+def _loop_cholesky(s, eps=1e-12):
+    """Column-by-column reference factor with the relative pivot floor."""
+    s = np.asarray(s, dtype=np.float64)
+    k = s.shape[0]
+    floor = eps * max(s.diagonal().max(), 0.0)
+    low = np.zeros((k, k))
+    for j in range(k):
+        pivot = s[j, j] - low[j, :j] @ low[j, :j]
+        if not pivot > floor:
+            raise NotPositiveDefiniteError(j)
+        low[j, j] = np.sqrt(pivot)
+        if j + 1 < k:
+            low[j + 1:, j] = (s[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def _failing_pivot(factor, s):
+    try:
+        factor(s)
+    except NotPositiveDefiniteError as err:
+        return err.pivot_index
+    return None
+
+
+class TestLapackCholesky:
+    @pytest.mark.parametrize("k", [1, 3, 30])
+    def test_matches_loop_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(10):
+            x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
+            s = x.T @ x
+            ref = _loop_cholesky(s)
+            low = cholesky(s)
+            np.testing.assert_allclose(low, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            assert np.all(np.triu(low, k=1) == 0.0)
+
+    @staticmethod
+    def _patterns():
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((12, 5))
+        repeated = x.copy()
+        repeated[:, 3] = repeated[:, 1]
+        constant = x.copy()
+        constant[:, 0] = 1.0
+        constant[:, 2] = -2.5
+        zero = x.copy()
+        zero[:, 4] = 0.0
+        return {"repeated": (repeated, 3), "constant": (constant, 2), "zero": (zero, 4)}
+
+    @pytest.mark.parametrize("name", ["repeated", "constant", "zero"])
+    def test_rank_deficient_pivot_index(self, name):
+        x, expected = self._patterns()[name]
+        s = x.T @ x
+        assert _failing_pivot(_loop_cholesky, s) == expected
+        assert _failing_pivot(cholesky, s) == expected
+
+    def test_indefinite_pivot_index(self):
+        # a negative pivot with a zero diagonal after it: the entries past
+        # the failing pivot are unfactored and must not be tested
+        s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert _failing_pivot(_loop_cholesky, s) == 1
+        assert _failing_pivot(cholesky, s) == 1
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    @pytest.mark.parametrize("ratio, fails", [(0.5, True), (2.0, False)])
+    def test_pivot_floor_relative(self, j, ratio, fails):
+        # a factor whose pivot j squared sits at ratio x the relative floor
+        rng = np.random.default_rng(31 + j)
+        low = np.tril(rng.uniform(0.5, 1.5, size=(5, 5)))
+        low[j, j] = 0.0
+        floor = 1e-12 * (low @ low.T).diagonal().max()
+        low[j, j] = np.sqrt(ratio * floor)
+        s = low @ low.T
+        expected = j if fails else None
+        assert _failing_pivot(_loop_cholesky, s) == expected
+        assert _failing_pivot(cholesky, s) == expected
+
+    def test_random_structured_patterns_agree_with_loop(self):
+        rng = np.random.default_rng(43)
+        for k in (3, 6):
+            for _ in range(100):
+                w = (rng.random((2 * k, k)) < 0.5).astype(np.float64)
+                values = ColumnValues(
+                    a=rng.choice([1.0, 2.0], size=k), b=rng.choice([-1.0, 0.0], size=k)
+                )
+                x = build_x(StructuredMatrix(w=w, values=values))
+                s = x.T @ x
+                assert _failing_pivot(cholesky, s) == _failing_pivot(_loop_cholesky, s)
+
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_nan_rejected(self, where):
+        s = np.eye(3) * 2.0
+        if where == "diagonal":
+            s[1, 1] = np.nan
+        else:
+            s[2, 1] = s[1, 2] = np.nan
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(s)
+
+    @pytest.mark.parametrize(
+        "s", [np.array([[1.0, 0.5], [0.2, 1.0]]), np.ones((2, 3)), np.ones(3)]
+    )
+    def test_malformed_input_is_plain_value_error(self, s):
+        with pytest.raises(ValueError) as exc:
+            cholesky(s)
+        assert type(exc.value) is ValueError
+
+    def test_whiten_is_first_output_of_whiten_with_factors(self):
+        x = np.random.default_rng(59).standard_normal((9, 4))
+        np.testing.assert_array_equal(whiten(x), whiten_with_factors(x)[0])
+        with pytest.raises(ValueError):
+            whiten(np.ones(4))
