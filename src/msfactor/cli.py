@@ -3,7 +3,7 @@
 Each subcommand reads a JSON config, applies flag overrides, writes its
 effective config next to its outputs, and is deterministic given the
 seed.  Exit codes: 0 success, 2 config or data validation problem,
-3 runtime failure (rank or initialization).
+3 runtime failure (rank, initialization, or any error inside a chain).
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 from scipy.special import logit
 
-from .diagnostics import partition_recovery, subspace_error, summarize
+from .diagnostics import chain_ess, partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, simulate_dataset
 from .partition import RecursivePartition, random_partition
 from .prior import ColumnValues, MixtureProbs, PriorRejectionError
@@ -36,6 +37,10 @@ from .whitening import NotPositiveDefiniteError
 
 class ConfigError(ValueError):
     """Bad or missing configuration value; message names the field."""
+
+
+class ChainError(RuntimeError):
+    """An error raised while a chain ran; message names the chain."""
 
 
 def _load_config(path):
@@ -132,36 +137,30 @@ def cmd_simulate(cfg, out_dir):
 
 
 def _fit_single_chain(args):
-    (chain_id, data, cfg, seed_words, out_dir) = args
-    rng = np.random.default_rng(seed_words)
-    tau = cfg["tau"]
-    state = initial_state(data, cfg["k"], tau, rng)
-    hmc_cfg = HmcConfig(
-        step_size=cfg["step_size"],
-        leapfrog_steps=cfg["leapfrog_steps"],
-        target_accept=cfg["target_accept"],
-        warmup=cfg["warmup"],
-    )
-    exch_cfg = ExchangeConfig(
-        window=cfg["window"],
-        max_rejection_attempts=cfg["max_rejection_attempts"],
-    )
-    start = time.perf_counter()
-    log = run_chain(
-        data,
-        state,
-        hmc_cfg,
-        exch_cfg,
-        cfg["iterations"],
-        rng,
-        thin=cfg["thin"],
-        anneal_from=cfg["anneal_from"],
-    )
-    elapsed = time.perf_counter() - start
-    chain_dir = Path(out_dir) / f"chain_{chain_id:02d}"
-    chain_dir.mkdir(parents=True, exist_ok=True)
-    nodes = cfg["w_trace_nodes"]
-    log.to_csv(chain_dir / "trace.csv", chain_dir / "w_trace.csv", nodes=nodes)
+    (chain_id, data, cfg, hmc_cfg, exch_cfg, seed_words, out_dir) = args
+    try:
+        rng = np.random.default_rng(seed_words)
+        state = initial_state(data, cfg["k"], cfg["tau"], rng)
+        start = time.perf_counter()
+        log = run_chain(
+            data,
+            state,
+            hmc_cfg,
+            exch_cfg,
+            cfg["iterations"],
+            rng,
+            thin=cfg["thin"],
+            anneal_from=cfg["anneal_from"],
+        )
+        elapsed = time.perf_counter() - start
+        chain_dir = Path(out_dir) / f"chain_{chain_id:02d}"
+        chain_dir.mkdir(parents=True, exist_ok=True)
+        nodes = cfg["w_trace_nodes"]
+        log.to_csv(chain_dir / "trace.csv", chain_dir / "w_trace.csv", nodes=nodes)
+    except Exception as err:
+        # the traceback goes to stderr here, since a pool worker's would be lost
+        traceback.print_exc()
+        raise ChainError(f"chain_{chain_id:02d}: {type(err).__name__}: {err}") from err
     return chain_id, {**log.meta, "wall_seconds": elapsed, "n_draws": log.n_draws}
 
 
@@ -192,6 +191,23 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
         raise ConfigError("config field warmup cannot exceed iterations")
     if k < 1:
         raise ConfigError("config field k must be >= 1")
+    if run_cfg["thin"] < 1:
+        raise ConfigError("config field thin must be >= 1")
+    if not run_cfg["tau"] > 0.0:
+        raise ConfigError("config field tau must be positive")
+    if run_cfg["anneal_from"] is not None and not run_cfg["anneal_from"] > 0.0:
+        raise ConfigError("config field anneal_from must be positive")
+    # built here so a bad sampler setting exits 2 before any chain starts
+    hmc_cfg = HmcConfig(
+        step_size=run_cfg["step_size"],
+        leapfrog_steps=run_cfg["leapfrog_steps"],
+        target_accept=run_cfg["target_accept"],
+        warmup=run_cfg["warmup"],
+    )
+    exch_cfg = ExchangeConfig(
+        window=run_cfg["window"],
+        max_rejection_attempts=run_cfg["max_rejection_attempts"],
+    )
 
     try:
         data_text = Path(data_path).read_text()
@@ -200,6 +216,10 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
     # parsed and validated once, here, so bad data fails with exit 2; pool
     # workers receive the parsed dataset
     data = NetworkDataset.from_json(data_text)
+    if data.n < 2:
+        raise ConfigError(f"data file {data_path} must hold at least 2 nodes")
+    if k > data.n:
+        raise ConfigError(f"config field k must be at most the dataset's n = {data.n}")
     nodes = run_cfg["w_trace_nodes"]
     if nodes is not None and (
         len(set(nodes)) != len(nodes)
@@ -214,7 +234,7 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
     root_seq = np.random.SeedSequence(seed)
     children = root_seq.spawn(chains)
     jobs = [
-        (c, data, run_cfg, children[c].generate_state(4).tolist(), str(out))
+        (c, data, run_cfg, hmc_cfg, exch_cfg, children[c].generate_state(4).tolist(), str(out))
         for c in range(chains)
     ]
     start = time.perf_counter()
@@ -267,9 +287,7 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
                 "w_trace_nodes"
             )
         logs.append(log)
-    per_chain_ess = {}
-    for d, log in zip(chain_dirs, logs):
-        per_chain_ess[d.name] = summarize(log, burn_in=burn_in).ess
+    per_chain_ess = {d.name: chain_ess(log, burn_in) for d, log in zip(chain_dirs, logs)}
 
     pooled = _pool_logs(logs, burn_in)
     summary = summarize(pooled, burn_in=0.0)
@@ -295,13 +313,28 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     factors_dir = out / "factors"
     factors_dir.mkdir(exist_ok=True)
     for j, mat in enumerate(summary.factors, start=1):
-        with open(factors_dir / f"factor_{j}.csv", "w") as fh:
-            for row in mat:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        _write_symmetric_csv(factors_dir / f"factor_{j}.csv", mat)
     _write_json(out / "summary.json", payload)
     _write_json(out / "effective_config.json", {**cfg, "out": str(out)})
     print(f"wrote {out / 'summary.json'}")
     return 0
+
+
+def _write_symmetric_csv(path, mat):
+    """Write mat as CSV rows, each value as format(v, ".17g").
+
+    mat must be exactly symmetric, as a scaled outer product is: each
+    upper-triangle value is formatted once, in one %-format call, and
+    its string is mirrored into the lower triangle.
+    """
+    n = mat.shape[0]
+    rows, cols = np.triu_indices(n)
+    upper = mat[rows, cols].tolist()
+    cells = np.empty((n, n), dtype=object)
+    text = "%.17g\n" * len(upper) % tuple(upper)
+    cells[rows, cols] = cells[cols, rows] = text.split("\n")[:-1]
+    with open(path, "w") as fh:
+        fh.write("".join(",".join(row) + "\n" for row in cells.tolist()))
 
 
 def _pool_logs(logs, burn_in):
@@ -373,7 +406,7 @@ def main(argv=None):
             return 3
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (InitializationError, PriorRejectionError) as err:
+    except (ChainError, InitializationError, PriorRejectionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

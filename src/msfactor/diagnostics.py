@@ -3,7 +3,9 @@
 Summaries are computed from hard assignment patterns plus the level
 values: every retained draw's frame is rebuilt by whitening the
 structured matrix implied by (W, a, b), which makes the results
-reproducible from the trace files alone.
+reproducible from the trace files alone.  chain_ess is the ESS part
+of summarize on its own: it canonicalises labels but whitens nothing,
+so per-chain diagnostics cost no frame work.
 """
 
 from __future__ import annotations
@@ -97,19 +99,42 @@ class PosteriorSummary:
         }
 
 
-def _canonical_arrays(log, start):
-    a = log.a[start:].copy()
-    b = log.b[start:].copy()
-    p = log.p[start:].copy()
-    w = log.w_hard[start:].copy()
+def _retained_start(log, burn_in):
+    if not 0.0 <= burn_in < 1.0:
+        raise ValueError(f"burn_in must be in [0, 1), got {burn_in}")
+    if log.n_draws == 0:
+        raise ValueError("empty sample log")
+    return int(math.floor(log.n_draws * burn_in))
+
+
+def _canonical_values(log, start):
+    """Retained a, b, p under the a_j >= b_j convention, and the swap mask."""
+    a, b, p = log.a[start:], log.b[start:], log.p[start:]
     swap = a < b
-    if swap.any():
-        a_sw = np.where(swap, b, a)
-        b_sw = np.where(swap, a, b)
-        p = np.where(swap, 1.0 - p, p)
-        w = np.where(swap[:, None, :], 1.0 - w, w)
-        a, b = a_sw, b_sw
-    return a, b, p, w
+    return np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - p, p), swap
+
+
+def chain_ess(log, burn_in=0.5):
+    """Batch-means ESS of the canonical a, b, p, the offsets and U.
+
+    This is summarize(log, burn_in).ess without whitening any frame.
+    """
+    start = _retained_start(log, burn_in)
+    a, b, p, _ = _canonical_values(log, start)
+    k = a.shape[1]
+    offsets = log.offsets[start:]
+    series = {f"a_{j + 1}": a[:, j] for j in range(k)}
+    series.update({f"b_{j + 1}": b[:, j] for j in range(k)})
+    series.update({f"p_{j + 1}": p[:, j] for j in range(k)})
+    series.update({f"z_{i + 1}": offsets[:, i] for i in range(offsets.shape[1])})
+    series["U"] = log.u[start:]
+    ess = {}
+    for name, values in series.items():
+        try:
+            ess[name] = ess_batch_means(values)
+        except ValueError:
+            ess[name] = None
+    return ess
 
 
 def summarize(log, burn_in=0.5):
@@ -119,15 +144,12 @@ def summarize(log, burn_in=0.5):
     Logs hold raw draws; the label convention (a_j > b_j) is imposed
     here, so file-loaded and in-memory logs behave identically.
     """
-    if not 0.0 <= burn_in < 1.0:
-        raise ValueError(f"burn_in must be in [0, 1), got {burn_in}")
-    t_n = log.n_draws
-    if t_n == 0:
-        raise ValueError("empty sample log")
-    start = int(math.floor(t_n * burn_in))
-    a, b, p, w = _canonical_arrays(log, start)
-    kept = t_n - start
-    offsets = log.offsets[start:]
+    start = _retained_start(log, burn_in)
+    a, b, _, swap = _canonical_values(log, start)
+    w = log.w_hard[start:]
+    if swap.any():
+        w = np.where(swap[:, None, :], 1.0 - w, w)
+    kept = log.n_draws - start
     loadings = np.exp(log.log_loadings[start:])
 
     w_prob = w.mean(axis=0)
@@ -167,26 +189,12 @@ def summarize(log, burn_in=0.5):
         for j in range(q_mean.shape[1])
     ]
 
-    ess = {}
-    k = a.shape[1]
-    s_n = offsets.shape[1]
-    series = {f"a_{j + 1}": a[:, j] for j in range(k)}
-    series.update({f"b_{j + 1}": b[:, j] for j in range(k)})
-    series.update({f"p_{j + 1}": p[:, j] for j in range(k)})
-    series.update({f"z_{i + 1}": offsets[:, i] for i in range(s_n)})
-    series["U"] = log.u[start:]
-    for name, values in series.items():
-        try:
-            ess[name] = ess_batch_means(values)
-        except ValueError:
-            ess[name] = None
-
     return PosteriorSummary(
         w_prob=w_prob,
         q_mean=q_mean,
         d_mean=d_mean,
         factors=factors,
-        ess=ess,
+        ess=chain_ess(log, burn_in),
         meta={
             "n_retained": kept,
             "n_frame_draws": used,

@@ -4,6 +4,11 @@ A depth-k recursive partition is a stack of k two-way splits of
 {0, ..., n-1}.  Intersecting the first j splits induces the level-j
 cells; cells are labeled by the bit string of side choices, one bit
 per level ('0' = side1, '1' = side2).
+
+partition_distance scores two labelings by their best agreement under
+relabeling.  Two labels need no search (the bijection is the identity
+or the swap), so scipy.optimize is imported only for three or more,
+and the CLI, which compares binary levels, never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,9 @@ def random_partition(n, k, rng):
 def partition_distance(labels_a, labels_b):
     """1 - (best-case label agreement under relabeling) / n.
 
-    Zero iff the two labelings induce the same partition; the optimal
-    label bijection is found by assignment on the confusion matrix.
+    Zero iff the two labelings induce the same partition.  With at most
+    two labels the optimal bijection is the identity or the swap; with
+    more it is found by assignment on the confusion matrix.
     """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
@@ -135,6 +140,11 @@ def partition_distance(labels_a, labels_b):
     m = max(ai.max(), bi.max()) + 1
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (ai, bi), 1)
-    rows, cols = linear_sum_assignment(-confusion)
-    agreement = confusion[rows, cols].sum()
+    if m <= 2:
+        agreement = max(np.trace(confusion), np.trace(confusion[::-1]))
+    else:
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(-confusion)
+        agreement = confusion[rows, cols].sum()
     return 1.0 - agreement / n

@@ -439,7 +439,6 @@ class SampleLog:
     w_hard: np.ndarray          # T x n x k
     w_relaxed: np.ndarray | None
     meta: dict = field(default_factory=dict)
-    init_state: ChainState | None = None
 
     @property
     def n_draws(self):
@@ -490,36 +489,24 @@ class SampleLog:
 
     @classmethod
     def from_csv(cls, trace_path, w_trace_path):
-        with open(trace_path) as fh:
-            header = fh.readline().strip().split(",")
-            body = [line.strip().split(",") for line in fh if line.strip()]
+        header, raw = _read_csv(trace_path)
         col = {name: idx for idx, name in enumerate(header)}
         k = sum(1 for name in header if name.startswith("a_"))
         s = sum(1 for name in header if name.startswith("z_"))
-        raw = np.asarray(body, dtype=np.float64) if body else np.empty((0, len(header)))
         t_n = raw.shape[0]
 
-        def block(prefix, labels):
-            idx = [col[f"{prefix}{lab}"] for lab in labels]
-            return raw[:, idx]
+        # take, unlike raw[:, idx], returns C order, so reductions over
+        # the blocks sum in the same order as on the arrays run_chain builds
+        def block(names, shape):
+            return raw.take([col[name] for name in names], axis=1).reshape((t_n,) + shape)
 
-        a = block("a_", range(1, k + 1))
-        b = block("b_", range(1, k + 1))
-        p = block("p_", range(1, k + 1))
-        z = block("z_", range(1, s + 1))
-        ld = np.empty((t_n, s, k))
-        for i in range(s):
-            for j in range(k):
-                ld[:, i, j] = raw[:, col[f"logd_{i + 1}_{j + 1}"]]
+        a = block([f"a_{j + 1}" for j in range(k)], (k,))
+        b = block([f"b_{j + 1}" for j in range(k)], (k,))
+        p = block([f"p_{j + 1}" for j in range(k)], (k,))
+        z = block([f"z_{i + 1}" for i in range(s)], (s,))
+        ld = block([f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)], (s, k))
 
-        with open(w_trace_path) as fh:
-            w_header = fh.readline().strip().split(",")
-            w_body = [line.strip().split(",") for line in fh if line.strip()]
-        w_raw = (
-            np.asarray(w_body, dtype=np.float64)
-            if w_body
-            else np.empty((0, len(w_header)))
-        )
+        w_header, w_raw = _read_csv(w_trace_path)
         node_ids = sorted({int(name.split("_")[1]) for name in w_header[1:]})
         if node_ids != list(range(len(node_ids))):
             raise ValueError(
@@ -527,11 +514,9 @@ class SampleLog:
                 " (written with a w_trace_nodes subset?)"
             )
         n = len(node_ids)
-        w_hard = np.zeros((t_n, n, k))
         w_col = {name: idx for idx, name in enumerate(w_header)}
-        for i in range(n):
-            for j in range(k):
-                w_hard[:, i, j] = w_raw[:, w_col[f"w_{i}_{j + 1}"]]
+        w_idx = [w_col[f"w_{i}_{j + 1}"] for i in range(n) for j in range(k)]
+        w_hard = w_raw.take(w_idx, axis=1).reshape(t_n, n, k)
 
         return cls(
             iterations=raw[:, col["iteration"]].astype(np.int64),
@@ -548,6 +533,16 @@ class SampleLog:
             w_hard=w_hard,
             w_relaxed=None,
         )
+
+
+def _read_csv(path):
+    """Header names and the rows below them as floats (0 x columns if none)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = fh.read()
+    if not rows.strip():
+        return header, np.empty((0, len(header)))
+    return header, np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
 
 
 def run_chain(
@@ -729,6 +724,5 @@ def run_chain(
             "exch_skip_count": skip_total,
             "mass_range": [float(omega.min()), float(omega.max())],
         },
-        init_state=init,
     )
     return log

@@ -12,6 +12,8 @@ comes back as inf/nan for the sampler to reject as a divergence.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
@@ -125,8 +127,16 @@ def whiten_with_factors(x):
     return q2, [(q1, low1), (q2, low2)]
 
 
+@functools.lru_cache(maxsize=None)
+def _lower_mask(k):
+    mask = np.tri(k, dtype=bool)
+    mask.flags.writeable = False    # shared by every call at this k
+    return mask
+
+
 def _half_lower(h):
-    out = np.tril(h)
+    # np.tril would rebuild this mask on every call
+    out = np.where(_lower_mask(h.shape[0]), h, 0.0)
     np.fill_diagonal(out, 0.5 * h.diagonal())
     return out
 

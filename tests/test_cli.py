@@ -332,3 +332,108 @@ class TestBlasThreads:
             outputs[threads] = out / "chain_00"
         for name in ("trace.csv", "w_trace.csv"):
             assert (outputs["1"] / name).read_bytes() == (outputs["2"] / name).read_bytes()
+
+
+def _src_env():
+    src = str(Path(msfactor.cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy_optimize(self):
+        code = "import sys, msfactor.cli; assert 'scipy.optimize' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
+
+    def test_summarize_with_truth_does_not_load_scipy_optimize(self, pipeline):
+        root, sim_dir, fit_dir, _ = pipeline
+        cfg = _write(root / "sum_startup.json", {"fit_dir": str(fit_dir)})
+        code = (
+            "import sys; from msfactor.cli import main; "
+            f"assert main(['summarize', '--config', {cfg!r}, '--out', {str(root / 'sum_startup')!r}, "
+            f"'--truth', {str(sim_dir / 'truth.json')!r}]) == 0; "
+            "assert 'scipy.optimize' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=120,
+                       capture_output=True)
+
+
+def _reference_matrix_csv(path, mat):
+    """Per-value writer the factor writer must match byte for byte."""
+    with open(path, "w") as fh:
+        for row in mat:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+
+
+class TestFactorWriter:
+    @pytest.mark.parametrize("q, scale", [
+        (np.array([0.37]), 2.5),
+        (np.array([0.0, -1.5, 0.0, 2.0, -0.0]), -0.7),
+        (np.array([-0.0, 3e-200, -1e150, 0.1]), 0.0),
+        (np.random.default_rng(8).standard_normal(40), 31.25),
+    ])
+    def test_bytes_match_per_value_writer(self, tmp_path, q, scale):
+        mat = scale * np.outer(q, q)
+        msfactor.cli._write_symmetric_csv(tmp_path / "fast.csv", mat)
+        _reference_matrix_csv(tmp_path / "reference.csv", mat)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_summary_factors_match_per_value_writer(self, pipeline, tmp_path):
+        _, _, fit_dir, sum_dir = pipeline
+        logs = [SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv")
+                for d in sorted(fit_dir.glob("chain_*"))]
+        summary = summarize(msfactor.cli._pool_logs(logs, 0.5), burn_in=0.0)
+        for j, mat in enumerate(summary.factors, start=1):
+            _reference_matrix_csv(tmp_path / "reference.csv", mat)
+            written = (sum_dir / "factors" / f"factor_{j}.csv").read_bytes()
+            assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestChainFailures:
+    @pytest.fixture
+    def fit_cfg(self, tmp_path):
+        sim = _write(tmp_path / "sim.json", {"n": 8, "k": 2, "subjects": 2, "seed": 3})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+
+        def write(**fields):
+            return _write(tmp_path / "fit.json", {
+                "data": str(tmp_path / "sim" / "dataset.json"),
+                "k": 2, "seed": 5, "iterations": 6, "warmup": 2,
+                "tau": 0.3, "leapfrog_steps": 2, **fields,
+            })
+        return write
+
+    @staticmethod
+    def _failing_run_chain(*args, **kwargs):
+        raise ValueError("array must not contain infs or NaNs")
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_error_inside_a_chain_is_a_runtime_failure(
+        self, tmp_path, capfd, monkeypatch, fit_cfg, chains
+    ):
+        # forked pool workers inherit the patched run_chain
+        monkeypatch.setattr(msfactor.cli, "run_chain", self._failing_run_chain)
+        cfg = fit_cfg(chains=chains)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 3
+        err = capfd.readouterr().err
+        assert "error: chain_00: ValueError: array must not contain infs or NaNs" in err
+        assert "Traceback" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("step_size", 0.0),
+        ("leapfrog_steps", 0),
+        ("target_accept", 1.5),
+        ("window", -0.1),
+        ("max_rejection_attempts", 0),
+        ("thin", 0),
+        ("tau", 0.0),
+        ("anneal_from", -1.0),
+        ("k", 9),
+    ])
+    def test_bad_sampler_setting_exits_2_before_any_chain(
+        self, tmp_path, capsys, monkeypatch, fit_cfg, field, value
+    ):
+        monkeypatch.setattr(msfactor.cli, "run_chain", self._failing_run_chain)
+        cfg = fit_cfg(**{field: value})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "fit" / "chain_00").exists()

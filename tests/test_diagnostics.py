@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from msfactor.diagnostics import (
+    chain_ess,
     ess_batch_means,
     partition_recovery,
     subspace_error,
@@ -229,3 +230,56 @@ class TestSummarize:
             np.testing.assert_allclose(
                 factor, scale * np.outer(out.q_mean[:, j], out.q_mean[:, j]), atol=1e-12
             )
+
+
+class TestChainEss:
+    def _random_log(self, t_n, seed):
+        rng = np.random.default_rng(seed)
+        k, s, n = 3, 2, 6
+        a = rng.standard_normal((t_n, k))
+        b = rng.standard_normal((t_n, k))
+        # a mix of raw draws on either side of the a > b convention, and
+        # one column of b constant (its ESS is 0)
+        b[:, 2] = -5.0
+        return _make_log(
+            a, b, rng.random((t_n, k)), (rng.random((t_n, n, k)) < 0.5).astype(float),
+            offsets=rng.standard_normal((t_n, s)),
+            log_loadings=rng.standard_normal((t_n, s, k)),
+            u=rng.standard_normal(t_n),
+        )
+
+    @pytest.mark.parametrize("t_n, burn_in", [(400, 0.5), (400, 0.0), (250, 0.3), (150, 0.2)])
+    def test_equals_summarize_ess(self, t_n, burn_in):
+        log = self._random_log(t_n, seed=t_n)
+        assert (log.a < log.b).any() and (log.a > log.b).any()
+        assert chain_ess(log, burn_in) == summarize(log, burn_in).ess
+
+    def test_series_are_canonical(self):
+        # under the a_j > b_j convention a is the larger level value and p
+        # is flipped wherever a draw had them the other way round
+        log = self._random_log(300, seed=4)
+        swap = log.a[150:] < log.b[150:]
+        expected = {
+            "a_1": np.maximum(log.a, log.b)[150:, 0],
+            "b_2": np.minimum(log.a, log.b)[150:, 1],
+            "p_1": np.where(swap, 1.0 - log.p[150:], log.p[150:])[:, 0],
+            "z_2": log.offsets[150:, 1],
+            "U": log.u[150:],
+        }
+        ess = chain_ess(log, 0.5)
+        assert len(ess) == 3 * 3 + 2 + 1
+        for name, series in expected.items():
+            assert ess[name] == ess_batch_means(series), name
+
+    def test_short_log_gives_none(self):
+        log = self._random_log(120, seed=5)
+        ess = chain_ess(log, 0.5)
+        assert ess == summarize(log, 0.5).ess
+        assert all(value is None for value in ess.values())
+
+    def test_validates_like_summarize(self):
+        log = self._random_log(10, seed=6)
+        with pytest.raises(ValueError, match="burn_in"):
+            chain_ess(log, 1.0)
+        with pytest.raises(ValueError, match="empty"):
+            chain_ess(self._random_log(0, seed=7), 0.5)

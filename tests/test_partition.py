@@ -156,3 +156,44 @@ class TestPartitionDistance:
             a = rng.integers(0, 3, size=15)
             b = rng.integers(0, 3, size=15)
             assert partition_distance(a, b) == pytest.approx(partition_distance(b, a))
+
+
+def _assignment_distance(labels_a, labels_b):
+    """Reference: best label bijection by assignment, for any label count."""
+    from scipy.optimize import linear_sum_assignment
+
+    _, ai = np.unique(np.asarray(labels_a), return_inverse=True)
+    _, bi = np.unique(np.asarray(labels_b), return_inverse=True)
+    m = max(ai.max(), bi.max()) + 1
+    confusion = np.zeros((m, m), dtype=np.int64)
+    np.add.at(confusion, (ai, bi), 1)
+    rows, cols = linear_sum_assignment(-confusion)
+    return 1.0 - confusion[rows, cols].sum() / ai.size
+
+
+class TestPartitionDistanceAgainstAssignment:
+    def test_random_binary_labels(self):
+        rng = np.random.default_rng(43)
+        for _ in range(400):
+            n = int(rng.integers(1, 25))
+            a = rng.integers(0, 2, size=n)
+            b = rng.integers(0, 2, size=n)
+            assert partition_distance(a, b) == _assignment_distance(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([0], [0]),
+        ([0], [1]),
+        ([1, 1, 1], [1, 1, 1]),
+        ([0, 0, 0, 0], [0, 1, 1, 0]),
+        ([3, 7, 7, 3, 3], [5, 5, 5, 5, 5]),
+    ])
+    def test_single_label_vectors(self, a, b):
+        assert partition_distance(a, b) == _assignment_distance(a, b)
+        assert partition_distance(b, a) == _assignment_distance(b, a)
+
+    def test_more_than_two_labels(self):
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            a = rng.integers(0, 4, size=18)
+            b = rng.integers(0, 3, size=18)
+            assert partition_distance(a, b) == _assignment_distance(a, b)

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -847,3 +848,73 @@ class TestSampleLogCsv:
         log.to_csv(tmp_path / "trace.csv", tmp_path / "w_trace.csv", nodes=nodes)
         self._reference_w_trace(log, tmp_path / "reference.csv", nodes)
         assert (tmp_path / "w_trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @staticmethod
+    def _reference_from_csv(trace_path, w_trace_path):
+        """Per-cell reader the loadtxt reader must match array for array."""
+        with open(trace_path) as fh:
+            header = fh.readline().strip().split(",")
+            body = [line.strip().split(",") for line in fh if line.strip()]
+        col = {name: idx for idx, name in enumerate(header)}
+        k = sum(1 for name in header if name.startswith("a_"))
+        s = sum(1 for name in header if name.startswith("z_"))
+        raw = np.asarray(body, dtype=np.float64) if body else np.empty((0, len(header)))
+        t_n = raw.shape[0]
+        ld = np.empty((t_n, s, k))
+        for i in range(s):
+            for j in range(k):
+                ld[:, i, j] = raw[:, col[f"logd_{i + 1}_{j + 1}"]]
+        with open(w_trace_path) as fh:
+            w_header = fh.readline().strip().split(",")
+            w_body = [line.strip().split(",") for line in fh if line.strip()]
+        w_raw = np.asarray(w_body, dtype=np.float64) if w_body else np.empty((0, len(w_header)))
+        n = len(w_header[1:]) // k
+        w_col = {name: idx for idx, name in enumerate(w_header)}
+        w_hard = np.zeros((t_n, n, k))
+        for i in range(n):
+            for j in range(k):
+                w_hard[:, i, j] = w_raw[:, w_col[f"w_{i}_{j + 1}"]]
+        return {
+            "iterations": raw[:, col["iteration"]].astype(np.int64),
+            "u": raw[:, col["U"]],
+            "hmc_accept": raw[:, col["hmc_accept"]].astype(bool),
+            "exch_accept": raw[:, col["exch_accept"]].astype(bool),
+            "exch_skipped": raw[:, col["exch_skipped"]].astype(bool),
+            "step_sizes": raw[:, col["h"]],
+            "a": raw[:, [col[f"a_{j + 1}"] for j in range(k)]],
+            "b": raw[:, [col[f"b_{j + 1}"] for j in range(k)]],
+            "p": raw[:, [col[f"p_{j + 1}"] for j in range(k)]],
+            "offsets": raw[:, [col[f"z_{i + 1}"] for i in range(s)]],
+            "log_loadings": ld,
+            "w_hard": w_hard,
+        }
+
+    @pytest.mark.parametrize("iterations, warmup", [(30, 10), (12, 12)])
+    def test_reader_matches_per_cell_reader(self, tmp_path, iterations, warmup):
+        data = _toy_data(6, 3, 31)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(5))
+        log = run_chain(
+            data,
+            init,
+            HmcConfig(step_size=0.05, leapfrog_steps=2, warmup=warmup),
+            ExchangeConfig(window=0.25),
+            iterations=iterations,
+            rng=np.random.default_rng(19),
+        )
+        assert log.n_draws == iterations - warmup
+        trace = tmp_path / "trace.csv"
+        w_trace = tmp_path / "w_trace.csv"
+        log.to_csv(trace, w_trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = SampleLog.from_csv(trace, w_trace)
+        reference = self._reference_from_csv(trace, w_trace)
+        for name, expected in reference.items():
+            got = getattr(back, name)
+            assert got.dtype == expected.dtype, name
+            assert got.shape == expected.shape, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        # reductions over these sum in memory order, so the summaries
+        # depend on their layout, which is C order in run_chain's logs
+        assert back.log_loadings.flags["C_CONTIGUOUS"]
+        assert back.w_hard.flags["C_CONTIGUOUS"]

@@ -326,3 +326,19 @@ class TestLapackCholesky:
         np.testing.assert_array_equal(whiten(x), whiten_with_factors(x)[0])
         with pytest.raises(ValueError):
             whiten(np.ones(4))
+
+
+class TestHalfLower:
+    @pytest.mark.parametrize("k", [1, 3, 30])
+    def test_matches_tril_with_half_diagonal(self, k):
+        from msfactor.whitening import _half_lower
+
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            h = rng.standard_normal((k, k))
+            h[rng.random((k, k)) < 0.2] = -0.0
+            h[rng.random((k, k)) < 0.1] = np.nan
+            expected = np.tril(h)
+            np.fill_diagonal(expected, 0.5 * h.diagonal())
+            got = _half_lower(h)
+            assert got.tobytes() == expected.tobytes()
