@@ -17,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logit
 
 from .diagnostics import chain_ess, partition_recovery, subspace_error, summarize
-from .model import NetworkDataset, SubjectParams, simulate_dataset
+from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition, random_partition
 from .prior import ColumnValues, MixtureProbs, PriorRejectionError
 from .sampler import (
@@ -84,7 +83,7 @@ def cmd_simulate(cfg, out_dir):
     seed = _require(cfg, "seed", int)
     lo = _optional(cfg, "loading_min", float, 20.0)
     hi = _optional(cfg, "loading_max", float, 40.0)
-    offset = _optional(cfg, "offset", float, float(logit(0.1)))
+    offset = _optional(cfg, "offset", float, float(_logit(0.1)))
     if n < 2 or k < 1 or k > n:
         raise ConfigError("config fields n, k must satisfy n >= 2 and 1 <= k <= n")
     if n_subjects < 1:

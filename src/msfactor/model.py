@@ -10,15 +10,26 @@ Diagonals are excluded throughout.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 LOADING_SHAPE = 0.1   # inverse-gamma shape for each loading
 LOADING_RATE = 0.1    # inverse-gamma rate
 OFFSET_SD = 10.0      # normal prior sd for each offset
+
+
+def _expit(x):
+    """Logistic sigmoid; an overflowed exp gives exactly 0, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _logit(p):
+    """Log-odds of a probability."""
+    return np.log(p / (1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -194,7 +205,7 @@ def log_prior_theta(sp):
     ld = sp.log_loadings
     d = np.exp(ld)
     shape, rate = LOADING_SHAPE, LOADING_RATE
-    per = shape * np.log(rate) - gammaln(shape) - shape * ld - rate / d
+    per = shape * np.log(rate) - math.lgamma(shape) - shape * ld - rate / d
     kern = -0.5 * (sp.offsets / OFFSET_SD) @ (sp.offsets / OFFSET_SD)
     return float(per.sum() + kern)
 
@@ -233,7 +244,7 @@ def simulate_dataset(rp, values, probs, sp, rng):
     q = whiten(x)
     d = np.exp(sp.log_loadings)
     psi = np.matmul(q * d[:, None, :], q.T) + sp.offsets[:, None, None]
-    prob = expit(psi)
+    prob = _expit(psi)
     upper = rng.random(prob.shape) < prob
     adj = np.triu(upper, k=1)
     adj = adj + np.swapaxes(adj, 1, 2)

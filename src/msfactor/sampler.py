@@ -21,14 +21,14 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.special import expit, logit
 
 from .model import (
     LOADING_RATE,
     LOADING_SHAPE,
     OFFSET_SD,
     SubjectParams,
+    _expit,
+    _logit,
     log_likelihood,
     log_likelihood_grads,
     log_prior_theta,
@@ -90,7 +90,7 @@ class ChainState:
         return self.logits.shape[1]
 
     def relaxed_weights(self):
-        return expit(self.logits / self.tau)
+        return _expit(self.logits / self.tau)
 
     def hard_weights(self):
         return (self.relaxed_weights() > 0.5).astype(np.float64)
@@ -188,11 +188,11 @@ def potential_grad(state, data, with_potential=False):
             raise _DivergenceError("non-finite frame gradient")
         gx_like = whiten_backward(passes, g_q)
     # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
-    q1, low1 = passes[0]
-    gx_gram = (n - k - 1) * dtrtrs(low1, q1.T, lower=1, trans=1)[0].T
+    q1, _, linv1 = passes[0]
+    gx_gram = (n - k - 1) * (q1 @ linv1)
     gu_x = -(gx_like + gx_gram)
     sig_slope = w * (1.0 - w) / state.tau
-    grad_logits = (gu_x * (state.values.a - state.values.b) - logit(state.probs.p)) * sig_slope
+    grad_logits = (gu_x * (state.values.a - state.values.b) - _logit(state.probs.p)) * sig_slope
     grad_ld = -g_ld + LOADING_SHAPE - LOADING_RATE / d
     grad_z = -g_z + sp.offsets / OFFSET_SD**2
     if with_potential:
@@ -237,12 +237,20 @@ def leapfrog(position, velocity, grad_fn, step, n_steps, omega):
     return pos, vel
 
 
+def _kinetic(vel, omega):
+    # OpenBLAS splits a ddot over more than 10^4 elements across threads,
+    # which reorders its sum; chunks of 10^4 added in order keep the
+    # energy independent of the thread count
+    half, scaled, c = 0.5 * vel, omega * vel, 10_000
+    return sum(half[i:i + c] @ scaled[i:i + c] for i in range(0, vel.size, c))
+
+
 def _hmc_step(state, data, rng, step, n_steps, omega, u_cur=None):
     if u_cur is None:
         u_cur = potential(state, data)
     pos = _pack(state.subject_params, state.logits)
     vel = rng.standard_normal(pos.size) / np.sqrt(omega)
-    kin0 = 0.5 * vel @ (omega * vel)
+    kin0 = _kinetic(vel, omega)
     calls = 0
     prop = u_prop = None
 
@@ -268,7 +276,7 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur=None):
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             _, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
-            kin1 = 0.5 * vel1 @ (omega * vel1)
+            kin1 = _kinetic(vel1, omega)
     except (NotPositiveDefiniteError, _DivergenceError):
         return state, False, 0.0, u_cur
     log_alpha = (u_cur - u_prop) + (kin0 - kin1)
@@ -385,7 +393,7 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None, max_attempts=1000)
         n = data.n
         n_subjects = data.n_subjects
         density = float(np.clip(data.edge_density(), 1e-3, 1.0 - 1e-3))
-        z0 = float(logit(density))
+        z0 = float(_logit(density))
     else:
         if n is None or n_subjects is None:
             raise InitializationError("without data, n and n_subjects are required")
@@ -402,7 +410,7 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None, max_attempts=1000)
             f"no full-rank starting pattern in {max_attempts} attempts (n={n}, k={k})"
         )
     relaxed = 0.05 + 0.9 * w
-    logits = tau * logit(relaxed)
+    logits = tau * _logit(relaxed)
     sp = SubjectParams(
         log_loadings=np.zeros((n_subjects, k)), offsets=np.full(n_subjects, z0)
     )

@@ -5,9 +5,12 @@ L the lower Cholesky factor of X'X.  Because L^-T is upper triangular,
 column j of Q mixes only columns 1..j of X, so a matrix whose first j
 columns are constant on a cell keeps that cell structure in Q.
 
-The factor is LAPACK potrf and every solve against L or L' is LAPACK
-trtrs.  The solves skip scipy's finite check: an overflowed gradient
-comes back as inf/nan for the sampler to reject as a divergence.
+The factor is numpy's Cholesky, with the relative pivot floor checked
+on its diagonal afterwards.  Each whitening pass inverts its factor
+once, zeroing the inverse above the diagonal, so every solve against
+L or L' is a matrix product.  Products check nothing: an overflowed
+gradient comes back as inf/nan for the sampler to reject as a
+divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 PIVOT_EPS = 1e-12
 
@@ -42,24 +44,42 @@ def cholesky(s, eps=PIVOT_EPS):
     scale = max(np.abs(s).max(), 1.0)
     if np.abs(s - s.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    floor = eps * max(s.diagonal().max(), 0.0)
-    low, info = dpotrf(s, lower=1, clean=1)
-    # potrf stops at the first pivot <= 0 (info is its 1-based index);
-    # the pivots before it are final, and squared they are the loop's
-    # pivots, so the relative floor is applied to them afterwards
-    valid = s.shape[0] if info == 0 else info - 1
-    above = low.diagonal()[:valid] ** 2 > floor
-    if not above.all():
-        raise NotPositiveDefiniteError(int(np.argmin(above)))
-    if info:
-        raise NotPositiveDefiniteError(info - 1)
+    return _factor(s, eps)
+
+
+def _floor(s, eps):
+    return eps * max(s.diagonal().max(), 0.0)
+
+
+def _factor_or_none(s, floor):
+    # the squared pivots of the factor are the loop's pivots, so the
+    # relative floor is applied to the smallest afterwards; a NaN pivot
+    # makes the minimum NaN, which fails it
+    try:
+        low = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    return low if low.diagonal().min() ** 2 > floor else None
+
+
+def _factor(s, eps=PIVOT_EPS):
+    # cholesky without the input checks, for callers that build s = X'X
+    floor = _floor(s, eps)
+    low = _factor_or_none(s, floor)
+    if low is None:
+        # the failing pivot is the last of the first leading block that fails
+        m = next(m for m in range(1, s.shape[0] + 1)
+                 if _factor_or_none(s[:m, :m], floor) is None)
+        raise NotPositiveDefiniteError(m - 1)
     return low
 
 
 def _whiten_pass(x):
-    low = cholesky(x.T @ x)
-    q = dtrtrs(low, x.T, lower=1)[0].T
-    return q, low
+    low = _factor(x.T @ x)
+    # the mask keeps L^-1 exactly lower triangular, so column j of the
+    # frame mixes only columns 1..j of x
+    linv = np.where(_lower_mask(low.shape[0]), np.linalg.inv(low), 0.0)
+    return x @ linv.T, low, linv
 
 
 def whiten(x):
@@ -75,11 +95,8 @@ def rank_ok(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < x.shape[1]:
         return False
-    try:
-        cholesky(x.T @ x)
-    except NotPositiveDefiniteError:
-        return False
-    return True
+    s = x.T @ x
+    return _factor_or_none(s, _floor(s, PIVOT_EPS)) is not None
 
 
 def extract_column_partition(column, tol=1e-8):
@@ -115,16 +132,17 @@ def whiten_with_factors(x):
     composite is still X (L2 L1)^-T with L2 L1 lower triangular, so
     the triangular column structure is preserved exactly.
 
-    Returns (q, passes) where passes = [(q1, low1), (q2, low2)] and
-    q = q2 is the refined frame.
+    Returns (q, passes) where passes = [(q1, low1, linv1), (q2, low2,
+    linv2)], linv the lower-triangular inverse of low, and q = q2 is
+    the refined frame.
     """
     x = np.asarray(x, dtype=np.float64)
     n, k = x.shape
     if n < k:
         raise ValueError(f"need n >= k, got {n} x {k}")
-    q1, low1 = _whiten_pass(x)
-    q2, low2 = _whiten_pass(q1)
-    return q2, [(q1, low1), (q2, low2)]
+    first = _whiten_pass(x)
+    second = _whiten_pass(first[0])
+    return second[0], [first, second]
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,7 +168,7 @@ def whiten_backward(passes, grad_q):
     whitening pass, innermost last.
     """
     g = grad_q
-    for q, low in reversed(passes):
+    for q, _, linv in reversed(passes):
         h = _half_lower(g.T @ q)
-        g = dtrtrs(low, (g - q @ (h + h.T)).T, lower=1, trans=1)[0].T
+        g = (g - q @ (h + h.T)) @ linv
     return g

@@ -303,35 +303,45 @@ class TestWTraceNodes:
         assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 0
 
 
+def _assert_traces_match_at_one_and_two_threads(tmp_path, n, k, subjects):
+    """The same fit run with 1 and with 2 BLAS threads writes the same traces."""
+    sim = _write(tmp_path / "sim.json", {"n": n, "k": k, "subjects": subjects, "seed": 9})
+    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+    fit = _write(tmp_path / "fit.json", {
+        "data": str(tmp_path / "sim" / "dataset.json"),
+        "k": k, "seed": 4, "iterations": 8, "warmup": 4,
+        "tau": 0.3, "leapfrog_steps": 3, "step_size": 0.01,
+    })
+    src = str(Path(msfactor.cli.__file__).parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "msfactor.cli", "fit", "--config", fit, "--out", str(out)],
+            env=env, check=True, timeout=120, capture_output=True,
+        )
+        outputs[threads] = out / "chain_00"
+    for name in ("trace.csv", "w_trace.csv"):
+        assert (outputs["1"] / name).read_bytes() == (outputs["2"] / name).read_bytes()
+
+
 class TestBlasThreads:
     def test_traces_do_not_depend_on_blas_thread_count(self, tmp_path):
         # n=128, k=20 puts the frame products above OpenBLAS's threshold
         # for splitting a matrix product across threads
-        sim = _write(tmp_path / "sim.json", {"n": 128, "k": 20, "subjects": 2, "seed": 9})
-        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
-        fit = _write(tmp_path / "fit.json", {
-            "data": str(tmp_path / "sim" / "dataset.json"),
-            "k": 20, "seed": 4, "iterations": 8, "warmup": 4,
-            "tau": 0.3, "leapfrog_steps": 3, "step_size": 0.01,
-        })
-        src = str(Path(msfactor.cli.__file__).parents[1])
-        outputs = {}
-        for threads in ("1", "2"):
-            env = {
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "MKL_NUM_THREADS": threads,
-            }
-            out = tmp_path / f"threads_{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "msfactor.cli", "fit", "--config", fit, "--out", str(out)],
-                env=env, check=True, timeout=120, capture_output=True,
-            )
-            outputs[threads] = out / "chain_00"
-        for name in ("trace.csv", "w_trace.csv"):
-            assert (outputs["1"] / name).read_bytes() == (outputs["2"] / name).read_bytes()
+        _assert_traces_match_at_one_and_two_threads(tmp_path, 128, 20, 2)
+
+    def test_large_state_traces_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # S*k + S + n*k = 10261 coordinates puts the kinetic energy's
+        # dot product above OpenBLAS's threshold for splitting it
+        _assert_traces_match_at_one_and_two_threads(tmp_path, 512, 20, 1)
 
 
 def _src_env():
@@ -352,6 +362,29 @@ class TestStartup:
             f"assert main(['summarize', '--config', {cfg!r}, '--out', {str(root / 'sum_startup')!r}, "
             f"'--truth', {str(sim_dir / 'truth.json')!r}]) == 0; "
             "assert 'scipy.optimize' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=120,
+                       capture_output=True)
+
+    @pytest.mark.parametrize("command", ["import", "fit", "summarize"])
+    def test_no_scipy_module_is_loaded(self, pipeline, command):
+        root, sim_dir, fit_dir, _ = pipeline
+        out = str(root / f"no_scipy_{command}")
+        if command == "fit":
+            cfg = _write(root / "fit_startup.json", {
+                "data": str(sim_dir / "dataset.json"), "k": 2, "seed": 3,
+                "iterations": 1, "warmup": 0,
+            })
+            args = ["fit", "--config", cfg, "--out", out]
+        else:
+            cfg = _write(root / "sum_no_scipy.json", {"fit_dir": str(fit_dir)})
+            args = ["summarize", "--config", cfg, "--out", out,
+                    "--truth", str(sim_dir / "truth.json")]
+        run = "" if command == "import" else f"assert main({args!r}) == 0; "
+        code = (
+            "import sys; from msfactor.cli import main; " + run
+            + "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded"
         )
         subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=120,
                        capture_output=True)

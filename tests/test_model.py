@@ -3,14 +3,17 @@
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from msfactor.model import (
     NetworkDataset,
     SubjectParams,
+    _expit,
+    _logit,
     log_likelihood,
     log_likelihood_grads,
     log_prior_theta,
@@ -349,3 +352,20 @@ class TestSimulate:
         q = truth["frame"]
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
         np.testing.assert_array_equal(truth["membership"], rp.membership_matrix())
+
+
+class TestSpecialFunctions:
+    def test_expit_matches_scipy(self):
+        x = np.linspace(-700.0, 700.0, 20001)
+        np.testing.assert_allclose(_expit(x), expit(x), rtol=1e-14, atol=0)
+
+    def test_expit_overflow_is_exact_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _expit(np.array([-800.0, -1e308, 800.0]))
+        assert out.tolist() == [0.0, 0.0, 1.0]
+
+    def test_logit_matches_scipy(self):
+        p = np.concatenate([np.geomspace(1e-12, 0.5, 500), 1.0 - np.geomspace(1e-12, 0.5, 500)])
+        np.testing.assert_allclose(_logit(p), logit(p), rtol=1e-12, atol=1e-15)
+        assert _logit(0.5) == 0.0

@@ -191,26 +191,27 @@ class TestRankOk:
         assert not rank_ok(np.ones((2, 3)))
 
 
+def _whiten_central_differences(x, g_q, h=1e-6):
+    """Central differences of sum(whiten(x) * g_q), entry by entry."""
+    num = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        for j in range(x.shape[1]):
+            up = x.copy()
+            dn = x.copy()
+            up[i, j] += h
+            dn[i, j] -= h
+            num[i, j] = (np.sum(whiten(up) * g_q) - np.sum(whiten(dn) * g_q)) / (2 * h)
+    return num
+
+
 class TestWhitenBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(53)
         x = rng.standard_normal((7, 3))
         g_q = rng.standard_normal((7, 3))
-
-        def scalar(xv):
-            return float(np.sum(whiten(xv) * g_q))
-
         _, passes = whiten_with_factors(x)
         g_x = whiten_backward(passes, g_q)
-        h = 1e-6
-        num = np.zeros_like(x)
-        for i in range(7):
-            for j in range(3):
-                up = x.copy()
-                dn = x.copy()
-                up[i, j] += h
-                dn[i, j] -= h
-                num[i, j] = (scalar(up) - scalar(dn)) / (2 * h)
+        num = _whiten_central_differences(x, g_q)
         np.testing.assert_allclose(g_x, num, rtol=1e-6, atol=1e-8)
 
 
@@ -303,13 +304,17 @@ class TestLapackCholesky:
                 s = x.T @ x
                 assert _failing_pivot(cholesky, s) == _failing_pivot(_loop_cholesky, s)
 
-    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal", "after_negative_pivot"])
     def test_nan_rejected(self, where):
         s = np.eye(3) * 2.0
         if where == "diagonal":
             s[1, 1] = np.nan
-        else:
+        elif where == "off_diagonal":
             s[2, 1] = s[1, 2] = np.nan
+        else:
+            # numpy's factor raises LinAlgError here rather than return NaN
+            s[0, 0] = -1.0
+            s[1, 0] = s[0, 1] = np.nan
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(s)
 
@@ -342,3 +347,47 @@ class TestHalfLower:
             np.fill_diagonal(expected, 0.5 * h.diagonal())
             got = _half_lower(h)
             assert got.tobytes() == expected.tobytes()
+
+
+class TestInverseFactor:
+    @pytest.mark.parametrize("k", [1, 3, 30])
+    def test_lower_triangular_inverse_of_each_pass(self, k):
+        rng = np.random.default_rng(200 + k)
+        x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
+        _, passes = whiten_with_factors(x)
+        for _, low, linv in passes:
+            assert np.all(np.triu(linv, k=1) == 0.0)
+            np.testing.assert_allclose(low @ linv, np.eye(k), rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _ill_conditioned(rng, n=40, k=30):
+        # singular values from 1e-3 to 1e3; column scales spanning that
+        # range would put the smallest pivot at the relative floor
+        u = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return (u * np.logspace(-3, 3, k)) @ v.T
+
+    def test_ill_conditioned_frame_orthonormal(self):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            q = whiten(self._ill_conditioned(rng))
+            assert np.abs(q.T @ q - np.eye(30)).max() <= 1e-10
+
+    def test_ill_conditioned_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(67)
+        x = self._ill_conditioned(rng)
+        g_q = rng.standard_normal(x.shape)
+        _, passes = whiten_with_factors(x)
+        g_x = whiten_backward(passes, g_q)
+        num = _whiten_central_differences(x, g_q)
+        np.testing.assert_allclose(g_x, num, rtol=0, atol=1e-6 * np.abs(g_x).max())
+
+    def test_infinite_gradient_comes_back_non_finite(self):
+        rng = np.random.default_rng(71)
+        _, passes = whiten_with_factors(rng.standard_normal((7, 3)))
+        g_q = rng.standard_normal((7, 3))
+        g_q[2, 1] = np.inf
+        # the sampler's trajectories run under this errstate
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g_x = whiten_backward(passes, g_q)
+        assert not np.isfinite(g_x).all()
