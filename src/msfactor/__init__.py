@@ -5,104 +5,4 @@ recursive two-way group structure, a matching rank-constrained prior,
 and a doubly-intractable posterior sampler (relaxed HMC + exchange).
 """
 
-from .diagnostics import (
-    PosteriorSummary,
-    ess_batch_means,
-    partition_recovery,
-    subspace_error,
-    summarize,
-)
-from .model import (
-    NetworkDataset,
-    SubjectParams,
-    log_likelihood,
-    log_likelihood_grads,
-    log_prior_theta,
-    simulate_dataset,
-)
-from .partition import (
-    BiPartition,
-    RecursivePartition,
-    partition_distance,
-    random_partition,
-)
-from .prior import (
-    ColumnValues,
-    MixtureProbs,
-    PriorRejectionError,
-    StructuredMatrix,
-    build_x,
-    log_bernoulli_mass,
-    log_det_gram,
-    log_gaussian_ab,
-    sample_prior,
-)
-from .sampler import (
-    ChainState,
-    ExchangeConfig,
-    HmcConfig,
-    InitializationError,
-    SampleLog,
-    canonicalize,
-    exchange_update,
-    hmc_update,
-    initial_state,
-    leapfrog,
-    potential,
-    potential_grad,
-    run_chain,
-)
-from .whitening import (
-    NotPositiveDefiniteError,
-    cholesky,
-    extract_column_partition,
-    rank_ok,
-    whiten,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BiPartition",
-    "ChainState",
-    "ColumnValues",
-    "ExchangeConfig",
-    "HmcConfig",
-    "InitializationError",
-    "MixtureProbs",
-    "NetworkDataset",
-    "NotPositiveDefiniteError",
-    "PosteriorSummary",
-    "PriorRejectionError",
-    "RecursivePartition",
-    "SampleLog",
-    "StructuredMatrix",
-    "SubjectParams",
-    "build_x",
-    "canonicalize",
-    "cholesky",
-    "ess_batch_means",
-    "exchange_update",
-    "extract_column_partition",
-    "hmc_update",
-    "initial_state",
-    "leapfrog",
-    "log_bernoulli_mass",
-    "log_det_gram",
-    "log_gaussian_ab",
-    "log_likelihood",
-    "log_likelihood_grads",
-    "log_prior_theta",
-    "partition_distance",
-    "partition_recovery",
-    "potential",
-    "potential_grad",
-    "random_partition",
-    "rank_ok",
-    "run_chain",
-    "sample_prior",
-    "simulate_dataset",
-    "subspace_error",
-    "summarize",
-    "whiten",
-]

@@ -9,6 +9,7 @@ seed.  Exit codes: 0 success, 2 config or data validation problem,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import chain_ess, partition_recovery, subspace_error, summarize
+from .diagnostics import _retained_start, chain_ess, partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition, random_partition
-from .prior import ColumnValues, MixtureProbs, PriorRejectionError
+from .prior import ColumnValues, MixtureProbs, PriorRejectionError, full_rank_pattern
 from .sampler import (
-    ChainState,
     ExchangeConfig,
     HmcConfig,
     InitializationError,
@@ -103,17 +103,15 @@ def cmd_simulate(cfg, out_dir):
         offsets=np.full(n_subjects, offset),
     )
 
-    from .prior import StructuredMatrix, build_x
-    from .whitening import rank_ok
-
     rp = None
-    for _ in range(1000):
-        cand = random_partition(n, k, rng)
-        w = cand.membership_matrix().astype(np.float64)
-        if rank_ok(build_x(StructuredMatrix(w=w, values=values))):
-            rp = cand
-            break
-    if rp is None:
+
+    def draw():
+        nonlocal rp
+        rp = random_partition(n, k, rng)
+        return rp.membership_matrix().astype(np.float64)
+
+    # no draw follows the full-rank one, so rp is the partition behind it
+    if full_rank_pattern(draw, values, 1000) is None:
         raise InitializationError(f"no full-rank partition found for n={n}, k={k}")
 
     data, truth = simulate_dataset(rp, values, probs, sp, rng)
@@ -255,13 +253,6 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
     return 0
 
 
-def _load_truth(path):
-    payload = json.loads(Path(path).read_text())
-    rp = RecursivePartition.from_json(json.dumps(payload["partition"]))
-    frame = np.asarray(payload["frame"], dtype=np.float64)
-    return rp, frame
-
-
 def cmd_summarize(cfg, out_dir, truth_path=None):
     fit_dir = Path(_require(cfg, "fit_dir", str))
     burn_in = _optional(cfg, "burn_in", float, 0.5)
@@ -299,7 +290,9 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     payload["meta"]["burn_in"] = burn_in
 
     if truth_path is not None:
-        rp, frame = _load_truth(truth_path)
+        truth = json.loads(Path(truth_path).read_text())
+        rp = RecursivePartition.from_json(json.dumps(truth["partition"]))
+        frame = np.asarray(truth["frame"], dtype=np.float64)
         recovery = {
             "subspace_error": subspace_error(summary.q_mean, frame),
             "level_recovery": [
@@ -338,32 +331,13 @@ def _write_symmetric_csv(path, mat):
 
 def _pool_logs(logs, burn_in):
     """Concatenate per-chain retained draws into one log for pooling."""
-    kept = []
-    for log in logs:
-        start = int(np.floor(log.n_draws * burn_in))
-        kept.append((log, start))
-    import dataclasses as dc
+    starts = [_retained_start(log, burn_in) for log in logs]
 
     def cat(name):
-        return np.concatenate([getattr(log, name)[start:] for log, start in kept])
+        return np.concatenate([getattr(log, name)[start:] for log, start in zip(logs, starts)])
 
-    first = logs[0]
-    return dc.replace(
-        first,
-        iterations=cat("iterations"),
-        u=cat("u"),
-        hmc_accept=cat("hmc_accept"),
-        exch_accept=cat("exch_accept"),
-        exch_skipped=cat("exch_skipped"),
-        step_sizes=cat("step_sizes"),
-        a=cat("a"),
-        b=cat("b"),
-        p=cat("p"),
-        offsets=cat("offsets"),
-        log_loadings=cat("log_loadings"),
-        w_hard=cat("w_hard"),
-        w_relaxed=None,
-    )
+    arrays = {f.name: cat(f.name) for f in dataclasses.fields(SampleLog) if f.name != "meta"}
+    return dataclasses.replace(logs[0], **arrays)
 
 
 def build_parser():
@@ -399,15 +373,12 @@ def main(argv=None):
             return cmd_fit(cfg, out_dir, seed_override=args.seed,
                            chains_override=args.chains)
         return cmd_summarize(cfg, out_dir, truth_path=args.truth)
-    except (ConfigError, ValueError) as err:
-        if isinstance(err, NotPositiveDefiniteError):
-            print(f"error: {err}", file=sys.stderr)
-            return 3
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ChainError, InitializationError, PriorRejectionError) as err:
+    except (ChainError, InitializationError, NotPositiveDefiniteError, PriorRejectionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except (ConfigError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

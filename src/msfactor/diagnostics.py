@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import partition_distance
-from .prior import ColumnValues, StructuredMatrix, build_x
-from .whitening import rank_ok, whiten
+from .prior import ColumnValues, build_x
+from .whitening import NotPositiveDefiniteError, rank_ok, whiten
 
 
 def ess_batch_means(series):
@@ -159,9 +159,7 @@ def summarize(log, burn_in=0.5):
     q_ref = None
     used = 0
     for t in range(kept):
-        x = build_x(
-            StructuredMatrix(w=w[t], values=ColumnValues(a=a[t], b=b[t]))
-        )
+        x = build_x(w[t], ColumnValues(a=a[t], b=b[t]))
         if not rank_ok(x):
             continue
         q = whiten(x)
@@ -180,7 +178,7 @@ def summarize(log, burn_in=0.5):
     orthonormalized = True
     try:
         q_mean = whiten(q_mean)
-    except Exception:
+    except NotPositiveDefiniteError:
         orthonormalized = False
 
     level_scale = d_mean.mean(axis=0)

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prior import build_x
+from .whitening import whiten
+
 LOADING_SHAPE = 0.1   # inverse-gamma shape for each loading
 LOADING_RATE = 0.1    # inverse-gamma rate
 OFFSET_SD = 10.0      # normal prior sd for each offset
@@ -236,12 +239,8 @@ def simulate_dataset(rp, values, probs, sp, rng):
     Returns (dataset, truth) where truth records the frame, partition,
     values, probs, and subject parameters that produced the data.
     """
-    from .prior import StructuredMatrix, build_x
-    from .whitening import whiten
-
     w = rp.membership_matrix().astype(np.float64)
-    x = build_x(StructuredMatrix(w=w, values=values))
-    q = whiten(x)
+    q = whiten(build_x(w, values))
     d = np.exp(sp.log_loadings)
     psi = np.matmul(q * d[:, None, :], q.T) + sp.offsets[:, None, None]
     prob = _expit(psi)

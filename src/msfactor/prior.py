@@ -55,29 +55,30 @@ class MixtureProbs:
         object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
-class StructuredMatrix:
-    """Assignment weights (binary or relaxed in [0, 1]) plus column values."""
+def build_x(w, values):
+    """Assemble the n x k matrix: w * a + (1 - w) * b columnwise.
 
-    w: np.ndarray
-    values: ColumnValues
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 2 or w.shape[1] != self.values.depth:
-            raise ValueError(
-                f"w must be n x {self.values.depth}, got shape {w.shape}"
-            )
-        object.__setattr__(self, "w", w)
+    w holds assignment weights, binary or relaxed in [0, 1].
+    """
+    return w * values.a + (1.0 - w) * values.b
 
 
-def build_x(sm):
-    """Assemble the n x k matrix: w * a + (1 - w) * b columnwise."""
-    return sm.w * sm.values.a + (1.0 - sm.w) * sm.values.b
+def full_rank_pattern(draw, values, max_attempts):
+    """The first pattern from draw() whose structured matrix has full rank.
+
+    draw() is called once per attempt, and never again after the first
+    full-rank pattern, so a caller can keep whatever its last draw made.
+    Returns None when max_attempts draws all fail.
+    """
+    for _ in range(max_attempts):
+        w = draw()
+        if rank_ok(build_x(w, values)):
+            return w
+    return None
 
 
 def sample_prior(n, k, rng, max_attempts=1000):
-    """Draw (values, probs, structured matrix) with rank rejection.
+    """Draw (values, probs, assignment matrix) with rank rejection.
 
     a, b, p are drawn once; the assignment matrix alone is resampled
     until the structured matrix has full column rank.  Exhausting
@@ -88,14 +89,14 @@ def sample_prior(n, k, rng, max_attempts=1000):
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     values = ColumnValues(a=rng.standard_normal(k), b=rng.standard_normal(k))
     probs = MixtureProbs(p=rng.uniform(size=k))
-    for _ in range(max_attempts):
-        w = (rng.random((n, k)) < probs.p).astype(np.float64)
-        sm = StructuredMatrix(w=w, values=values)
-        if rank_ok(build_x(sm)):
-            return values, probs, sm
-    raise PriorRejectionError(
-        f"no full-rank assignment in {max_attempts} attempts (n={n}, k={k})"
+    w = full_rank_pattern(
+        lambda: (rng.random((n, k)) < probs.p).astype(np.float64), values, max_attempts
     )
+    if w is None:
+        raise PriorRejectionError(
+            f"no full-rank assignment in {max_attempts} attempts (n={n}, k={k})"
+        )
+    return values, probs, w
 
 
 def log_bernoulli_mass(w, probs):

@@ -37,8 +37,8 @@ from .partition import random_partition
 from .prior import (
     ColumnValues,
     MixtureProbs,
-    StructuredMatrix,
     build_x,
+    full_rank_pattern,
     log_bernoulli_mass,
     log_gaussian_ab,
 )
@@ -50,6 +50,7 @@ from .whitening import (
 )
 
 PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
+EXCHANGE_TARGET_ACCEPT = 0.35  # warmup tunes the exchange window toward it
 
 
 class InitializationError(RuntimeError):
@@ -102,7 +103,6 @@ class HmcConfig:
     leapfrog_steps: int = 10
     target_accept: float = 0.7
     warmup: int = 1000
-    mass: np.ndarray | None = None  # diagonal, per coordinate of (log_d, z, logits)
 
     def __post_init__(self):
         if not self.step_size > 0.0:
@@ -113,18 +113,12 @@ class HmcConfig:
             raise ValueError(f"target_accept must be in (0, 1), got {self.target_accept}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
-        if self.mass is not None:
-            m = np.asarray(self.mass, dtype=np.float64)
-            if m.ndim != 1 or np.any(m <= 0.0):
-                raise ValueError("mass must be a positive 1-d diagonal")
-            object.__setattr__(self, "mass", m)
 
 
 @dataclass(frozen=True)
 class ExchangeConfig:
     window: float = 0.25            # uniform half-width for the a, b proposals
     max_rejection_attempts: int = 100
-    target_accept: float = 0.35
 
     def __post_init__(self):
         # zero freezes a, b (identity proposal), still a valid kernel on p
@@ -134,13 +128,11 @@ class ExchangeConfig:
             raise ValueError(
                 f"max_rejection_attempts must be >= 1, got {self.max_rejection_attempts}"
             )
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError(f"target_accept must be in (0, 1), got {self.target_accept}")
 
 
 def _relaxed_x(state):
     w = state.relaxed_weights()
-    return w, build_x(StructuredMatrix(w=w, values=state.values))
+    return w, build_x(w, state.values)
 
 
 def _potential_from(state, w, x, passes, ll):
@@ -289,11 +281,8 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur=None):
 
 
 def hmc_update(state, data, cfg, rng):
-    """One HMC transition at the configured step size and mass."""
-    m = _pack(state.subject_params, state.logits).size
-    omega = np.ones(m) if cfg.mass is None else cfg.mass
-    if omega.size != m:
-        raise ValueError(f"mass has {omega.size} entries, state has {m} coordinates")
+    """One HMC transition at the configured step size and unit mass."""
+    omega = np.ones(_pack(state.subject_params, state.logits).size)
     new, accepted, _, _ = _hmc_step(
         state, data, rng, cfg.step_size, cfg.leapfrog_steps, omega
     )
@@ -314,18 +303,17 @@ def _exchange_step(state, data, cfg, rng, window, u_cur=None):
     b_star = b + rng.uniform(-window, window, size=k)
     values_star = ColumnValues(a=a_star, b=b_star)
 
-    aux = None
-    for _ in range(cfg.max_rejection_attempts):
-        y = (rng.random((n, k)) < p_star).astype(np.float64)
-        if rank_ok(build_x(StructuredMatrix(w=y, values=values_star))):
-            aux = y
-            break
+    aux = full_rank_pattern(
+        lambda: (rng.random((n, k)) < p_star).astype(np.float64),
+        values_star,
+        cfg.max_rejection_attempts,
+    )
     if aux is None:
         return state, False, True, u_cur
 
     # the reverse move draws the same pattern under the current values,
     # so it must be full rank there too
-    if not rank_ok(build_x(StructuredMatrix(w=aux, values=state.values))):
+    if not rank_ok(build_x(aux, state.values)):
         return state, False, False, u_cur
 
     if u_cur is None:
@@ -356,30 +344,8 @@ def _exchange_step(state, data, cfg, rng, window, u_cur=None):
 
 def exchange_update(state, data, cfg, rng):
     """One exchange transition on (a, b, p) at the configured window."""
-    window = np.full(state.depth, cfg.window)
-    new, accepted, _, _ = _exchange_step(state, data, cfg, rng, window)
+    new, accepted, _, _ = _exchange_step(state, data, cfg, rng, cfg.window)
     return new, accepted
-
-
-def canonicalize(state):
-    """Resolve label switching: order each level's values as a_j > b_j.
-
-    Swapping (a_j, b_j) while complementing the level's assignments and
-    rate leaves the structured matrix, and hence the frame, unchanged.
-    """
-    swap = state.values.a < state.values.b
-    if not swap.any():
-        return state
-    a = np.where(swap, state.values.b, state.values.a)
-    b = np.where(swap, state.values.a, state.values.b)
-    logits = np.where(swap, -state.logits, state.logits)
-    p = np.where(swap, 1.0 - state.probs.p, state.probs.p)
-    return dataclasses.replace(
-        state,
-        logits=logits,
-        values=ColumnValues(a=a, b=b),
-        probs=MixtureProbs(p=p),
-    )
 
 
 def initial_state(data, k, tau, rng, n=None, n_subjects=None, max_attempts=1000):
@@ -399,12 +365,11 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None, max_attempts=1000)
             raise InitializationError("without data, n and n_subjects are required")
         z0 = 0.0
     values = ColumnValues(a=np.ones(k), b=-np.ones(k))
-    w = None
-    for _ in range(max_attempts):
-        cand = random_partition(n, k, rng).membership_matrix().astype(np.float64)
-        if rank_ok(build_x(StructuredMatrix(w=cand, values=values))):
-            w = cand
-            break
+    w = full_rank_pattern(
+        lambda: random_partition(n, k, rng).membership_matrix().astype(np.float64),
+        values,
+        max_attempts,
+    )
     if w is None:
         raise InitializationError(
             f"no full-rank starting pattern in {max_attempts} attempts (n={n}, k={k})"
@@ -429,8 +394,7 @@ class SampleLog:
 
     Draws are stored raw, exactly as the chain visited them; label
     resolution is a summary-time concern (see diagnostics.summarize).
-    w_relaxed is kept only in memory; the CSV round trip carries the
-    hard patterns, which is what the summaries consume.
+    Assignments are kept as the hard patterns the summaries consume.
     """
 
     iterations: np.ndarray
@@ -445,7 +409,6 @@ class SampleLog:
     offsets: np.ndarray         # T x S
     log_loadings: np.ndarray    # T x S x k
     w_hard: np.ndarray          # T x n x k
-    w_relaxed: np.ndarray | None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -461,23 +424,18 @@ class SampleLog:
         cols += [f"p_{j + 1}" for j in range(k)]
         cols += [f"z_{i + 1}" for i in range(s)]
         cols += [f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)]
+        # one %-format call over the whole table; '%.17g' % v equals
+        # format(v, ".17g"), and the integer columns ride in the float
+        # table, exact below 2^53, to be printed by '%d'
+        table = np.column_stack([
+            self.iterations, self.u, self.hmc_accept, self.exch_accept,
+            self.step_sizes, self.exch_skipped, self.a, self.b, self.p,
+            self.offsets, self.log_loadings.reshape(self.n_draws, s * k),
+        ])
+        row = "%d,%.17g,%d,%d,%.17g,%d" + ",%.17g" * (table.shape[1] - 6) + "\n"
         with open(trace_path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for t in range(self.n_draws):
-                row = [
-                    str(int(self.iterations[t])),
-                    format(self.u[t], ".17g"),
-                    str(int(self.hmc_accept[t])),
-                    str(int(self.exch_accept[t])),
-                    format(self.step_sizes[t], ".17g"),
-                    str(int(self.exch_skipped[t])),
-                ]
-                row += [format(v, ".17g") for v in self.a[t]]
-                row += [format(v, ".17g") for v in self.b[t]]
-                row += [format(v, ".17g") for v in self.p[t]]
-                row += [format(v, ".17g") for v in self.offsets[t]]
-                row += [format(v, ".17g") for v in self.log_loadings[t].ravel()]
-                fh.write(",".join(row) + "\n")
+            fh.write(row * self.n_draws % tuple(table.ravel().tolist()))
         n = self.w_hard.shape[1]
         sel = list(range(n)) if nodes is None else list(nodes)
         wcols = ["iteration"] + [
@@ -539,7 +497,6 @@ class SampleLog:
             offsets=z,
             log_loadings=ld,
             w_hard=w_hard,
-            w_relaxed=None,
         )
 
 
@@ -569,7 +526,8 @@ def run_chain(
     acceptance, the kinetic diagonal from per-coordinate position
     variances, and the exchange window toward its target rate; all
     three freeze afterward.  Post-warmup draws are recorded raw every
-    `thin` iterations; label resolution happens in the summaries.
+    `thin` iterations, into log arrays allocated up front; label
+    resolution happens in the summaries.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -577,22 +535,14 @@ def run_chain(
         raise ValueError(f"thin must be >= 1, got {thin}")
     if anneal_from is not None and not anneal_from > 0.0:
         raise ValueError(f"anneal_from must be positive, got {anneal_from}")
-    try:
-        if not rank_ok(_relaxed_x(init)[1]):
-            raise InitializationError("initial structured matrix is rank-deficient")
-    except ValueError as err:
-        raise InitializationError(str(err)) from err
+    if not rank_ok(_relaxed_x(init)[1]):
+        raise InitializationError("initial structured matrix is rank-deficient")
 
     state = init
     tau_target = init.tau
     warmup = hmc_cfg.warmup
     m = _pack(state.subject_params, state.logits).size
-    omega = np.ones(m) if hmc_cfg.mass is None else hmc_cfg.mass.copy()
-    if omega.size != m:
-        raise InitializationError(
-            f"mass has {omega.size} entries, state has {m} coordinates"
-        )
-    window = np.full(state.depth, exch_cfg.window)
+    omega = np.ones(m)
     window_scale = 1.0
 
     # dual averaging (target: hmc_cfg.target_accept)
@@ -615,7 +565,23 @@ def run_chain(
     exch_total = 0
     skip_total = 0
 
-    records = []
+    k, s_n, n = state.depth, state.subject_params.n_subjects, state.n_nodes
+    recorded = range(warmup, iterations, thin)
+    t_n = len(recorded)
+    log = SampleLog(
+        iterations=np.asarray(recorded, dtype=np.int64),
+        u=np.empty(t_n),
+        hmc_accept=np.empty(t_n, dtype=bool),
+        exch_accept=np.empty(t_n, dtype=bool),
+        exch_skipped=np.empty(t_n, dtype=bool),
+        step_sizes=np.empty(t_n),
+        a=np.empty((t_n, k)),
+        b=np.empty((t_n, k)),
+        p=np.empty((t_n, k)),
+        offsets=np.empty((t_n, s_n)),
+        log_loadings=np.empty((t_n, s_n, k)),
+        w_hard=np.empty((t_n, n, k)),
+    )
     u_cur = None
     for t in range(iterations):
         if anneal_from is not None and warmup > 0:
@@ -656,7 +622,7 @@ def run_chain(
             step = float(np.exp(log_step_avg))
 
         state, exch_acc, exch_skip, u_cur = _exchange_step(
-            state, data, exch_cfg, rng, window * window_scale, u_cur
+            state, data, exch_cfg, rng, exch_cfg.window * window_scale, u_cur
         )
         hmc_total += int(hmc_acc)
         exch_total += int(exch_acc)
@@ -667,70 +633,38 @@ def run_chain(
             exch_window_accepts += int(exch_acc)
             if exch_window_block == 50:
                 rate = exch_window_accepts / 50.0
-                window_scale *= float(np.exp(0.8 * (rate - exch_cfg.target_accept)))
+                window_scale *= float(np.exp(0.8 * (rate - EXCHANGE_TARGET_ACCEPT)))
                 window_scale = float(np.clip(window_scale, 1e-2, 40.0))
                 exch_window_block = 0
                 exch_window_accepts = 0
 
         if t >= warmup and (t - warmup) % thin == 0:
-            rec = state
-            records.append(
-                (
-                    t,
-                    u_cur if u_cur is not None else potential(state, data),
-                    hmc_acc,
-                    exch_acc,
-                    exch_skip,
-                    step,
-                    rec.values.a.copy(),
-                    rec.values.b.copy(),
-                    rec.probs.p.copy(),
-                    rec.subject_params.offsets.copy(),
-                    rec.subject_params.log_loadings.copy(),
-                    rec.relaxed_weights(),
-                    rec.hard_weights(),
-                )
-            )
+            r = (t - warmup) // thin
+            log.u[r] = u_cur
+            log.hmc_accept[r] = hmc_acc
+            log.exch_accept[r] = exch_acc
+            log.exch_skipped[r] = exch_skip
+            log.step_sizes[r] = step
+            log.a[r] = state.values.a
+            log.b[r] = state.values.b
+            log.p[r] = state.probs.p
+            log.offsets[r] = state.subject_params.offsets
+            log.log_loadings[r] = state.subject_params.log_loadings
+            log.w_hard[r] = state.hard_weights()
 
-    k = state.depth
-    s_n = state.subject_params.n_subjects
-    n = state.n_nodes
-    t_n = len(records)
-
-    def stack(idx, shape, dtype=np.float64):
-        out = np.empty((t_n,) + shape, dtype=dtype)
-        for r, rec in enumerate(records):
-            out[r] = rec[idx]
-        return out
-
-    log = SampleLog(
-        iterations=np.asarray([r[0] for r in records], dtype=np.int64),
-        u=np.asarray([r[1] for r in records], dtype=np.float64),
-        hmc_accept=np.asarray([r[2] for r in records], dtype=bool),
-        exch_accept=np.asarray([r[3] for r in records], dtype=bool),
-        exch_skipped=np.asarray([r[4] for r in records], dtype=bool),
-        step_sizes=np.asarray([r[5] for r in records], dtype=np.float64),
-        a=stack(6, (k,)),
-        b=stack(7, (k,)),
-        p=stack(8, (k,)),
-        offsets=stack(9, (s_n,)),
-        log_loadings=stack(10, (s_n, k)),
-        w_relaxed=stack(11, (n, k)),
-        w_hard=stack(12, (n, k)),
-        meta={
-            "iterations": iterations,
-            "warmup": warmup,
-            "thin": thin,
-            "final_step_size": step,
-            "window_scale": window_scale,
-            "tau": tau_target,
-            "n": n,
-            "k": k,
-            "n_subjects": s_n,
-            "hmc_accept_rate": hmc_total / iterations if iterations else 0.0,
-            "exch_accept_rate": exch_total / iterations if iterations else 0.0,
-            "exch_skip_count": skip_total,
-            "mass_range": [float(omega.min()), float(omega.max())],
-        },
-    )
+    log.meta = {
+        "iterations": iterations,
+        "warmup": warmup,
+        "thin": thin,
+        "final_step_size": step,
+        "window_scale": window_scale,
+        "tau": tau_target,
+        "n": n,
+        "k": k,
+        "n_subjects": s_n,
+        "hmc_accept_rate": hmc_total / iterations if iterations else 0.0,
+        "exch_accept_rate": exch_total / iterations if iterations else 0.0,
+        "exch_skip_count": skip_total,
+        "mass_range": [float(omega.min()), float(omega.max())],
+    }
     return log

@@ -29,7 +29,7 @@ from msfactor.diagnostics import (
 )
 from msfactor.model import NetworkDataset, SubjectParams, simulate_dataset
 from msfactor.partition import random_partition
-from msfactor.prior import ColumnValues, MixtureProbs, StructuredMatrix, build_x
+from msfactor.prior import ColumnValues, MixtureProbs, build_x
 from msfactor.sampler import (
     ChainState,
     ExchangeConfig,
@@ -52,7 +52,7 @@ def _random_instance(rng, n_low=4, n_high=64, k_cap=8):
     while True:
         rp = random_partition(n, k, rng)
         values = ColumnValues(a=rng.standard_normal(k), b=rng.standard_normal(k))
-        x = build_x(StructuredMatrix(w=rp.membership_matrix(), values=values))
+        x = build_x(rp.membership_matrix(), values)
         if rank_ok(x):
             return rp, values, x
 
@@ -97,7 +97,7 @@ def test_frames_orthonormal_and_invariant():
         a_sw[j], b_sw[j] = values.b[j], values.a[j]
         w_sw = w.copy()
         w_sw[:, j] = 1.0 - w[:, j]
-        x_sw = build_x(StructuredMatrix(w=w_sw, values=ColumnValues(a=a_sw, b=b_sw)))
+        x_sw = build_x(w_sw, ColumnValues(a=a_sw, b=b_sw))
         assert np.max(np.abs(whiten(x_sw) - q)) <= 1e-10
     assert time.perf_counter() - start < 5.0
 
@@ -149,9 +149,7 @@ def test_potential_gradient_matches_finite_differences():
                 ),
                 tau=tau,
             )
-            relaxed = build_x(
-                StructuredMatrix(w=state.relaxed_weights(), values=state.values)
-            )
+            relaxed = build_x(state.relaxed_weights(), state.values)
             if rank_ok(relaxed):
                 break
         g_ld, g_z, g_lg = potential_grad(state, data)
@@ -237,7 +235,7 @@ def test_exchange_kernel_matches_enumerated_posterior():
         for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)
     ]
     admissible = [
-        rank_ok(build_x(StructuredMatrix(w=y, values=values))) for y in patterns
+        rank_ok(build_x(y, values)) for y in patterns
     ]
     grid = np.linspace(1e-6, 1.0 - 1e-6, 20001)
     normalizer = np.zeros_like(grid)

@@ -14,6 +14,7 @@ from msfactor.cli import main
 from msfactor.diagnostics import summarize
 from msfactor.model import NetworkDataset
 from msfactor.sampler import SampleLog
+from msfactor.whitening import NotPositiveDefiniteError
 
 
 def _write(path, payload):
@@ -250,6 +251,17 @@ class TestFailureModes:
         cfg = _write(tmp_path / "sim.json", {"n": 2, "k": 2, "subjects": 1, "seed": 0})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "full-rank" in capsys.readouterr().err
+
+    def test_rank_failure_reaching_main_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        # a NotPositiveDefiniteError is a ValueError, yet it is a rank
+        # failure of the run, not a config problem
+        def failing_simulate(*args, **kwargs):
+            raise NotPositiveDefiniteError(1)
+
+        monkeypatch.setattr(msfactor.cli, "simulate_dataset", failing_simulate)
+        cfg = _write(tmp_path / "sim.json", {"n": 6, "k": 2, "subjects": 1, "seed": 0})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "pivot 1 not positive definite" in capsys.readouterr().err
 
     def test_summarize_without_chains(self, tmp_path, capsys):
         empty = tmp_path / "empty"

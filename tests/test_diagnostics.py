@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import msfactor.diagnostics
 from msfactor.diagnostics import (
     chain_ess,
     ess_batch_means,
@@ -13,9 +14,9 @@ from msfactor.diagnostics import (
     summarize,
 )
 from msfactor.partition import BiPartition, RecursivePartition
-from msfactor.prior import ColumnValues, StructuredMatrix, build_x
+from msfactor.prior import ColumnValues, build_x
 from msfactor.sampler import SampleLog
-from msfactor.whitening import whiten
+from msfactor.whitening import NotPositiveDefiniteError, whiten
 
 
 def _make_log(a, b, p, w, offsets=None, log_loadings=None, u=None):
@@ -40,7 +41,6 @@ def _make_log(a, b, p, w, offsets=None, log_loadings=None, u=None):
             else np.asarray(log_loadings, dtype=np.float64)
         ),
         w_hard=np.asarray(w, dtype=np.float64),
-        w_relaxed=None,
     )
 
 
@@ -156,7 +156,7 @@ class TestSummarize:
                         log_loadings=np.array([[[0.5, -0.2]]]))
         out = summarize(log, burn_in=0.0)
         np.testing.assert_array_equal(out.w_prob, w[0])
-        x = build_x(StructuredMatrix(w=w[0], values=ColumnValues(a=a[0], b=b[0])))
+        x = build_x(w[0], ColumnValues(a=a[0], b=b[0]))
         np.testing.assert_allclose(out.q_mean, whiten(x), atol=1e-12)
         np.testing.assert_allclose(out.d_mean, np.exp([[0.5, -0.2]]), atol=1e-14)
         assert out.meta["n_frame_draws"] == 1
@@ -195,7 +195,7 @@ class TestSummarize:
         out = summarize(log, burn_in=0.0)
         assert out.meta["n_frame_draws"] == 1
         assert out.meta["n_rank_skipped"] == 1
-        x = build_x(StructuredMatrix(w=good, values=ColumnValues(a=a[0], b=b[0])))
+        x = build_x(good, ColumnValues(a=a[0], b=b[0]))
         np.testing.assert_allclose(out.q_mean, whiten(x), atol=1e-12)
 
     def test_all_rank_deficient_rejected(self):
@@ -216,6 +216,31 @@ class TestSummarize:
         log = _make_log(ones, -ones, 0.5 * ones, np.ones((1, 3, 1)))
         with pytest.raises(ValueError, match="burn_in"):
             summarize(log, burn_in=1.0)
+
+    @staticmethod
+    def _fail_on_mean_frame(monkeypatch, error):
+        """Whiten the one retained draw, then raise on the mean frame."""
+        calls = []
+
+        def whiten_once(x):
+            calls.append(x)
+            if len(calls) > 1:
+                raise error
+            return whiten(x)
+
+        monkeypatch.setattr(msfactor.diagnostics, "whiten", whiten_once)
+        w = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]])
+        return _make_log(np.array([[1.0, 0.8]]), np.array([[-1.0, -0.6]]),
+                         np.array([[0.6, 0.7]]), w)
+
+    def test_rank_failure_of_mean_frame_is_reported(self, monkeypatch):
+        log = self._fail_on_mean_frame(monkeypatch, NotPositiveDefiniteError(1))
+        assert summarize(log, burn_in=0.0).meta["q_mean_orthonormalized"] is False
+
+    def test_other_error_in_mean_frame_propagates(self, monkeypatch):
+        log = self._fail_on_mean_frame(monkeypatch, RuntimeError("whitening bug"))
+        with pytest.raises(RuntimeError, match="whitening bug"):
+            summarize(log, burn_in=0.0)
 
     def test_factor_outer_products(self):
         w = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]])

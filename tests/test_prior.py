@@ -9,8 +9,8 @@ from msfactor.prior import (
     ColumnValues,
     MixtureProbs,
     PriorRejectionError,
-    StructuredMatrix,
     build_x,
+    full_rank_pattern,
     log_bernoulli_mass,
     log_det_gram,
     log_gaussian_ab,
@@ -21,28 +21,25 @@ from msfactor.whitening import NotPositiveDefiniteError, rank_ok, whiten
 
 class TestBuildX:
     def test_direct_substitution(self):
-        sm = StructuredMatrix(
-            w=np.array([[1.0], [0.0]]),
-            values=ColumnValues(a=np.array([2.0]), b=np.array([-1.0])),
-        )
-        np.testing.assert_array_equal(build_x(sm), [[2.0], [-1.0]])
+        values = ColumnValues(a=np.array([2.0]), b=np.array([-1.0]))
+        np.testing.assert_array_equal(build_x(np.array([[1.0], [0.0]]), values), [[2.0], [-1.0]])
 
     def test_all_ones_gives_constant_columns(self):
         values = ColumnValues(a=np.array([3.0, -2.0]), b=np.array([0.0, 0.0]))
-        x = build_x(StructuredMatrix(w=np.ones((4, 2)), values=values))
+        x = build_x(np.ones((4, 2)), values)
         np.testing.assert_array_equal(x, np.tile([3.0, -2.0], (4, 1)))
         assert not rank_ok(x)
 
     def test_relaxed_midpoint(self):
         values = ColumnValues(a=np.array([1.0]), b=np.array([0.0]))
-        x = build_x(StructuredMatrix(w=np.full((3, 1), 0.5), values=values))
+        x = build_x(np.full((3, 1), 0.5), values)
         np.testing.assert_array_equal(x, np.full((3, 1), 0.5))
 
     def test_binary_columns_have_two_values(self):
         rng = np.random.default_rng(1)
         values = ColumnValues(a=rng.standard_normal(3), b=rng.standard_normal(3))
         w = (rng.random((10, 3)) < 0.5).astype(np.float64)
-        x = build_x(StructuredMatrix(w=w, values=values))
+        x = build_x(w, values)
         for j in range(3):
             assert np.unique(x[:, j]).size <= 2
 
@@ -52,14 +49,11 @@ class TestLabelSwap:
         rng = np.random.default_rng(3)
         values = ColumnValues(a=rng.standard_normal(2), b=rng.standard_normal(2))
         w = (rng.random((6, 2)) < 0.5).astype(np.float64)
-        x = build_x(StructuredMatrix(w=w, values=values))
-        swapped = StructuredMatrix(
-            w=1.0 - w,
-            values=ColumnValues(a=values.b, b=values.a),
-        )
-        np.testing.assert_array_equal(build_x(swapped), x)
+        x = build_x(w, values)
+        swapped = build_x(1.0 - w, ColumnValues(a=values.b, b=values.a))
+        np.testing.assert_array_equal(swapped, x)
         if rank_ok(x):
-            np.testing.assert_array_equal(whiten(build_x(swapped)), whiten(x))
+            np.testing.assert_array_equal(whiten(swapped), whiten(x))
 
     def test_mass_consistent_under_complement(self):
         rng = np.random.default_rng(5)
@@ -72,26 +66,26 @@ class TestLabelSwap:
 
 class TestSamplePrior:
     def test_postcondition_rank_ok(self):
-        values, probs, sm = sample_prior(8, 2, np.random.default_rng(11))
-        assert rank_ok(build_x(sm))
+        values, probs, w = sample_prior(8, 2, np.random.default_rng(11))
+        assert rank_ok(build_x(w, values))
         assert values.depth == 2
         assert probs.p.size == 2
-        assert set(np.unique(sm.w)) <= {0.0, 1.0}
+        assert set(np.unique(w)) <= {0.0, 1.0}
 
     def test_single_cell_case(self):
-        values, probs, sm = sample_prior(1, 1, np.random.default_rng(13))
-        assert rank_ok(build_x(sm))
+        values, probs, w = sample_prior(1, 1, np.random.default_rng(13))
+        assert rank_ok(build_x(w, values))
 
     def test_deterministic(self):
         a = sample_prior(10, 3, np.random.default_rng(17))
         b = sample_prior(10, 3, np.random.default_rng(17))
-        np.testing.assert_array_equal(a[2].w, b[2].w)
+        np.testing.assert_array_equal(a[2], b[2])
         np.testing.assert_array_equal(a[0].a, b[0].a)
 
     def test_paper_scale_always_succeeds(self):
         for seed in range(50):
-            values, probs, sm = sample_prior(128, 30, np.random.default_rng(seed))
-            assert rank_ok(build_x(sm))
+            values, probs, w = sample_prior(128, 30, np.random.default_rng(seed))
+            assert rank_ok(build_x(w, values))
 
     def test_dimension_error(self):
         with pytest.raises(ValueError):
@@ -112,6 +106,34 @@ class TestSamplePrior:
 
         with pytest.raises(PriorRejectionError):
             sample_prior(6, 2, ConstantPatternRng(), max_attempts=25)
+
+
+class TestFullRankPattern:
+    values = ColumnValues(a=np.ones(2), b=-np.ones(2))
+
+    def test_returns_first_full_rank_draw_and_stops(self):
+        bad = np.ones((4, 2))
+        good = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        later = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        draws = iter([bad, bad, good, later])
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return next(draws)
+
+        assert full_rank_pattern(draw, self.values, 10) is good
+        assert len(calls) == 3
+
+    def test_exhaustion_draws_max_attempts_then_returns_none(self):
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return np.ones((4, 2))
+
+        assert full_rank_pattern(draw, self.values, 7) is None
+        assert len(calls) == 7
 
 
 class TestLogBernoulliMass:
@@ -192,4 +214,4 @@ class TestValueValidation:
     def test_weight_shape_checked(self):
         values = ColumnValues(a=np.zeros(2), b=np.ones(2))
         with pytest.raises(ValueError):
-            StructuredMatrix(w=np.zeros((4, 3)), values=values)
+            build_x(np.zeros((4, 3)), values)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msfactor.partition import random_partition
-from msfactor.prior import ColumnValues, StructuredMatrix, build_x
+from msfactor.prior import ColumnValues, build_x
 from msfactor.whitening import (
     NotPositiveDefiniteError,
     cholesky,
@@ -23,11 +23,7 @@ def _structured_frame(n, k, rng):
         values = ColumnValues(
             a=rng.standard_normal(k), b=rng.standard_normal(k)
         )
-        x = build_x(
-            StructuredMatrix(
-                w=rp.membership_matrix().astype(np.float64), values=values
-            )
-        )
+        x = build_x(rp.membership_matrix().astype(np.float64), values)
         if rank_ok(x):
             return rp, values, x
     raise AssertionError("no full-rank structured draw")
@@ -185,7 +181,7 @@ class TestRankOk:
     def test_duplicate_split_same_values(self):
         values = ColumnValues(a=np.array([1.5, 1.5]), b=np.array([-0.5, -0.5]))
         w = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        assert not rank_ok(build_x(StructuredMatrix(w=w, values=values)))
+        assert not rank_ok(build_x(w, values))
 
     def test_wide_matrix_false(self):
         assert not rank_ok(np.ones((2, 3)))
@@ -300,7 +296,7 @@ class TestLapackCholesky:
                 values = ColumnValues(
                     a=rng.choice([1.0, 2.0], size=k), b=rng.choice([-1.0, 0.0], size=k)
                 )
-                x = build_x(StructuredMatrix(w=w, values=values))
+                x = build_x(w, values)
                 s = x.T @ x
                 assert _failing_pivot(cholesky, s) == _failing_pivot(_loop_cholesky, s)
 
