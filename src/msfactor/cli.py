@@ -2,8 +2,8 @@
 
 Each subcommand reads a JSON config, applies flag overrides, writes its
 effective config next to its outputs, and is deterministic given the
-seed.  Exit codes: 0 success, 2 config or data validation problem,
-3 runtime failure (rank, initialization, or any error inside a chain).
+seed.  Exit codes: 0 success, 2 config, data or I/O problem outside a
+chain, 3 runtime failure (rank, initialization, or any error in a chain).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import _retained_start, chain_ess, partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition, random_partition
-from .prior import ColumnValues, MixtureProbs, PriorRejectionError, full_rank_pattern
+from .prior import ColumnValues, MixtureProbs, full_rank_pattern
 from .sampler import (
     ExchangeConfig,
     HmcConfig,
@@ -42,15 +42,17 @@ class ChainError(RuntimeError):
     """An error raised while a chain ran; message names the chain."""
 
 
+def _read(path, what, parse):
+    # an OSError passes through to main; its message names the path
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"{what} {path} is malformed: {type(err).__name__}: {err}") from err
+
+
 def _load_config(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+    cfg = _read(path, "config", json.loads)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return cfg
@@ -161,11 +163,11 @@ def _fit_single_chain(args):
     return chain_id, {**log.meta, "wall_seconds": elapsed, "n_draws": log.n_draws}
 
 
-def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
+def cmd_fit(cfg, out_dir):
     data_path = _require(cfg, "data", str)
     k = _require(cfg, "k", int)
-    seed = seed_override if seed_override is not None else _require(cfg, "seed", int)
-    chains = chains_override if chains_override is not None else _optional(cfg, "chains", int, 1)
+    seed = _require(cfg, "seed", int)
+    chains = _optional(cfg, "chains", int, 1)
     run_cfg = {
         "k": k,
         "iterations": _require(cfg, "iterations", int),
@@ -173,11 +175,13 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
         "thin": _optional(cfg, "thin", int, 1),
         "tau": _optional(cfg, "tau", float, 0.2),
         "anneal_from": _optional(cfg, "anneal_from", float, None),
-        "step_size": _optional(cfg, "step_size", float, 0.05),
-        "leapfrog_steps": _optional(cfg, "leapfrog_steps", int, 10),
-        "target_accept": _optional(cfg, "target_accept", float, 0.7),
-        "window": _optional(cfg, "window", float, 0.25),
-        "max_rejection_attempts": _optional(cfg, "max_rejection_attempts", int, 100),
+        "step_size": _optional(cfg, "step_size", float, HmcConfig.step_size),
+        "leapfrog_steps": _optional(cfg, "leapfrog_steps", int, HmcConfig.leapfrog_steps),
+        "target_accept": _optional(cfg, "target_accept", float, HmcConfig.target_accept),
+        "window": _optional(cfg, "window", float, ExchangeConfig.window),
+        "max_rejection_attempts": _optional(
+            cfg, "max_rejection_attempts", int, ExchangeConfig.max_rejection_attempts
+        ),
         "w_trace_nodes": _optional(cfg, "w_trace_nodes", list, None),
     }
     if chains < 1:
@@ -206,13 +210,9 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
         max_rejection_attempts=run_cfg["max_rejection_attempts"],
     )
 
-    try:
-        data_text = Path(data_path).read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read data file {data_path}: {err}") from err
     # parsed and validated once, here, so bad data fails with exit 2; pool
     # workers receive the parsed dataset
-    data = NetworkDataset.from_json(data_text)
+    data = _read(data_path, "data file", NetworkDataset.from_json)
     if data.n < 2:
         raise ConfigError(f"data file {data_path} must hold at least 2 nodes")
     if k > data.n:
@@ -253,9 +253,20 @@ def cmd_fit(cfg, out_dir, seed_override=None, chains_override=None):
     return 0
 
 
+def _parse_truth(text):
+    truth = json.loads(text)
+    rp = RecursivePartition.from_json(json.dumps(truth["partition"]))
+    frame = np.asarray(truth["frame"], dtype=np.float64)
+    if frame.shape != (rp.n, rp.depth):
+        raise ValueError(f"frame must be {rp.n} x {rp.depth}, got shape {frame.shape}")
+    return rp, frame
+
+
 def cmd_summarize(cfg, out_dir, truth_path=None):
     fit_dir = Path(_require(cfg, "fit_dir", str))
     burn_in = _optional(cfg, "burn_in", float, 0.5)
+    # checked before any trace is read
+    truth = None if truth_path is None else _read(truth_path, "truth file", _parse_truth)
     if not fit_dir.is_dir():
         raise ConfigError(f"config field fit_dir does not name a directory: {fit_dir}")
     chain_dirs = sorted(d for d in fit_dir.glob("chain_*") if d.is_dir())
@@ -265,7 +276,7 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     try:
         meta = json.loads((fit_dir / "run_meta.json").read_text())
         fit_n = {d.name: meta["chains"][d.name]["n"] for d in chain_dirs}
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"cannot read node counts from {fit_dir / 'run_meta.json'}: {err}") from err
     logs = []
     for d in chain_dirs:
@@ -289,18 +300,18 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     payload["meta"]["chains"] = [d.name for d in chain_dirs]
     payload["meta"]["burn_in"] = burn_in
 
-    if truth_path is not None:
-        truth = json.loads(Path(truth_path).read_text())
-        rp = RecursivePartition.from_json(json.dumps(truth["partition"]))
-        frame = np.asarray(truth["frame"], dtype=np.float64)
-        recovery = {
-            "subspace_error": subspace_error(summary.q_mean, frame),
+    if truth is not None:
+        rp, frame = truth
+        payload["recovery"] = {
+            # a mean frame that could not be re-orthonormalised has no
+            # projector to compare
+            "subspace_error": subspace_error(summary.q_mean, frame)
+            if summary.meta["q_mean_orthonormalized"] else None,
             "level_recovery": [
                 partition_recovery(summary.w_prob, rp, j)
                 for j in range(1, rp.depth + 1)
             ],
         }
-        payload["recovery"] = recovery
 
     factors_dir = out / "factors"
     factors_dir.mkdir(exist_ok=True)
@@ -346,17 +357,19 @@ def build_parser():
         description="Multi-scale factor modeling of binary network populations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {}
     for name, helptext in (
         ("simulate", "generate a synthetic dataset with known structure"),
         ("fit", "run the posterior sampler on a dataset"),
         ("summarize", "reduce fitted chains to posterior summaries"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--chains", type=int, default=None, help="override chain count")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--truth", default=None, help="truth file for recovery metrics")
+        p[name] = sub.add_parser(name, help=helptext)
+        p[name].add_argument("--config", required=True, help="JSON config file")
+        p[name].add_argument("--out", default=None, help="output directory")
+    for name in ("simulate", "fit"):
+        p[name].add_argument("--seed", type=int, help="override config seed")
+    p["fit"].add_argument("--chains", type=int, help="override chain count")
+    p["summarize"].add_argument("--truth", help="truth file for recovery metrics")
     return parser
 
 
@@ -364,19 +377,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        for name in ("seed", "chains"):  # the one place a flag enters the config
+            if getattr(args, name, None) is not None:
+                cfg[name] = getattr(args, name)
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "fit":
-            return cmd_fit(cfg, out_dir, seed_override=args.seed,
-                           chains_override=args.chains)
+            return cmd_fit(cfg, out_dir)
         return cmd_summarize(cfg, out_dir, truth_path=args.truth)
-    except (ChainError, InitializationError, NotPositiveDefiniteError, PriorRejectionError) as err:
+    except (ChainError, InitializationError, NotPositiveDefiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .partition import partition_distance
 from .prior import ColumnValues, build_x
-from .whitening import NotPositiveDefiniteError, rank_ok, whiten
+from .whitening import NotPositiveDefiniteError, whiten
 
 
 def ess_batch_means(series):
@@ -159,10 +159,10 @@ def summarize(log, burn_in=0.5):
     q_ref = None
     used = 0
     for t in range(kept):
-        x = build_x(w[t], ColumnValues(a=a[t], b=b[t]))
-        if not rank_ok(x):
+        try:  # whitening is the rank test
+            q = whiten(build_x(w[t], ColumnValues(a=a[t], b=b[t])))
+        except NotPositiveDefiniteError:
             continue
-        q = whiten(x)
         if q_ref is None:
             q_ref = q
             q_sum = np.zeros_like(q)

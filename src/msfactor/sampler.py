@@ -237,9 +237,7 @@ def _kinetic(vel, omega):
     return sum(half[i:i + c] @ scaled[i:i + c] for i in range(0, vel.size, c))
 
 
-def _hmc_step(state, data, rng, step, n_steps, omega, u_cur=None):
-    if u_cur is None:
-        u_cur = potential(state, data)
+def _hmc_step(state, data, rng, step, n_steps, omega, u_cur):
     pos = _pack(state.subject_params, state.logits)
     vel = rng.standard_normal(pos.size) / np.sqrt(omega)
     kin0 = _kinetic(vel, omega)
@@ -284,12 +282,12 @@ def hmc_update(state, data, cfg, rng):
     """One HMC transition at the configured step size and unit mass."""
     omega = np.ones(_pack(state.subject_params, state.logits).size)
     new, accepted, _, _ = _hmc_step(
-        state, data, rng, cfg.step_size, cfg.leapfrog_steps, omega
+        state, data, rng, cfg.step_size, cfg.leapfrog_steps, omega, potential(state, data)
     )
     return new, accepted
 
 
-def _exchange_step(state, data, cfg, rng, window, u_cur=None):
+def _exchange_step(state, data, cfg, rng, window, u_cur):
     """Returns (state, accepted, aux_exhausted, u_of_returned_state)."""
     n, k = state.logits.shape
     hard = state.hard_weights()
@@ -316,8 +314,6 @@ def _exchange_step(state, data, cfg, rng, window, u_cur=None):
     if not rank_ok(build_x(aux, state.values)):
         return state, False, False, u_cur
 
-    if u_cur is None:
-        u_cur = potential(state, data)
     proposal = dataclasses.replace(
         state, values=values_star, probs=MixtureProbs(p=p_star)
     )
@@ -344,7 +340,9 @@ def _exchange_step(state, data, cfg, rng, window, u_cur=None):
 
 def exchange_update(state, data, cfg, rng):
     """One exchange transition on (a, b, p) at the configured window."""
-    new, accepted, _, _ = _exchange_step(state, data, cfg, rng, cfg.window)
+    new, accepted, _, _ = _exchange_step(
+        state, data, cfg, rng, cfg.window, potential(state, data)
+    )
     return new, accepted
 
 
@@ -535,8 +533,10 @@ def run_chain(
         raise ValueError(f"thin must be >= 1, got {thin}")
     if anneal_from is not None and not anneal_from > 0.0:
         raise ValueError(f"anneal_from must be positive, got {anneal_from}")
-    if not rank_ok(_relaxed_x(init)[1]):
-        raise InitializationError("initial structured matrix is rank-deficient")
+    try:
+        u_cur = potential(init, data)
+    except NotPositiveDefiniteError as err:
+        raise InitializationError("initial structured matrix is rank-deficient") from err
 
     state = init
     tau_target = init.tau
@@ -559,7 +559,6 @@ def run_chain(
     collect_from = warmup // 10
     refresh_points = {warmup // 2, (3 * warmup) // 4} - {0}
 
-    exch_window_block = 0
     exch_window_accepts = 0
     hmc_total = 0
     exch_total = 0
@@ -582,23 +581,30 @@ def run_chain(
         log_loadings=np.empty((t_n, s_n, k)),
         w_hard=np.empty((t_n, n, k)),
     )
-    u_cur = None
     for t in range(iterations):
         if anneal_from is not None and warmup > 0:
             frac = min(1.0, t / warmup)
             tau_t = anneal_from + (tau_target - anneal_from) * frac
             if tau_t != state.tau:
                 retempered = dataclasses.replace(state, tau=tau_t)
-                # a temperature change can only be taken if it keeps the
-                # relaxed matrix full rank
-                if rank_ok(_relaxed_x(retempered)[1]):
+                # a temperature change is taken only if it stays whitenable
+                try:
+                    u_cur = potential(retempered, data)
                     state = retempered
-                    u_cur = None
+                except NotPositiveDefiniteError:
+                    pass
 
         state, hmc_acc, alpha, u_cur = _hmc_step(
             state, data, rng, step, hmc_cfg.leapfrog_steps, omega, u_cur
         )
+        state, exch_acc, exch_skip, u_cur = _exchange_step(
+            state, data, exch_cfg, rng, exch_cfg.window * window_scale, u_cur
+        )
+        hmc_total += int(hmc_acc)
+        exch_total += int(exch_acc)
+        skip_total += int(exch_skip)
 
+        # the exchange move keeps the HMC position, which adaptation reads
         if t < warmup:
             t1 = t + 1
             accept_stat += (hmc_cfg.target_accept - alpha - accept_stat) / (t1 + da_t0)
@@ -618,25 +624,15 @@ def run_chain(
                 omega = np.clip(
                     (var_count * var + 5.0) / (var_count + 5.0), 1e-4, 1e4
                 )
-        elif t == warmup:
-            step = float(np.exp(log_step_avg))
 
-        state, exch_acc, exch_skip, u_cur = _exchange_step(
-            state, data, exch_cfg, rng, exch_cfg.window * window_scale, u_cur
-        )
-        hmc_total += int(hmc_acc)
-        exch_total += int(exch_acc)
-        skip_total += int(exch_skip)
-
-        if t < warmup:
-            exch_window_block += 1
             exch_window_accepts += int(exch_acc)
-            if exch_window_block == 50:
+            if t1 % 50 == 0:
                 rate = exch_window_accepts / 50.0
                 window_scale *= float(np.exp(0.8 * (rate - EXCHANGE_TARGET_ACCEPT)))
                 window_scale = float(np.clip(window_scale, 1e-2, 40.0))
-                exch_window_block = 0
                 exch_window_accepts = 0
+        elif t == warmup:
+            step = float(np.exp(log_step_avg))
 
         if t >= warmup and (t - warmup) % thin == 0:
             r = (t - warmup) // thin

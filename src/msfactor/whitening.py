@@ -32,10 +32,10 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
-def cholesky(s, eps=PIVOT_EPS):
+def cholesky(s):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    A pivot <= eps * max(diag(s)) raises NotPositiveDefiniteError
+    A pivot <= PIVOT_EPS * max(diag(s)) raises NotPositiveDefiniteError
     carrying the failing pivot index.
     """
     s = np.asarray(s, dtype=np.float64)
@@ -44,11 +44,11 @@ def cholesky(s, eps=PIVOT_EPS):
     scale = max(np.abs(s).max(), 1.0)
     if np.abs(s - s.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    return _factor(s, eps)
+    return _factor(s)
 
 
-def _floor(s, eps):
-    return eps * max(s.diagonal().max(), 0.0)
+def _floor(s):
+    return PIVOT_EPS * max(s.diagonal().max(), 0.0)
 
 
 def _factor_or_none(s, floor):
@@ -62,9 +62,9 @@ def _factor_or_none(s, floor):
     return low if low.diagonal().min() ** 2 > floor else None
 
 
-def _factor(s, eps=PIVOT_EPS):
+def _factor(s):
     # cholesky without the input checks, for callers that build s = X'X
-    floor = _floor(s, eps)
+    floor = _floor(s)
     low = _factor_or_none(s, floor)
     if low is None:
         # the failing pivot is the last of the first leading block that fails
@@ -96,7 +96,7 @@ def rank_ok(x):
     if x.ndim != 2 or x.shape[0] < x.shape[1]:
         return False
     s = x.T @ x
-    return _factor_or_none(s, _floor(s, PIVOT_EPS)) is not None
+    return _factor_or_none(s, _floor(s)) is not None
 
 
 def extract_column_partition(column, tol=1e-8):

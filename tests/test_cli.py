@@ -279,6 +279,98 @@ class TestFailureModes:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "warmup" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [{"n": 4}, [1, 2]])
+    def test_malformed_dataset(self, tmp_path, capsys, payload):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(payload))
+        cfg = _write(tmp_path / "fit.json", {
+            "data": str(data), "k": 1, "seed": 0, "iterations": 10,
+        })
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        assert "data file" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_truth_file_is_checked_before_any_trace(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        _, sim_dir, fit_dir, _ = pipeline
+        truth = json.loads((sim_dir / "truth.json").read_text())
+        del truth["partition"]
+        bad = _write(tmp_path / "truth.json", truth)
+        loads = []
+        monkeypatch.setattr(msfactor.cli.SampleLog, "from_csv",
+                            classmethod(lambda cls, *paths: loads.append(paths)))
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir)})
+        args = ["summarize", "--config", cfg, "--out", str(tmp_path / "sum"), "--truth", bad]
+        assert main(args) == 2
+        assert "truth file" in capsys.readouterr().err
+        assert loads == []
+
+    def test_missing_truth_file(self, pipeline, tmp_path, capsys):
+        _, _, fit_dir, _ = pipeline
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir)})
+        absent = str(tmp_path / "absent.json")
+        args = ["summarize", "--config", cfg, "--out", str(tmp_path / "sum"), "--truth", absent]
+        assert main(args) == 2
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_missing_w_trace(self, pipeline, tmp_path, capsys):
+        _, _, fit_dir, _ = pipeline
+        copy = tmp_path / "fit"
+        (copy / "chain_00").mkdir(parents=True)
+        for name in ("run_meta.json", "chain_00/trace.csv"):
+            (copy / name).write_bytes((fit_dir / name).read_bytes())
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(copy)})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
+        assert "w_trace.csv" in capsys.readouterr().err
+
+    def test_pool_start_failure(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, sim_dir, _, _ = pipeline
+
+        def no_pool(max_workers):
+            raise OSError("cannot start workers")
+
+        monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", no_pool)
+        cfg = _write(tmp_path / "fit.json", {
+            "data": str(sim_dir / "dataset.json"), "k": 2, "seed": 0,
+            "iterations": 4, "chains": 2,
+        })
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        assert "error: cannot start workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", ["--chains", "2"]),
+        ("fit", ["--truth", "x"]),
+        ("summarize", ["--seed", "3"]),
+    ])
+    def test_subcommand_rejects_flags_it_does_not_read(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(tmp_path / "cfg.json"), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unorthonormalizable_mean_frame_gives_null_subspace_error(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        # every draw's matrix is two-valued per column; the mean frame is not
+        _, sim_dir, fit_dir, _ = pipeline
+        whiten = msfactor.diagnostics.whiten
+
+        def whiten_draws_only(x):
+            if any(np.unique(col).size > 2 for col in x.T):
+                raise NotPositiveDefiniteError(1)
+            return whiten(x)
+
+        monkeypatch.setattr(msfactor.diagnostics, "whiten", whiten_draws_only)
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir), "burn_in": 0.5})
+        assert main([
+            "summarize", "--config", cfg, "--out", str(tmp_path / "sum"),
+            "--truth", str(sim_dir / "truth.json"),
+        ]) == 0
+        payload = json.loads((tmp_path / "sum" / "summary.json").read_text())
+        assert payload["meta"]["q_mean_orthonormalized"] is False
+        assert payload["recovery"]["subspace_error"] is None
+        assert len(payload["recovery"]["level_recovery"]) == 2
+
 
 class TestWTraceNodes:
     @pytest.fixture

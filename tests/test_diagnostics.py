@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import msfactor.diagnostics
+import msfactor.whitening
 from msfactor.diagnostics import (
     chain_ess,
     ess_batch_means,
@@ -241,6 +242,25 @@ class TestSummarize:
         log = self._fail_on_mean_frame(monkeypatch, RuntimeError("whitening bug"))
         with pytest.raises(RuntimeError, match="whitening bug"):
             summarize(log, burn_in=0.0)
+
+    def test_each_frame_is_factored_once_per_pass(self, monkeypatch):
+        # whitening is the rank test: a full-rank draw costs its two
+        # passes' factors and nothing more, as does the mean frame
+        factored = []
+        factor = msfactor.whitening._factor_or_none
+
+        def counting(s, floor):
+            factored.append(s.shape)
+            return factor(s, floor)
+
+        monkeypatch.setattr(msfactor.whitening, "_factor_or_none", counting)
+        w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        w1 = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        ones = np.ones((3, 2))
+        log = _make_log(ones, -ones, 0.5 * ones, np.stack([w0, w1, w0]))
+        out = summarize(log, burn_in=0.0)
+        assert out.meta["n_frame_draws"] == 3
+        assert len(factored) == 2 * 3 + 2
 
     def test_factor_outer_products(self):
         w = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]])

@@ -34,7 +34,7 @@ from msfactor.sampler import (
     potential_grad,
     run_chain,
 )
-from msfactor.whitening import rank_ok
+from msfactor.whitening import NotPositiveDefiniteError, rank_ok
 
 
 def _toy_data(n, s, seed, density=0.4):
@@ -603,6 +603,93 @@ class TestRunChain:
         )
         assert log.n_draws == 20
         assert np.isfinite(log.u).all()
+
+    @staticmethod
+    def _annealed(data, init, anneal_from, seed=9):
+        return run_chain(
+            data,
+            init,
+            HmcConfig(step_size=0.05, leapfrog_steps=3, warmup=10),
+            ExchangeConfig(window=0.25),
+            iterations=30,
+            rng=np.random.default_rng(seed),
+            anneal_from=anneal_from,
+        )
+
+    def test_only_the_exchange_move_calls_rank_ok(self, monkeypatch):
+        # the start and each annealing step are rank-tested by the
+        # whitening that computes their potential
+        inside, outside = [], []
+        exchange, test = msfactor.sampler._exchange_step, msfactor.sampler.rank_ok
+        in_exchange = []
+
+        def counting_rank_ok(x):
+            (inside if in_exchange else outside).append(x.shape)
+            return test(x)
+
+        def tracked_exchange(*args):
+            in_exchange.append(True)
+            try:
+                return exchange(*args)
+            finally:
+                in_exchange.pop()
+
+        monkeypatch.setattr(msfactor.sampler, "rank_ok", counting_rank_ok)
+        monkeypatch.setattr(msfactor.sampler, "_exchange_step", tracked_exchange)
+        data = _toy_data(4, 2, 25)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(6))
+        self._annealed(data, init, anneal_from=2.0)
+        assert outside == []
+        assert inside
+
+    def test_unwhitenable_annealing_step_keeps_state_and_potential(self, monkeypatch):
+        # if no retempered state can be whitened, the chain never leaves
+        # the target temperature and equals the chain without annealing
+        data = _toy_data(4, 2, 25)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(6))
+        plain = self._annealed(data, init, anneal_from=None)
+        original = msfactor.sampler.potential
+        refused = []
+
+        def potential_at_target_only(state, data):
+            if state.tau != init.tau:
+                refused.append(state.tau)
+                raise NotPositiveDefiniteError(0)
+            return original(state, data)
+
+        monkeypatch.setattr(msfactor.sampler, "potential", potential_at_target_only)
+        annealed = self._annealed(data, init, anneal_from=2.0)
+        assert len(refused) == 10
+        for f in dataclasses.fields(SampleLog):
+            if f.name != "meta":
+                np.testing.assert_array_equal(
+                    getattr(annealed, f.name), getattr(plain, f.name)
+                )
+        assert annealed.meta == plain.meta
+
+    def test_exchange_window_adapts_after_each_50_warmup_iterations(self, monkeypatch):
+        windows = []
+
+        def refusing_exchange(state, data, cfg, rng, window, u_cur):
+            windows.append(window)
+            return state, False, False, u_cur
+
+        monkeypatch.setattr(msfactor.sampler, "_exchange_step", refusing_exchange)
+        data = _toy_data(4, 2, 25)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(6))
+        log = run_chain(
+            data,
+            init,
+            HmcConfig(step_size=0.05, leapfrog_steps=1, warmup=100),
+            ExchangeConfig(window=0.25),
+            iterations=120,
+            rng=np.random.default_rng(3),
+        )
+        # a block of 50 with no acceptance shrinks the window once
+        shrink = math.exp(0.8 * -msfactor.sampler.EXCHANGE_TARGET_ACCEPT)
+        expected = [0.25] * 50 + [0.25 * shrink] * 50 + [0.25 * shrink**2] * 20
+        np.testing.assert_allclose(windows, expected, rtol=1e-12)
+        assert log.meta["window_scale"] == pytest.approx(shrink**2, rel=1e-12)
 
     def test_rank_deficient_start_rejected(self):
         w_bad = np.ones((3, 2))
