@@ -631,7 +631,8 @@ def run_chain(
                 window_scale *= float(np.exp(0.8 * (rate - EXCHANGE_TARGET_ACCEPT)))
                 window_scale = float(np.clip(window_scale, 1e-2, 40.0))
                 exch_window_accepts = 0
-        elif t == warmup:
+        elif warmup > 0 and t == warmup:
+            # without warmup the chain runs at the configured step as given
             step = float(np.exp(log_step_avg))
 
         if t >= warmup and (t - warmup) % thin == 0:

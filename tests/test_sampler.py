@@ -562,6 +562,23 @@ class TestRunChain:
         log = self._quick(8, iterations=10, warmup=0, thin=3)
         np.testing.assert_array_equal(log.iterations, [0, 3, 6, 9])
 
+    @pytest.mark.parametrize("step_size", [0.01, 0.05])
+    def test_no_warmup_runs_at_the_configured_step(self, step_size):
+        # exp(log(0.01)) is 0.010000000000000004, so the step must not
+        # pass through the dual-averaging log scale
+        data = _toy_data(4, 2, 25)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(6))
+        log = run_chain(
+            data,
+            init,
+            HmcConfig(step_size=step_size, leapfrog_steps=3, warmup=0),
+            ExchangeConfig(window=0.25),
+            iterations=5,
+            rng=np.random.default_rng(7),
+        )
+        assert np.all(log.step_sizes == step_size)
+        assert log.meta["final_step_size"] == step_size
+
     def test_zero_iterations(self):
         log = self._quick(9, iterations=0, warmup=0)
         assert log.n_draws == 0
