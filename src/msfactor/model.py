@@ -120,7 +120,7 @@ class SubjectParams:
 
 
 # Work arrays of the likelihood pass, held for one dataset at a time:
-# (weak reference to the dataset, A - 1/2, two S x n x n scratch arrays).
+# (weak reference to the dataset, 2A - 1, two S x n x n scratch arrays).
 # Reusing them spares a page-faulting allocation per call; they live
 # here rather than on the dataset, so pickling a dataset never copies
 # them.  Not thread-safe: chains run in separate processes.
@@ -133,7 +133,7 @@ def _work_arrays(data):
         _workspace = None  # free the previous dataset's arrays first
         shape = data.adjacency.shape
         _workspace = (
-            weakref.ref(data), data.adjacency - 0.5, np.empty(shape), np.empty(shape)
+            weakref.ref(data), 2.0 * data.adjacency - 1.0, np.empty(shape), np.empty(shape)
         )
     return _workspace[1:]
 
@@ -144,40 +144,47 @@ def _diagonals(a):
     return a.reshape(s, n * n)[:, :: n + 1]
 
 
-def _likelihood_pass(data, q, sp, value, grads):
-    """One forward pass: (log-likelihood or None, gradients or None).
-
-    Works on the full n x n matrices: every off-diagonal pair appears
-    twice, so upper-triangle sums are halves of full sums.
-    """
+def _checked(data, q, sp):
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != data.n:
         raise ValueError(f"frame has {q.shape[0]} rows, data has {data.n} nodes")
     if sp.n_subjects != data.n_subjects or sp.depth != q.shape[1]:
         raise ValueError("subject parameters do not match data/frame dimensions")
-    a_half, psi, work = _work_arrays(data)
-    d = np.exp(sp.log_loadings)
-    np.matmul(q * d[:, None, :], q.T, out=psi)
-    psi += sp.offsets[:, None, None]
+    return q
+
+
+def _likelihood_pass(data, q, d, z, value, grads):
+    """One forward pass: (log-likelihood or None, gradients or None).
+
+    Unchecked, on plain arrays: frame q (n x k), loadings d =
+    exp(log_loadings) (S x k) and offsets z (S,).  Works on the full
+    n x n matrices: every off-diagonal pair appears twice, so
+    upper-triangle sums are halves of full sums.  Scaling by a power of
+    two is exact, so the pass carries psi / 2 and twice the residual and
+    takes the factors back out where a product is formed anyway.
+    """
+    a2, psi, work = _work_arrays(data)
+    half_d = 0.5 * d
+    np.matmul(q * half_d[:, None, :], q.T, out=psi)
+    psi += (0.5 * z)[:, None, None]     # psi / 2
 
     g = None
     if grads:
-        # residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
-        np.multiply(psi, 0.5, out=work)
-        np.tanh(work, out=work)
-        work *= -0.5
-        work += a_half
+        # twice the residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
+        np.tanh(psi, out=work)
+        np.subtract(a2, work, out=work)
         _diagonals(work)[:] = 0.0
         rq = work @ q
-        g_q = np.einsum("sim,sm->im", rq, d)
-        g_ld = 0.5 * d * np.einsum("im,sim->sm", q, rq)
-        g_z = 0.5 * work.sum(axis=(1, 2))
+        g_q = np.einsum("sim,sm->im", rq, half_d)
+        g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq)
+        g_z = 0.25 * work.sum(axis=(1, 2))
         g = (g_q, g_ld, g_z)
 
     ll = None
     if value:
         # sum of A psi - log(1 + exp(psi)) off the diagonal, with
         # log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)); psi is spent
+        psi *= 2.0
         _diagonals(psi)[:] = 0.0
         # einsum's own loop, not a BLAS dot: OpenBLAS splits a long dot
         # product across threads, so its rounding follows the thread count
@@ -195,7 +202,10 @@ def _likelihood_pass(data, q, sp, value, grads):
 
 def log_likelihood(data, q, sp):
     """Bernoulli log-likelihood over all subjects' upper triangles."""
-    return _likelihood_pass(data, q, sp, value=True, grads=False)[0]
+    q = _checked(data, q, sp)
+    return _likelihood_pass(
+        data, q, np.exp(sp.log_loadings), sp.offsets, value=True, grads=False
+    )[0]
 
 
 def log_prior_theta(sp):
@@ -229,7 +239,10 @@ def log_likelihood_grads(data, q, sp, with_value=False):
     With with_value, returns (log_likelihood, g_q, g_ld, g_z), the value
     taken from the same pass.
     """
-    ll, g = _likelihood_pass(data, q, sp, value=with_value, grads=True)
+    q = _checked(data, q, sp)
+    ll, g = _likelihood_pass(
+        data, q, np.exp(sp.log_loadings), sp.offsets, value=with_value, grads=True
+    )
     return (ll, *g) if with_value else g
 
 

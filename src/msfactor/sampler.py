@@ -28,9 +28,9 @@ from .model import (
     OFFSET_SD,
     SubjectParams,
     _expit,
+    _likelihood_pass,
     _logit,
     log_likelihood,
-    log_likelihood_grads,
     log_prior_theta,
 )
 from .partition import random_partition
@@ -44,6 +44,7 @@ from .prior import (
 )
 from .whitening import (
     NotPositiveDefiniteError,
+    _whitened,
     rank_ok,
     whiten_backward,
     whiten_with_factors,
@@ -135,12 +136,13 @@ def _relaxed_x(state):
     return w, build_x(w, state.values)
 
 
-def _potential_from(state, w, x, passes, ll):
-    n, k = x.shape
-    lp = log_prior_theta(state.subject_params)
-    lg = log_bernoulli_mass(w, state.probs)
-    gram = (n - k - 1) * float(np.sum(np.log(passes[0][1].diagonal())))
-    lab = log_gaussian_ab(state.values)
+def _potential_from(sp, probs, values, w, low, ll):
+    # low is the first whitening pass's factor of X'X
+    n, k = w.shape
+    lp = log_prior_theta(sp)
+    lg = log_bernoulli_mass(w, probs)
+    gram = (n - k - 1) * float(np.sum(np.log(low.diagonal())))
+    lab = log_gaussian_ab(values)
     return -(ll + lp + lg + gram + lab)
 
 
@@ -150,9 +152,69 @@ def potential(state, data):
     data may be None, dropping the likelihood term (prior-only chain).
     """
     w, x = _relaxed_x(state)
-    q, passes = whiten_with_factors(x)
-    ll = 0.0 if data is None else log_likelihood(data, q, state.subject_params)
-    return _potential_from(state, w, x, passes, ll)
+    _, passes = whiten_with_factors(x)
+    sp = state.subject_params
+    ll = 0.0 if data is None else log_likelihood(data, passes[1][0], sp)
+    return _potential_from(sp, state.probs, state.values, w, passes[0][1], ll)
+
+
+def _blocks(vec, s_n, k):
+    """(log_loadings, offsets, logits) as views of a vector laid out by _pack."""
+    i_z = s_n * k
+    i_lg = i_z + s_n
+    return vec[:i_z].reshape(s_n, k), vec[i_z:i_lg], vec[i_lg:].reshape(-1, k)
+
+
+def _evaluator(state, data):
+    """The gradient of U at flat positions sharing state's a, b, p and tau.
+
+    Returns evaluate(v, with_potential=False), which reads log-loadings,
+    offsets and logits as views of the position v (laid out by _pack)
+    and writes the gradient into one vector allocated here: every call
+    returns that vector and the next call overwrites it.  With
+    with_potential it returns (U, gradient), U taken from the same pass.
+    Nothing is validated; NotPositiveDefiniteError (the rank test) and
+    _DivergenceError (a non-finite frame gradient) propagate.
+    """
+    values, probs, tau = state.values, state.probs, state.tau
+    a, b = values.a, values.b
+    a_minus_b = a - b
+    logit_p = _logit(probs.p)
+    s_n, k = state.subject_params.log_loadings.shape
+    gram_weight = state.n_nodes - k - 1
+    grad = np.empty(_pack(state.subject_params, state.logits).size)
+    grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
+
+    def evaluate(v, with_potential=False):
+        ld, z, lg = _blocks(v, s_n, k)
+        w = _expit(lg / tau)
+        one_minus_w = 1.0 - w
+        x = w * a + one_minus_w * b     # build_x
+        q, passes = _whitened(x)
+        q1, low1, linv1 = passes[0]
+        d = np.exp(ld)
+        ll = 0.0
+        if data is None:
+            gx_like = 0.0
+            np.subtract(LOADING_SHAPE, LOADING_RATE / d, out=grad_ld)
+            np.divide(z, OFFSET_SD**2, out=grad_z)
+        else:
+            ll, (g_q, g_ld, g_z) = _likelihood_pass(data, q, d, z, with_potential, True)
+            if not np.isfinite(g_q).all():
+                raise _DivergenceError("non-finite frame gradient")
+            gx_like = whiten_backward(passes, g_q)
+            np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
+            np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
+        # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
+        gu_x = -(gx_like + gram_weight * (q1 @ linv1))
+        sig_slope = w * one_minus_w / tau
+        np.multiply(gu_x * a_minus_b - logit_p, sig_slope, out=grad_lg)
+        if not with_potential:
+            return grad
+        sp = SubjectParams(log_loadings=ld, offsets=z)
+        return _potential_from(sp, probs, values, w, low1, ll), grad
+
+    return evaluate
 
 
 def potential_grad(state, data, with_potential=False):
@@ -161,35 +223,13 @@ def potential_grad(state, data, with_potential=False):
     With with_potential, returns (U, grad_ld, grad_z, grad_logits), U
     taken from the same forward pass and equal to potential(state, data).
     """
-    w, x = _relaxed_x(state)
-    n, k = x.shape
-    q, passes = whiten_with_factors(x)
-    sp = state.subject_params
-    d = np.exp(sp.log_loadings)
-    ll = 0.0
-    if data is None:
-        gx_like = np.zeros_like(x)
-        g_ld = np.zeros_like(sp.log_loadings)
-        g_z = np.zeros_like(sp.offsets)
-    else:
-        if with_potential:
-            ll, g_q, g_ld, g_z = log_likelihood_grads(data, q, sp, with_value=True)
-        else:
-            g_q, g_ld, g_z = log_likelihood_grads(data, q, sp)
-        if not np.isfinite(g_q).all():
-            raise _DivergenceError("non-finite frame gradient")
-        gx_like = whiten_backward(passes, g_q)
-    # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
-    q1, _, linv1 = passes[0]
-    gx_gram = (n - k - 1) * (q1 @ linv1)
-    gu_x = -(gx_like + gx_gram)
-    sig_slope = w * (1.0 - w) / state.tau
-    grad_logits = (gu_x * (state.values.a - state.values.b) - _logit(state.probs.p)) * sig_slope
-    grad_ld = -g_ld + LOADING_SHAPE - LOADING_RATE / d
-    grad_z = -g_z + sp.offsets / OFFSET_SD**2
+    evaluate = _evaluator(state, data)
+    pos = _pack(state.subject_params, state.logits)
+    s_n, k = state.subject_params.log_loadings.shape
     if with_potential:
-        return _potential_from(state, w, x, passes, ll), grad_ld, grad_z, grad_logits
-    return grad_ld, grad_z, grad_logits
+        u, grad = evaluate(pos, with_potential=True)
+        return (u, *_blocks(grad, s_n, k))
+    return _blocks(evaluate(pos), s_n, k)
 
 
 def _pack(sp, logits):
@@ -197,12 +237,7 @@ def _pack(sp, logits):
 
 
 def _unpack(vec, state):
-    sp = state.subject_params
-    s, k = sp.log_loadings.shape
-    n = state.n_nodes
-    ld = vec[: s * k].reshape(s, k)
-    z = vec[s * k: s * k + s]
-    lg = vec[s * k + s:].reshape(n, k)
+    ld, z, lg = _blocks(vec, *state.subject_params.log_loadings.shape)
     return dataclasses.replace(
         state,
         logits=lg,
@@ -237,52 +272,69 @@ def _kinetic(vel, omega):
     return sum(half[i:i + c] @ scaled[i:i + c] for i in range(0, vel.size, c))
 
 
-def _hmc_step(state, data, rng, step, n_steps, omega, u_cur):
+def _diverging():
+    # overflow inside a divergent trajectory is expected; the proposal
+    # is rejected rather than letting inf/nan escape
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+def _hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
+    """One HMC trajectory from state, whose potential is u_cur.
+
+    grad_cur is the gradient at state, or None to compute it.  Returns
+    (state, accepted, alpha, u, grad, evals): the potential and the
+    gradient (None if unknown) at the returned state, and the number of
+    gradient passes the trajectory computed.
+    """
+    evaluate = _evaluator(state, data)
     pos = _pack(state.subject_params, state.logits)
     vel = rng.standard_normal(pos.size) / np.sqrt(omega)
     kin0 = _kinetic(vel, omega)
-    calls = 0
-    prop = u_prop = None
+    calls = evals = 0
+    first = grad_cur
+    last = u_prop = None
 
     def grad_fn(v):
-        nonlocal calls, prop, u_prop
+        nonlocal calls, evals, first, last, u_prop
         if not np.isfinite(v).all():
             raise _DivergenceError("non-finite position")
         calls += 1
-        moved = _unpack(v, state)
-        if calls == n_steps + 1:
-            # the last pass is at the proposal and also yields its potential
-            u_prop, *grads = potential_grad(moved, data, with_potential=True)
-            prop = moved
+        if calls == 1 and first is not None:
+            g = first
         else:
-            grads = potential_grad(moved, data)
-        g = np.concatenate([part.ravel() for part in grads])
+            evals += 1
+            if calls == n_steps + 1:
+                # the last pass is at the proposal and also yields its potential
+                u_prop, g = last = evaluate(v, with_potential=True)
+            else:
+                g = evaluate(v)
+            if calls == 1:
+                first = g.copy()    # the next pass overwrites g
         if not np.isfinite(g).all():
             raise _DivergenceError("non-finite gradient")
         return g
 
-    # overflow inside a divergent trajectory is expected; the proposal
-    # is rejected rather than letting inf/nan escape
     try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
+        with _diverging():
+            pos1, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
             kin1 = _kinetic(vel1, omega)
     except (NotPositiveDefiniteError, _DivergenceError):
-        return state, False, 0.0, u_cur
+        return state, False, 0.0, u_cur, first, evals
     log_alpha = (u_cur - u_prop) + (kin0 - kin1)
     if not np.isfinite(log_alpha):
-        return state, False, 0.0, u_cur
+        return state, False, 0.0, u_cur, first, evals
     alpha = float(np.exp(min(0.0, log_alpha)))
     if rng.random() < alpha:
-        return prop, True, alpha, u_prop
-    return state, False, alpha, u_cur
+        return _unpack(pos1, state), True, alpha, u_prop, last[1], evals
+    return state, False, alpha, u_cur, first, evals
 
 
 def hmc_update(state, data, cfg, rng):
     """One HMC transition at the configured step size and unit mass."""
     omega = np.ones(_pack(state.subject_params, state.logits).size)
-    new, accepted, _, _ = _hmc_step(
-        state, data, rng, cfg.step_size, cfg.leapfrog_steps, omega, potential(state, data)
+    new, accepted, *_ = _hmc_step(
+        state, data, rng, cfg.step_size, cfg.leapfrog_steps, omega,
+        potential(state, data), None,
     )
     return new, accepted
 
@@ -537,6 +589,7 @@ def run_chain(
         u_cur = potential(init, data)
     except NotPositiveDefiniteError as err:
         raise InitializationError("initial structured matrix is rank-deficient") from err
+    grad_cur = None     # the gradient at state, when a move has computed it
 
     state = init
     tau_target = init.tau
@@ -560,6 +613,7 @@ def run_chain(
     refresh_points = {warmup // 2, (3 * warmup) // 4} - {0}
 
     exch_window_accepts = 0
+    grad_evals = grads_reused = 0
     hmc_total = 0
     exch_total = 0
     skip_total = 0
@@ -588,18 +642,27 @@ def run_chain(
             if tau_t != state.tau:
                 retempered = dataclasses.replace(state, tau=tau_t)
                 # a temperature change is taken only if it stays whitenable
+                pos = _pack(state.subject_params, state.logits)
                 try:
-                    u_cur = potential(retempered, data)
+                    with _diverging():
+                        u_cur, grad_cur = _evaluator(retempered, data)(pos, with_potential=True)
                     state = retempered
                 except NotPositiveDefiniteError:
                     pass
+                except _DivergenceError:
+                    # whitenable, but the next trajectory will reject
+                    state, u_cur, grad_cur = retempered, potential(retempered, data), None
 
-        state, hmc_acc, alpha, u_cur = _hmc_step(
-            state, data, rng, step, hmc_cfg.leapfrog_steps, omega, u_cur
+        grads_reused += grad_cur is not None
+        state, hmc_acc, alpha, u_cur, grad_cur, evals = _hmc_step(
+            state, data, rng, step, hmc_cfg.leapfrog_steps, omega, u_cur, grad_cur
         )
+        grad_evals += evals
         state, exch_acc, exch_skip, u_cur = _exchange_step(
             state, data, exch_cfg, rng, exch_cfg.window * window_scale, u_cur
         )
+        if exch_acc:
+            grad_cur = None     # a, b and p moved
         hmc_total += int(hmc_acc)
         exch_total += int(exch_acc)
         skip_total += int(exch_skip)
@@ -662,6 +725,8 @@ def run_chain(
         "hmc_accept_rate": hmc_total / iterations if iterations else 0.0,
         "exch_accept_rate": exch_total / iterations if iterations else 0.0,
         "exch_skip_count": skip_total,
+        "grad_evals": grad_evals,
+        "grads_reused": grads_reused,
         "mass_range": [float(omega.min()), float(omega.max())],
     }
     return log

@@ -5,12 +5,13 @@ L the lower Cholesky factor of X'X.  Because L^-T is upper triangular,
 column j of Q mixes only columns 1..j of X, so a matrix whose first j
 columns are constant on a cell keeps that cell structure in Q.
 
-The factor is numpy's Cholesky, with the relative pivot floor checked
-on its diagonal afterwards.  Each whitening pass inverts its factor
-once, zeroing the inverse above the diagonal, so every solve against
-L or L' is a matrix product.  Products check nothing: an overflowed
-gradient comes back as inf/nan for the sampler to reject as a
-divergence.
+The factor and its inverse are LAPACK's, called through the gufuncs
+behind np.linalg.cholesky and np.linalg.inv without their wrappers;
+the relative pivot floor is checked on the factor's diagonal
+afterwards.  Each whitening pass inverts its factor once, zeroing the
+inverse above the diagonal, so every solve against L or L' is a matrix
+product.  Products check nothing: an overflowed gradient comes back as
+inf/nan for the sampler to reject as a divergence.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 PIVOT_EPS = 1e-12
 
@@ -32,6 +34,13 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
+def _lapack_errstate():
+    # np.linalg's own state around these kernels, except that the
+    # invalid flag of a failed factor (which comes back filled with NaN)
+    # is ignored rather than raised: the NaN pivot fails the floor
+    return np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
+
+
 def cholesky(s):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -44,7 +53,8 @@ def cholesky(s):
     scale = max(np.abs(s).max(), 1.0)
     if np.abs(s - s.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    return _factor(s)
+    with _lapack_errstate():
+        return _factor(s)
 
 
 def _floor(s):
@@ -53,24 +63,30 @@ def _floor(s):
 
 def _factor_or_none(s, floor):
     # the squared pivots of the factor are the loop's pivots, so the
-    # relative floor is applied to the smallest afterwards; a NaN pivot
-    # makes the minimum NaN, which fails it
-    try:
-        low = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return None
+    # relative floor is applied to the smallest afterwards; a failed or
+    # NaN factor makes the minimum NaN, which fails it.  The caller holds
+    # _lapack_errstate().
+    low = _umath_linalg.cholesky_lo(s, signature="d->d")
     return low if low.diagonal().min() ** 2 > floor else None
 
 
 def _factor(s):
     # cholesky without the input checks, for callers that build s = X'X
+    # and hold _lapack_errstate()
     floor = _floor(s)
     low = _factor_or_none(s, floor)
     if low is None:
-        # the failing pivot is the last of the first leading block that fails
-        m = next(m for m in range(1, s.shape[0] + 1)
-                 if _factor_or_none(s[:m, :m], floor) is None)
-        raise NotPositiveDefiniteError(m - 1)
+        # the failing pivot is the last of the first leading block that
+        # fails; failing blocks are nested, so bisect between a block
+        # that factors (the empty one) and one that fails (the whole)
+        good, bad = 0, s.shape[0]
+        while bad - good > 1:
+            m = (good + bad) // 2
+            if _factor_or_none(s[:m, :m], floor) is None:
+                bad = m
+            else:
+                good = m
+        raise NotPositiveDefiniteError(bad - 1)
     return low
 
 
@@ -78,8 +94,17 @@ def _whiten_pass(x):
     low = _factor(x.T @ x)
     # the mask keeps L^-1 exactly lower triangular, so column j of the
     # frame mixes only columns 1..j of x
-    linv = np.where(_lower_mask(low.shape[0]), np.linalg.inv(low), 0.0)
+    inv = _umath_linalg.inv(low, signature="d->d")
+    linv = np.where(_lower_mask(low.shape[0]), inv, 0.0)
     return x @ linv.T, low, linv
+
+
+def _whitened(x):
+    """Both passes on a float n x k matrix, unchecked: (q, passes)."""
+    with _lapack_errstate():
+        first = _whiten_pass(x)
+        second = _whiten_pass(first[0])
+    return second[0], [first, second]
 
 
 def whiten(x):
@@ -96,7 +121,8 @@ def rank_ok(x):
     if x.ndim != 2 or x.shape[0] < x.shape[1]:
         return False
     s = x.T @ x
-    return _factor_or_none(s, _floor(s)) is not None
+    with _lapack_errstate():
+        return _factor_or_none(s, _floor(s)) is not None
 
 
 def extract_column_partition(column, tol=1e-8):
@@ -140,9 +166,7 @@ def whiten_with_factors(x):
     n, k = x.shape
     if n < k:
         raise ValueError(f"need n >= k, got {n} x {k}")
-    first = _whiten_pass(x)
-    second = _whiten_pass(first[0])
-    return second[0], [first, second]
+    return _whitened(x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,13 +174,6 @@ def _lower_mask(k):
     mask = np.tri(k, dtype=bool)
     mask.flags.writeable = False    # shared by every call at this k
     return mask
-
-
-def _half_lower(h):
-    # np.tril would rebuild this mask on every call
-    out = np.where(_lower_mask(h.shape[0]), h, 0.0)
-    np.fill_diagonal(out, 0.5 * h.diagonal())
-    return out
 
 
 def whiten_backward(passes, grad_q):
@@ -168,7 +185,10 @@ def whiten_backward(passes, grad_q):
     whitening pass, innermost last.
     """
     g = grad_q
+    mask = _lower_mask(g.shape[1])
     for q, _, linv in reversed(passes):
-        h = _half_lower(g.T @ q)
-        g = (g - q @ (h + h.T)) @ linv
+        # phi(M) + phi(M)' is M on and below the diagonal and M' above
+        # it: the same matrix without halving the diagonal and adding
+        m = g.T @ q
+        g = (g - q @ np.where(mask, m, m.T)) @ linv
     return g

@@ -67,6 +67,8 @@ class TestPipeline:
         assert (fit_dir / "chain_00" / "w_trace.csv").exists()
         meta = json.loads((fit_dir / "run_meta.json").read_text())
         assert meta["chains"]["chain_00"]["n_draws"] == 30
+        counts = meta["chains"]["chain_00"]
+        assert counts["grad_evals"] > 0 and counts["grads_reused"] >= 0
         effective = json.loads((fit_dir / "effective_config.json").read_text())
         assert effective["seed"] == 11 and effective["thin"] == 1
 

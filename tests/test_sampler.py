@@ -364,8 +364,8 @@ class TestUpdates:
 
         monkeypatch.setattr(msfactor.sampler, "whiten_backward", spy)
         omega = np.ones(_flatten(state).size)
-        new, accepted, alpha, u = msfactor.sampler._hmc_step(
-            state, data, np.random.default_rng(0), 0.8073, 1, omega, u_cur=1.5
+        new, accepted, alpha, u, _, _ = msfactor.sampler._hmc_step(
+            state, data, np.random.default_rng(0), 0.8073, 1, omega, u_cur=1.5, grad_cur=None
         )
         assert (True, False) in backward
         assert new is state
@@ -387,12 +387,139 @@ class TestUpdates:
         omega = np.ones(_flatten(state).size)
         u_cur = potential(state, data)
         values.clear()
-        new, accepted, _, u = msfactor.sampler._hmc_step(
-            state, data, np.random.default_rng(5), 0.05, 4, omega, u_cur=u_cur
+        new, accepted, _, u, _, _ = msfactor.sampler._hmc_step(
+            state, data, np.random.default_rng(5), 0.05, 4, omega, u_cur=u_cur, grad_cur=None
         )
         assert values == []
         assert accepted
         assert u == potential(new, data)
+
+
+class TestCarriedGradient:
+    """The chain hands each state's gradient from move to move."""
+
+    WARMUP, ANNEAL_FROM, TAU = 10, 2.0, 0.5
+
+    def _fit(self, monkeypatch, data, seed):
+        # every odd annealing step refuses its temperature, so some
+        # trajectories start right after a failed annealing step
+        sampler = msfactor.sampler
+        warmup, a0, tau = self.WARMUP, self.ANNEAL_FROM, self.TAU
+        refused = {a0 + (tau - a0) * min(1.0, t / warmup) for t in range(1, warmup, 2)}
+        steps, exchanges, requested = [], [], []
+        hmc_step, exchange_step = sampler._hmc_step, sampler._exchange_step
+        evaluator, leapfrog_ = sampler._evaluator, sampler.leapfrog
+
+        def refusing_evaluator(state, data):
+            if state.tau in refused:
+                def refuse(v, with_potential=False):
+                    raise NotPositiveDefiniteError(0)
+                return refuse
+            return evaluator(state, data)
+
+        def recording_hmc(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
+            carried = None if grad_cur is None else grad_cur.copy()
+            out = hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur)
+            steps.append((state, carried, out[1]))
+            return out
+
+        def recording_exchange(*args):
+            out = exchange_step(*args)
+            exchanges.append(out[1])
+            return out
+
+        def counting_leapfrog(position, velocity, grad_fn, *args):
+            def counted(v):
+                if np.isfinite(v).all():
+                    requested.append(v.size)
+                return grad_fn(v)
+            return leapfrog_(position, velocity, counted, *args)
+
+        monkeypatch.setattr(sampler, "_evaluator", refusing_evaluator)
+        monkeypatch.setattr(sampler, "_hmc_step", recording_hmc)
+        monkeypatch.setattr(sampler, "_exchange_step", recording_exchange)
+        monkeypatch.setattr(sampler, "leapfrog", counting_leapfrog)
+        rng = np.random.default_rng(seed)
+        init = initial_state(data, 2, tau, rng, n=6, n_subjects=2)
+        log = run_chain(
+            data,
+            init,
+            HmcConfig(step_size=0.3, leapfrog_steps=4, warmup=warmup),
+            ExchangeConfig(window=0.5),
+            iterations=60,
+            rng=rng,
+            anneal_from=a0,
+        )
+        return log, steps, exchanges, requested
+
+    @pytest.mark.parametrize("with_data", [True, False])
+    def test_carried_gradient_equals_a_fresh_pass(self, monkeypatch, with_data):
+        data = _toy_data(6, 2, 35) if with_data else None
+        _, steps, exchanges, _ = self._fit(monkeypatch, data, seed=36)
+        seen = set()
+        for t, (state, carried, _) in enumerate(steps):
+            annealed = t <= self.WARMUP and not (t % 2 == 1 and t < self.WARMUP)
+            if not annealed and (t == 0 or exchanges[t - 1]):
+                # the start, or an accepted exchange: nothing to carry
+                assert carried is None
+                continue
+            assert carried is not None
+            fresh = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+            assert carried.tobytes() == fresh.tobytes()
+            if annealed:
+                seen.add("annealing step")
+            else:
+                seen.add("accepted HMC" if steps[t - 1][2] else "rejected HMC")
+                seen.add("rejected exchange")
+                if t % 2 == 1 and t < self.WARMUP:
+                    seen.add("failed annealing step")
+        assert seen == {
+            "annealing step", "accepted HMC", "rejected HMC",
+            "rejected exchange", "failed annealing step",
+        }
+
+    def test_divergent_trajectory_carries_its_start_gradient(self):
+        state = _generic_state(40)
+        data = _toy_data(4, 2, 41)
+        omega = np.ones(_flatten(state).size)
+        u_cur = potential(state, data)
+        fresh = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+        new, accepted, alpha, u, grad, evals = msfactor.sampler._hmc_step(
+            state, data, np.random.default_rng(42), 1000.0, 5, omega, u_cur, None
+        )
+        assert new is state and not accepted and alpha == 0.0 and u == u_cur
+        assert 1 <= evals < 6
+        assert grad.tobytes() == fresh.tobytes()
+        # the same trajectory from the carried gradient computes one pass fewer
+        again = msfactor.sampler._hmc_step(
+            state, data, np.random.default_rng(42), 1000.0, 5, omega, u_cur, grad
+        )
+        assert again[0] is state and again[4] is grad
+        assert again[5] == evals - 1
+
+    def test_gradient_counts_match_leapfrog_requests(self, monkeypatch):
+        log, steps, _, requested = self._fit(monkeypatch, _toy_data(6, 2, 35), seed=36)
+        assert log.meta["grads_reused"] == sum(carried is not None for _, carried, _ in steps)
+        assert log.meta["grads_reused"] > 0
+        assert log.meta["grad_evals"] + log.meta["grads_reused"] == len(requested)
+
+    def test_evaluator_matches_potential_grad_across_positions(self):
+        # one evaluator reuses its gradient vector from call to call
+        base = _generic_state(37, n=5, k=2, s=3)
+        data = _toy_data(5, 3, 38)
+        rng = np.random.default_rng(39)
+        evaluate = msfactor.sampler._evaluator(base, data)
+        vec = _flatten(base)
+        positions = [vec + 0.3 * rng.standard_normal(vec.size) for _ in range(4)]
+        saturated = vec.copy()
+        saturated[-base.logits.size:] = 800.0 * base.tau * np.sign(base.logits.ravel())
+        for v in positions + [saturated]:
+            state = _rebuild(base, v)
+            expected = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+            assert evaluate(v).tobytes() == expected.tobytes()
+            u, grad = evaluate(v, with_potential=True)
+            assert u == potential(state, data)
+            assert grad.tobytes() == expected.tobytes()
 
 
 class TestExchangeTargets:
@@ -666,6 +793,7 @@ class TestRunChain:
         init = initial_state(data, 2, 0.5, np.random.default_rng(6))
         plain = self._annealed(data, init, anneal_from=None)
         original = msfactor.sampler.potential
+        original_evaluator = msfactor.sampler._evaluator
         refused = []
 
         def potential_at_target_only(state, data):
@@ -674,7 +802,19 @@ class TestRunChain:
                 raise NotPositiveDefiniteError(0)
             return original(state, data)
 
+        def evaluator_at_target_only(state, data):
+            evaluate = original_evaluator(state, data)
+
+            def refusing(v, with_potential=False):
+                if state.tau != init.tau:
+                    refused.append(state.tau)
+                    raise NotPositiveDefiniteError(0)
+                return evaluate(v, with_potential)
+
+            return refusing
+
         monkeypatch.setattr(msfactor.sampler, "potential", potential_at_target_only)
+        monkeypatch.setattr(msfactor.sampler, "_evaluator", evaluator_at_target_only)
         annealed = self._annealed(data, init, anneal_from=2.0)
         assert len(refused) == 10
         for f in dataclasses.fields(SampleLog):

@@ -1,5 +1,7 @@
 """Cholesky, the whitening transform, rank checks, and column grouping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -329,20 +331,99 @@ class TestLapackCholesky:
             whiten(np.ones(4))
 
 
-class TestHalfLower:
-    @pytest.mark.parametrize("k", [1, 3, 30])
-    def test_matches_tril_with_half_diagonal(self, k):
-        from msfactor.whitening import _half_lower
+class TestBackwardSymmetrization:
+    @pytest.mark.parametrize("k", [1, 3, 7, 30])
+    def test_matches_half_lower_sum(self, k):
+        # whiten_backward forms phi(M) + phi(M)' as M on and below the
+        # diagonal and M' above it; phi is tril with a halved diagonal
+        from msfactor.whitening import _lower_mask
 
         rng = np.random.default_rng(k)
-        for _ in range(3):
-            h = rng.standard_normal((k, k))
-            h[rng.random((k, k)) < 0.2] = -0.0
-            h[rng.random((k, k)) < 0.1] = np.nan
-            expected = np.tril(h)
-            np.fill_diagonal(expected, 0.5 * h.diagonal())
-            got = _half_lower(h)
-            assert got.tobytes() == expected.tobytes()
+        for _ in range(200):
+            m = rng.standard_normal((k, k)) * 10.0 ** rng.integers(-8, 9, size=(k, k))
+            m[rng.random((k, k)) < 0.1] = 0.0
+            h = np.tril(m)
+            np.fill_diagonal(h, 0.5 * m.diagonal())
+            assert np.where(_lower_mask(k), m, m.T).tobytes() == (h + h.T).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 30])
+    def test_backward_matches_half_lower_form(self, k):
+        rng = np.random.default_rng(300 + k)
+        x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
+        _, passes = whiten_with_factors(x)
+        g_q = rng.standard_normal(x.shape)
+        g = g_q
+        for q, _, linv in reversed(passes):
+            h = np.tril(g.T @ q)
+            np.fill_diagonal(h, 0.5 * h.diagonal())
+            g = (g - q @ (h + h.T)) @ linv
+        assert whiten_backward(passes, g_q).tobytes() == g.tobytes()
+
+
+class TestDirectLapack:
+    @pytest.mark.parametrize("k", [1, 3, 30])
+    def test_factor_and_inverse_equal_numpy_linalg(self, k):
+        # the whitening calls the gufuncs behind np.linalg.cholesky and
+        # np.linalg.inv directly; a numpy that changes them fails here
+        rng = np.random.default_rng(400 + k)
+        for _ in range(20):
+            x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
+            s = x.T @ x
+            low = cholesky(s)
+            assert low.tobytes() == np.linalg.cholesky(s).tobytes()
+            _, passes = whiten_with_factors(x)
+            for _, low, linv in passes:
+                ref = np.where(np.tri(k, dtype=bool), np.linalg.inv(low), 0.0)
+                assert linv.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            -np.eye(3),
+        ],
+    )
+    def test_factor_failure_raises_without_warnings(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                cholesky(s)
+
+    @pytest.mark.parametrize("bad", ["repeated", "nan"])
+    def test_whitening_failure_raises_without_warnings(self, bad):
+        x = np.random.default_rng(67).standard_normal((8, 3))
+        if bad == "repeated":
+            x[:, 2] = x[:, 1]
+        else:
+            x[4, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not rank_ok(x)
+            with pytest.raises(NotPositiveDefiniteError):
+                whiten_with_factors(x)
+
+    def test_pivot_search_bisects(self, monkeypatch):
+        # a 128 x 30 draw whose last column repeats the one before fails at
+        # pivot 29; the search factors at most 1 + ceil(log2 30) blocks
+        import msfactor.whitening
+
+        x = np.random.default_rng(61).standard_normal((128, 30))
+        x[:, 29] = x[:, 28]
+        calls = []
+        original = msfactor.whitening._factor_or_none
+
+        def counting(s, floor):
+            calls.append(s.shape[0])
+            return original(s, floor)
+
+        monkeypatch.setattr(msfactor.whitening, "_factor_or_none", counting)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            whiten(x)
+        assert exc.value.pivot_index == 29
+        assert calls[0] == 30
+        assert len(calls) <= 1 + 5
 
 
 class TestInverseFactor:
