@@ -152,9 +152,9 @@ def potential(state, data):
     data may be None, dropping the likelihood term (prior-only chain).
     """
     w, x = _relaxed_x(state)
-    _, passes = whiten_with_factors(x)
+    q, passes = whiten_with_factors(x)
     sp = state.subject_params
-    ll = 0.0 if data is None else log_likelihood(data, passes[1][0], sp)
+    ll = 0.0 if data is None else log_likelihood(data, q, sp)
     return _potential_from(sp, state.probs, state.values, w, passes[0][1], ll)
 
 
@@ -178,11 +178,11 @@ def _evaluator(state, data):
     """
     values, probs, tau = state.values, state.probs, state.tau
     a, b = values.a, values.b
-    a_minus_b = a - b
+    b_minus_a = b - a
     logit_p = _logit(probs.p)
     s_n, k = state.subject_params.log_loadings.shape
     gram_weight = state.n_nodes - k - 1
-    grad = np.empty(_pack(state.subject_params, state.logits).size)
+    grad = np.empty(s_n * k + s_n + state.logits.size)
     grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
 
     def evaluate(v, with_potential=False):
@@ -205,10 +205,10 @@ def _evaluator(state, data):
             gx_like = whiten_backward(passes, g_q)
             np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
             np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
-        # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
-        gu_x = -(gx_like + gram_weight * (q1 @ linv1))
+        # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1; -dU/dX is their sum
+        gx = gx_like + gram_weight * (q1 @ linv1)
         sig_slope = w * one_minus_w / tau
-        np.multiply(gu_x * a_minus_b - logit_p, sig_slope, out=grad_lg)
+        np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
         if not with_potential:
             return grad
         sp = SubjectParams(log_loadings=ld, offsets=z)
@@ -255,11 +255,12 @@ def leapfrog(position, velocity, grad_fn, step, n_steps, omega):
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    drift = step * omega
     vel = velocity - 0.5 * step * grad_fn(position)
-    pos = position + step * omega * vel
+    pos = position + drift * vel
     for _ in range(n_steps - 1):
         vel = vel - step * grad_fn(pos)
-        pos = pos + step * omega * vel
+        pos = pos + drift * vel
     vel = vel - 0.5 * step * grad_fn(pos)
     return pos, vel
 
@@ -292,10 +293,10 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
     kin0 = _kinetic(vel, omega)
     calls = evals = 0
     first = grad_cur
-    last = u_prop = None
+    u_prop = g_prop = None
 
     def grad_fn(v):
-        nonlocal calls, evals, first, last, u_prop
+        nonlocal calls, evals, first, u_prop, g_prop
         if not np.isfinite(v).all():
             raise _DivergenceError("non-finite position")
         calls += 1
@@ -305,7 +306,8 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
             evals += 1
             if calls == n_steps + 1:
                 # the last pass is at the proposal and also yields its potential
-                u_prop, g = last = evaluate(v, with_potential=True)
+                u_prop, g_prop = evaluate(v, with_potential=True)
+                g = g_prop
             else:
                 g = evaluate(v)
             if calls == 1:
@@ -325,7 +327,7 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
         return state, False, 0.0, u_cur, first, evals
     alpha = float(np.exp(min(0.0, log_alpha)))
     if rng.random() < alpha:
-        return _unpack(pos1, state), True, alpha, u_prop, last[1], evals
+        return _unpack(pos1, state), True, alpha, u_prop, g_prop, evals
     return state, False, alpha, u_cur, first, evals
 
 
