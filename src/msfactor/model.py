@@ -160,8 +160,9 @@ def _likelihood_pass(data, q, d, z, value, grads):
     exp(log_loadings) (S x k) and offsets z (S,).  Works on the full
     n x n matrices: every off-diagonal pair appears twice, so
     upper-triangle sums are halves of full sums.  Scaling by a power of
-    two is exact, so the pass carries psi / 2 and twice the residual and
-    takes the factors back out where a product is formed anyway.
+    two is exact short of the subnormal range, so the pass carries
+    psi / 2 and twice the residual and takes the factors back out where
+    a product is formed anyway.
     """
     a2, psi, work = _work_arrays(data)
     half_d = 0.5 * d

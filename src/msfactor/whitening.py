@@ -188,7 +188,8 @@ def whiten_backward(passes, grad_q):
     mask = _lower_mask(g.shape[1])
     for q, _, linv in reversed(passes):
         # phi(M) + phi(M)' is M on and below the diagonal and M' above
-        # it: the same matrix without halving the diagonal and adding
+        # it; forming it directly gives the same values (a zero may
+        # differ in sign) without halving the diagonal and adding
         m = g.T @ q
         g = (g - q @ np.where(mask, m, m.T)) @ linv
     return g

@@ -334,7 +334,9 @@ class TestBackwardSymmetrization:
     @pytest.mark.parametrize("k", [1, 3, 7, 30])
     def test_matches_half_lower_sum(self, k):
         # whiten_backward forms phi(M) + phi(M)' as M on and below the
-        # diagonal and M' above it; phi is tril with a halved diagonal
+        # diagonal and M' above it; phi is tril with a halved diagonal.
+        # Equal bytes hold for every nonzero and +0.0 entry; a -0.0 off
+        # the diagonal would come out as +0.0 from the sum
         from msfactor.whitening import _lower_mask
 
         rng = np.random.default_rng(k)
