@@ -205,7 +205,8 @@ def _evaluator(state, data):
             gx_like = whiten_backward(passes, g_q)
             np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
             np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
-        # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1; -dU/dX is their sum
+        # -dU/dX: the likelihood's part plus (n - k - 1)/2 times
+        # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
         gx = gx_like + gram_weight * (q1 @ linv1)
         sig_slope = w * one_minus_w / tau
         np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
