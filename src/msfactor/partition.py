@@ -1,9 +1,11 @@
 """Recursive binary partitions of a node set.
 
 A depth-k recursive partition is a stack of k two-way splits of
-{0, ..., n-1}.  Intersecting the first j splits induces the level-j
-cells; cells are labeled by the bit string of side choices, one bit
-per level ('0' = side1, '1' = side2).
+{0, ..., n-1}, held as its n x k membership matrix W: W[i, j] is 1 iff
+node i is on side1 of split j+1.  No tree is stored; the level-j cells
+are the groups of nodes that agree on the first j columns of W, labeled
+by the bit string of side choices, one bit per level ('0' = side1,
+'1' = side2).
 
 partition_distance scores two labelings by their best agreement under
 relabeling.  Two labels need no search (the bijection is the identity
@@ -14,91 +16,74 @@ and the CLI, which compares binary levels, never loads it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BiPartition:
-    """One two-way split of the node set, at a given 1-based level."""
-
-    level: int
-    side1: frozenset
-    side2: frozenset
-
-
-@dataclass(frozen=True)
 class RecursivePartition:
-    """Stack of two-way splits, one per level 1..k."""
+    """Stack of two-way splits, held as its read-only membership matrix."""
 
-    n: int
-    levels: tuple
+    def __init__(self, w):
+        w = np.asarray(w)
+        if w.ndim != 2 or w.shape[0] < 1:
+            raise ValueError(f"membership must be n x k with n >= 1, got shape {w.shape}")
+        if not np.isin(w, (0, 1)).all():
+            raise ValueError("membership entries must be 0 or 1")
+        w = w.astype(np.int64)
+        w.flags.writeable = False
+        self._w = w
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        full = frozenset(range(self.n))
-        for pos, split in enumerate(self.levels):
-            if split.level != pos + 1:
-                raise ValueError(
-                    f"levels must be numbered consecutively from 1; "
-                    f"position {pos} holds level {split.level}"
-                )
-            if split.side1 & split.side2:
-                raise ValueError(f"level {split.level}: sides overlap")
-            if (split.side1 | split.side2) != full:
-                raise ValueError(
-                    f"level {split.level}: sides do not cover 0..{self.n - 1}"
-                )
+    @property
+    def n(self):
+        return self._w.shape[0]
 
     @property
     def depth(self):
-        return len(self.levels)
+        return self._w.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, RecursivePartition):
+            return NotImplemented
+        return np.array_equal(self._w, other._w)
 
     def cells_at_level(self, j):
         """Nonempty intersections of the first j splits.
 
         Returns a dict mapping bit-string labels ('0' = side1 at that
-        level) to frozensets of node indices.
+        level) to frozensets of node indices, in label order.
         """
         if not 1 <= j <= self.depth:
             raise ValueError(f"level {j} out of range 1..{self.depth}")
-        cells = {"": frozenset(range(self.n))}
-        for split in self.levels[:j]:
-            nxt = {}
-            for label, members in cells.items():
-                for bit, side in (("0", split.side1), ("1", split.side2)):
-                    piece = members & side
-                    if piece:
-                        nxt[label + bit] = piece
-            cells = nxt
-        return cells
+        cells = {}
+        for node, bits in enumerate((1 - self._w[:, :j]).tolist()):
+            cells.setdefault("".join(map(str, bits)), []).append(node)
+        return {label: frozenset(cells[label]) for label in sorted(cells)}
 
     def membership_matrix(self):
-        """n x k binary matrix; entry (i, j) is 1 iff node i is on side1 of level j+1."""
-        w = np.zeros((self.n, self.depth), dtype=np.int64)
-        for pos, split in enumerate(self.levels):
-            w[sorted(split.side1), pos] = 1
-        return w
+        """A copy of W: n x k, entry (i, j) is 1 iff node i is on side1 of level j+1."""
+        return self._w.copy()
 
     def to_json(self):
-        payload = {
-            "n": self.n,
-            "levels": [
-                [sorted(s.side1), sorted(s.side2)] for s in self.levels
-            ],
-        }
-        return json.dumps(payload)
+        levels = [
+            [np.flatnonzero(col).tolist(), np.flatnonzero(col == 0).tolist()]
+            for col in self._w.T
+        ]
+        return json.dumps({"n": self.n, "levels": levels})
 
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text)
-        levels = tuple(
-            BiPartition(level=i + 1, side1=frozenset(s1), side2=frozenset(s2))
-            for i, (s1, s2) in enumerate(payload["levels"])
-        )
-        return cls(n=payload["n"], levels=levels)
+        n, levels = payload["n"], payload["levels"]
+        full = frozenset(range(n))
+        w = np.zeros((n, len(levels)), dtype=np.int64)
+        for j, (s1, s2) in enumerate(levels):
+            side1, side2 = frozenset(s1), frozenset(s2)
+            if side1 & side2:
+                raise ValueError(f"level {j + 1}: sides overlap")
+            if side1 | side2 != full:
+                raise ValueError(f"level {j + 1}: sides do not cover 0..{n - 1}")
+            w[:, j] = [i in side1 for i in range(n)]
+        return cls(w)
 
 
 def random_partition(n, k, rng):
@@ -109,16 +94,14 @@ def random_partition(n, k, rng):
         raise ValueError(f"need k >= 1 levels, got {k}")
     if n < k:
         raise ValueError(f"need n >= k for a full-rank frame, got n={n}, k={k}")
-    levels = []
-    for j in range(1, k + 1):
+    w = np.empty((n, k), dtype=np.int64)
+    for j in range(k):
         while True:
             mask = rng.random(n) < 0.5
             if 0 < mask.sum() < n:
                 break
-        side1 = frozenset(np.flatnonzero(mask).tolist())
-        side2 = frozenset(np.flatnonzero(~mask).tolist())
-        levels.append(BiPartition(level=j, side1=side1, side2=side2))
-    return RecursivePartition(n=n, levels=tuple(levels))
+        w[:, j] = mask
+    return RecursivePartition(w)
 
 
 def partition_distance(labels_a, labels_b):

@@ -14,7 +14,7 @@ from msfactor.diagnostics import (
     subspace_error,
     summarize,
 )
-from msfactor.partition import BiPartition, RecursivePartition
+from msfactor.partition import RecursivePartition
 from msfactor.prior import ColumnValues, build_x
 from msfactor.sampler import SampleLog
 from msfactor.whitening import NotPositiveDefiniteError, whiten
@@ -114,12 +114,7 @@ class TestSubspaceError:
 
 class TestPartitionRecovery:
     def _partition(self):
-        return RecursivePartition(
-            n=4,
-            levels=(
-                BiPartition(level=1, side1=frozenset({0, 1, 2}), side2=frozenset({3})),
-            ),
-        )
+        return RecursivePartition(np.array([[1], [1], [1], [0]]))
 
     def test_exact_membership(self):
         rp = self._partition()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from msfactor.partition import (
-    BiPartition,
     RecursivePartition,
     partition_distance,
     random_partition,
@@ -14,11 +13,37 @@ from msfactor.partition import (
 
 
 def _rp(n, splits):
-    levels = tuple(
-        BiPartition(level=i + 1, side1=frozenset(s1), side2=frozenset(s2))
-        for i, (s1, s2) in enumerate(splits)
-    )
-    return RecursivePartition(n=n, levels=levels)
+    levels = [[sorted(s1), sorted(s2)] for s1, s2 in splits]
+    return RecursivePartition.from_json(json.dumps({"n": n, "levels": levels}))
+
+
+def _set_based_draw(n, k, rng):
+    """Reference: the split draw as (side1, side2) frozenset pairs."""
+    splits = []
+    for _ in range(k):
+        while True:
+            mask = rng.random(n) < 0.5
+            if 0 < mask.sum() < n:
+                break
+        splits.append((
+            frozenset(np.flatnonzero(mask).tolist()),
+            frozenset(np.flatnonzero(~mask).tolist()),
+        ))
+    return splits
+
+
+def _intersected_cells(n, splits, j):
+    """Reference: level-j cells by intersecting the first j splits."""
+    cells = {"": frozenset(range(n))}
+    for side1, side2 in splits[:j]:
+        nxt = {}
+        for label, members in cells.items():
+            for bit, side in (("0", side1), ("1", side2)):
+                piece = members & side
+                if piece:
+                    nxt[label + bit] = piece
+        cells = nxt
+    return cells
 
 
 class TestCells:
@@ -61,6 +86,18 @@ class TestCells:
             for cell in rp.cells_at_level(j).values():
                 assert any(cell <= parent for parent in coarse)
 
+    def test_cells_match_set_intersection_at_every_level(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 40)), int(rng.integers(1, 7))
+            splits = _set_based_draw(n, min(k, n), rng)
+            rp = _rp(n, splits)
+            for j in range(1, rp.depth + 1):
+                got = rp.cells_at_level(j)
+                expected = _intersected_cells(n, splits, j)
+                assert got == expected
+                assert list(got) == list(expected)
+
     def test_cell_count_monotone_and_bounded(self):
         rng = np.random.default_rng(23)
         rp = random_partition(30, 6, rng)
@@ -78,17 +115,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="cover"):
             _rp(3, [({0}, {2})])
 
-    def test_bad_level_numbering_rejected(self):
-        levels = (BiPartition(level=2, side1=frozenset({0}), side2=frozenset({1})),)
-        with pytest.raises(ValueError, match="consecutively"):
-            RecursivePartition(n=2, levels=levels)
+    def test_non_binary_membership_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            RecursivePartition(np.array([[1], [2]]))
+        with pytest.raises(ValueError, match="0 or 1"):
+            RecursivePartition(np.array([[1.0], [0.5]]))
+
+    def test_empty_node_set_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            _rp(0, [])
 
 
 class TestRandomPartition:
     def test_two_nodes_single_split(self):
         for seed in range(10):
             rp = random_partition(2, 1, np.random.default_rng(seed))
-            sides = {rp.levels[0].side1, rp.levels[0].side2}
+            sides = set(rp.cells_at_level(1).values())
             assert sides == {frozenset({0}), frozenset({1})}
 
     def test_deterministic_given_seed(self):
@@ -99,8 +141,20 @@ class TestRandomPartition:
     def test_sides_always_nonempty(self):
         for seed in range(100):
             rp = random_partition(64, 6, np.random.default_rng(seed))
-            for split in rp.levels:
-                assert split.side1 and split.side2
+            side1_sizes = rp.membership_matrix().sum(axis=0)
+            assert ((0 < side1_sizes) & (side1_sizes < 64)).all()
+
+    def test_membership_equals_set_based_draw(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 50)), int(rng.integers(1, 8))
+            k = min(k, n)
+            state = rng.bit_generator.state
+            splits = _set_based_draw(n, k, rng)
+            rng.bit_generator.state = state
+            w = random_partition(n, k, rng).membership_matrix()
+            assert w.dtype == np.int64
+            assert w.tolist() == [[int(i in s1) for s1, _ in splits] for i in range(n)]
 
     def test_dimension_errors(self):
         rng = np.random.default_rng(0)
@@ -124,11 +178,31 @@ class TestMembershipMatrix:
         assert w.shape == (20, 4)
         assert set(np.unique(w)) <= {0, 1}
 
+    def test_returns_a_copy_of_the_held_matrix(self):
+        source = np.array([[1, 0], [0, 1], [1, 1]])
+        rp = RecursivePartition(source)
+        source[0, 0] = 0
+        w = rp.membership_matrix()
+        w[:] = 0
+        assert rp.membership_matrix().tolist() == [[1, 0], [0, 1], [1, 1]]
+
+    def test_equality_compares_memberships(self):
+        rp = _rp(4, [({0, 1}, {2, 3})])
+        assert rp == RecursivePartition(np.array([[1], [1], [0], [0]]))
+        assert rp != _rp(4, [({2, 3}, {0, 1})])
+        assert rp != _rp(4, [({0, 1}, {2, 3}), ({0, 1}, {2, 3})])
+
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self):
         rp = random_partition(12, 3, np.random.default_rng(7))
         assert RecursivePartition.from_json(rp.to_json()) == rp
+
+    def test_text_round_trips_byte_for_byte(self):
+        for seed in range(10):
+            rp = random_partition(30, 5, np.random.default_rng(seed))
+            text = rp.to_json()
+            assert RecursivePartition.from_json(text).to_json() == text
 
     def test_payload_shape(self):
         rp = _rp(3, [({0, 2}, {1})])
