@@ -144,25 +144,26 @@ def _diagonals(a):
     return a.reshape(s, n * n)[:, :: n + 1]
 
 
-def _checked(data, q, sp):
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != data.n:
-        raise ValueError(f"frame has {q.shape[0]} rows, data has {data.n} nodes")
-    if sp.n_subjects != data.n_subjects or sp.depth != q.shape[1]:
-        raise ValueError("subject parameters do not match data/frame dimensions")
-    return q
-
-
 def _likelihood_pass(data, q, d, z, value, grads):
     """One forward pass: (log-likelihood or None, gradients or None).
 
     Unchecked, on plain arrays: frame q (n x k), loadings d =
-    exp(log_loadings) (S x k) and offsets z (S,).  Works on the full
-    n x n matrices: every off-diagonal pair appears twice, so
-    upper-triangle sums are halves of full sums.  Scaling by a power of
-    two is exact short of the subnormal range, so the pass carries
-    psi / 2 and twice the residual and takes the factors back out where
-    a product is formed anyway.
+    exp(log_loadings) (S x k) and offsets z (S,).  The log-odds of all
+    subjects come from a single batched product psi = (q diag(d_s)) q'
+    + z_s.  With grads, the symmetric zero-diagonal residual R_s = A_s
+    - sigmoid(psi_s) is formed in place through sigmoid(x) = (1 +
+    tanh(x/2)) / 2, as (A_s - 1/2) - tanh(psi_s/2) / 2, and RQ_s =
+    R_s q is taken once; the gradients (g_q, g_ld, g_z) w.r.t. (q,
+    log_loadings, offsets) all reduce from it:
+      d/dq[i, m]          = sum_s d[s, m] * RQ_s[i, m]
+      d/dlog_loadings[s,m]= d[s, m] * q[:, m]' RQ_s[:, m] / 2
+      d/doffsets[s]       = sum of R_s above the diagonal
+                          = sum of all of R_s / 2
+    The pass works on the full n x n matrices: every off-diagonal pair
+    appears twice, so upper-triangle sums are halves of full sums.
+    Scaling by a power of two is exact short of the subnormal range, so
+    the pass carries psi / 2 and twice the residual and takes the
+    factors back out where a product is formed anyway.
     """
     a2, psi, work = _work_arrays(data)
     half_d = 0.5 * d
@@ -203,7 +204,11 @@ def _likelihood_pass(data, q, d, z, value, grads):
 
 def log_likelihood(data, q, sp):
     """Bernoulli log-likelihood over all subjects' upper triangles."""
-    q = _checked(data, q, sp)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[0] != data.n:
+        raise ValueError(f"frame has {q.shape[0]} rows, data has {data.n} nodes")
+    if sp.n_subjects != data.n_subjects or sp.depth != q.shape[1]:
+        raise ValueError("subject parameters do not match data/frame dimensions")
     return _likelihood_pass(
         data, q, np.exp(sp.log_loadings), sp.offsets, value=True, grads=False
     )[0]
@@ -222,29 +227,6 @@ def log_prior_theta(sp):
     per = shape * np.log(rate) - math.lgamma(shape) - shape * ld - rate / d
     kern = -0.5 * (sp.offsets / OFFSET_SD) @ (sp.offsets / OFFSET_SD)
     return float(per.sum() + kern)
-
-
-def log_likelihood_grads(data, q, sp, with_value=False):
-    """Gradients of log_likelihood w.r.t. (q, log_loadings, offsets).
-
-    One fused pass per call.  The log-odds of all subjects come from a
-    single batched product psi = (q diag(d_s)) q' + z_s.  The symmetric
-    zero-diagonal residual R_s = A_s - sigmoid(psi_s) is formed in place
-    through sigmoid(x) = (1 + tanh(x/2)) / 2, as (A_s - 1/2) -
-    tanh(psi_s/2) / 2, and RQ_s = R_s q is taken once; all three
-    gradients reduce from it:
-      d/dq[i, m]          = sum_s d[s, m] * RQ_s[i, m]
-      d/dlog_loadings[s,m]= d[s, m] * q[:, m]' RQ_s[:, m] / 2
-      d/doffsets[s]       = sum of R_s above the diagonal
-                          = sum of all of R_s / 2
-    With with_value, returns (log_likelihood, g_q, g_ld, g_z), the value
-    taken from the same pass.
-    """
-    q = _checked(data, q, sp)
-    ll, g = _likelihood_pass(
-        data, q, np.exp(sp.log_loadings), sp.offsets, value=with_value, grads=True
-    )
-    return (ll, *g) if with_value else g
 
 
 def simulate_dataset(rp, values, probs, sp, rng):

@@ -30,7 +30,6 @@ from .model import (
     _expit,
     _likelihood_pass,
     _logit,
-    log_likelihood,
     log_prior_theta,
 )
 from .partition import random_partition
@@ -47,7 +46,6 @@ from .whitening import (
     _whitened,
     rank_ok,
     whiten_backward,
-    whiten_with_factors,
 )
 
 PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
@@ -131,11 +129,6 @@ class ExchangeConfig:
             )
 
 
-def _relaxed_x(state):
-    w = state.relaxed_weights()
-    return w, build_x(w, state.values)
-
-
 def _potential_from(sp, probs, values, w, low, ll):
     # low is the first whitening pass's factor of X'X
     n, k = w.shape
@@ -151,11 +144,8 @@ def potential(state, data):
 
     data may be None, dropping the likelihood term (prior-only chain).
     """
-    w, x = _relaxed_x(state)
-    q, passes = whiten_with_factors(x)
-    sp = state.subject_params
-    ll = 0.0 if data is None else log_likelihood(data, q, sp)
-    return _potential_from(sp, state.probs, state.values, w, passes[0][1], ll)
+    pos = _pack(state.subject_params, state.logits)
+    return _evaluator(state, data)(pos, with_potential=True, with_grad=False)
 
 
 def _blocks(vec, s_n, k):
@@ -166,54 +156,57 @@ def _blocks(vec, s_n, k):
 
 
 def _evaluator(state, data):
-    """The gradient of U at flat positions sharing state's a, b, p and tau.
+    """U and its gradient at flat positions sharing state's a, b, p and tau.
 
-    Returns evaluate(v, with_potential=False), which reads log-loadings,
-    offsets and logits as views of the position v (laid out by _pack)
-    and writes the gradient into one vector allocated here: every call
-    returns that vector and the next call overwrites it.  With
-    with_potential it returns (U, gradient), U taken from the same pass.
-    Nothing is validated; NotPositiveDefiniteError (the rank test) and
+    Returns evaluate(v, with_potential=False, with_grad=True), which
+    reads log-loadings, offsets and logits as views of the position v
+    (laid out by _pack) and writes the gradient into one vector
+    allocated here: every call returns that vector and the next call
+    overwrites it.  With with_potential it returns (U, gradient), U
+    taken from the same pass; without with_grad, U alone, from a
+    value-only likelihood pass with no backward pass.  Nothing is
+    validated; NotPositiveDefiniteError (the rank test) and
     _DivergenceError (a non-finite frame gradient) propagate.
     """
     values, probs, tau = state.values, state.probs, state.tau
-    a, b = values.a, values.b
-    b_minus_a = b - a
+    b_minus_a = values.b - values.a
     logit_p = _logit(probs.p)
     s_n, k = state.subject_params.log_loadings.shape
     gram_weight = state.n_nodes - k - 1
     grad = np.empty(s_n * k + s_n + state.logits.size)
     grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
 
-    def evaluate(v, with_potential=False):
+    def evaluate(v, with_potential=False, with_grad=True):
         ld, z, lg = _blocks(v, s_n, k)
         w = _expit(lg / tau)
-        one_minus_w = 1.0 - w
-        x = w * a + one_minus_w * b     # build_x
-        q, passes = _whitened(x)
+        q, passes = _whitened(build_x(w, values))
         q1, low1, linv1 = passes[0]
         d = np.exp(ld)
         ll = 0.0
-        if data is None:
-            gx_like = 0.0
-            np.subtract(LOADING_SHAPE, LOADING_RATE / d, out=grad_ld)
-            np.divide(z, OFFSET_SD**2, out=grad_z)
-        else:
-            ll, (g_q, g_ld, g_z) = _likelihood_pass(data, q, d, z, with_potential, True)
-            if not np.isfinite(g_q).all():
-                raise _DivergenceError("non-finite frame gradient")
-            gx_like = whiten_backward(passes, g_q)
-            np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
-            np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
-        # -dU/dX: the likelihood's part plus (n - k - 1)/2 times
-        # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
-        gx = gx_like + gram_weight * (q1 @ linv1)
-        sig_slope = w * one_minus_w / tau
-        np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
-        if not with_potential:
-            return grad
+        if data is not None:
+            ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad)
+        if with_grad:
+            if data is None:
+                gx_like = 0.0
+                np.subtract(LOADING_SHAPE, LOADING_RATE / d, out=grad_ld)
+                np.divide(z, OFFSET_SD**2, out=grad_z)
+            else:
+                g_q, g_ld, g_z = g
+                if not np.isfinite(g_q).all():
+                    raise _DivergenceError("non-finite frame gradient")
+                gx_like = whiten_backward(passes, g_q)
+                np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
+                np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
+            # -dU/dX: the likelihood's part plus (n - k - 1)/2 times
+            # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
+            gx = gx_like + gram_weight * (q1 @ linv1)
+            sig_slope = w * (1.0 - w) / tau
+            np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
+            if not with_potential:
+                return grad
         sp = SubjectParams(log_loadings=ld, offsets=z)
-        return _potential_from(sp, probs, values, w, low1, ll), grad
+        u = _potential_from(sp, probs, values, w, low1, ll)
+        return (u, grad) if with_grad else u
 
     return evaluate
 

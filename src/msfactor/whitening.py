@@ -100,7 +100,17 @@ def _whiten_pass(x):
 
 
 def _whitened(x):
-    """Both passes on a float n x k matrix, unchecked: (q, passes)."""
+    """Both whitening passes on a float n x k matrix, unchecked.
+
+    The second pass whitens the first-pass frame again, taking the
+    orthonormality error from eps * cond(X)^2 down to ~eps.  The
+    composite is still X (L2 L1)^-T with L2 L1 lower triangular, so
+    the triangular column structure is preserved exactly.
+
+    Returns (q, passes) where passes = [(q1, low1, linv1), (q2, low2,
+    linv2)], linv the lower-triangular inverse of low, and q = q2 is
+    the refined frame.
+    """
     with _lapack_errstate():
         first = _whiten_pass(x)
         second = _whiten_pass(first[0])
@@ -112,7 +122,10 @@ def whiten(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    return whiten_with_factors(x)[0]
+    n, k = x.shape
+    if n < k:
+        raise ValueError(f"need n >= k, got {n} x {k}")
+    return _whitened(x)[0]
 
 
 def rank_ok(x):
@@ -148,25 +161,6 @@ def extract_column_partition(column, tol=1e-8):
             remap[g] = len(remap)
         labels[i] = remap[g]
     return labels
-
-
-def whiten_with_factors(x):
-    """Both whitening passes with their factors, for gradient work.
-
-    The second pass whitens the first-pass frame again, taking the
-    orthonormality error from eps * cond(X)^2 down to ~eps.  The
-    composite is still X (L2 L1)^-T with L2 L1 lower triangular, so
-    the triangular column structure is preserved exactly.
-
-    Returns (q, passes) where passes = [(q1, low1, linv1), (q2, low2,
-    linv2)], linv the lower-triangular inverse of low, and q = q2 is
-    the refined frame.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n, k = x.shape
-    if n < k:
-        raise ValueError(f"need n >= k, got {n} x {k}")
-    return _whitened(x)
 
 
 @functools.lru_cache(maxsize=None)

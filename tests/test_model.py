@@ -13,9 +13,9 @@ from msfactor.model import (
     NetworkDataset,
     SubjectParams,
     _expit,
+    _likelihood_pass,
     _logit,
     log_likelihood,
-    log_likelihood_grads,
     log_prior_theta,
     simulate_dataset,
 )
@@ -25,6 +25,14 @@ from msfactor.prior import ColumnValues, MixtureProbs
 
 def _empty_data(n, s):
     return NetworkDataset(n=n, adjacency=np.zeros((s, n, n)))
+
+
+def _grads(data, q, sp, with_value=False):
+    """Likelihood gradients (g_q, g_ld, g_z), led by the value with with_value."""
+    ll, g = _likelihood_pass(
+        data, q, np.exp(sp.log_loadings), sp.offsets, value=with_value, grads=True
+    )
+    return (ll, *g) if with_value else g
 
 
 def _identity_frame(n, k):
@@ -122,7 +130,7 @@ class TestGradients:
 
     def test_matches_central_differences(self):
         data, q, sp = self._random_setup(7)
-        g_q, g_ld, g_z = log_likelihood_grads(data, q, sp)
+        g_q, g_ld, g_z = _grads(data, q, sp)
         h = 1e-6
 
         for i in range(q.shape[0]):
@@ -159,15 +167,15 @@ class TestGradients:
         adj = np.ones((1, n, n)) - np.eye(n)
         data = NetworkDataset(n=n, adjacency=adj)
         sp = SubjectParams(log_loadings=np.zeros((1, k)), offsets=np.zeros(1))
-        _, _, g_z = log_likelihood_grads(data, _identity_frame(n, k), sp)
+        _, _, g_z = _grads(data, _identity_frame(n, k), sp)
         assert g_z[0] == pytest.approx(n * (n - 1) / 2 * 0.5, abs=1e-12)
 
     def test_sign_flip_negates_frame_column(self):
         data, q, sp = self._random_setup(11)
-        g_q, g_ld, g_z = log_likelihood_grads(data, q, sp)
+        g_q, g_ld, g_z = _grads(data, q, sp)
         flipped = q.copy()
         flipped[:, 0] *= -1.0
-        g_q2, g_ld2, g_z2 = log_likelihood_grads(data, flipped, sp)
+        g_q2, g_ld2, g_z2 = _grads(data, flipped, sp)
         np.testing.assert_allclose(g_q2[:, 0], -g_q[:, 0], atol=1e-12)
         np.testing.assert_allclose(g_q2[:, 1], g_q[:, 1], atol=1e-12)
         np.testing.assert_allclose(g_ld2, g_ld, atol=1e-12)
@@ -224,9 +232,9 @@ class TestFusedKernel:
         if log_mean > 0.0:
             assert np.abs(psi).max() > 40.0
         assert log_likelihood(data, q, sp) == pytest.approx(value, rel=1e-12, abs=0.0)
-        for got, ref in zip(log_likelihood_grads(data, q, sp), grads):
+        for got, ref in zip(_grads(data, q, sp), grads):
             _assert_close(got, ref)
-        fused = log_likelihood_grads(data, q, sp, with_value=True)
+        fused = _grads(data, q, sp, with_value=True)
         assert fused[0] == log_likelihood(data, q, sp)
         for got, ref in zip(fused[1:], grads):
             _assert_close(got, ref)
@@ -234,13 +242,13 @@ class TestFusedKernel:
     def test_interleaved_datasets_leave_earlier_results_intact(self):
         small = _random_problem(1, 5, 3, 2)
         large = _random_problem(2, 11, 2, 3, log_mean=3.0, offset_scale=5.0)
-        first = [log_likelihood_grads(*p, with_value=True) for p in (small, large)]
+        first = [_grads(*p, with_value=True) for p in (small, large)]
         kept = [[np.copy(part) for part in out] for out in first]
         for p in (small, large, small, large):
             data, q, sp = p
             moved = SubjectParams(sp.log_loadings + 0.3, sp.offsets - 0.2)
             log_likelihood(data, q, moved)
-            log_likelihood_grads(data, q, moved)
+            _grads(data, q, moved)
         for out, copy, p in zip(first, kept, (small, large)):
             for part, saved in zip(out, copy):
                 np.testing.assert_array_equal(part, saved)
@@ -251,7 +259,7 @@ class TestFusedKernel:
 
     def test_pickled_dataset_carries_only_its_adjacency(self):
         data, q, sp = _random_problem(3, 16, 4, 2)
-        log_likelihood_grads(data, q, sp, with_value=True)
+        _grads(data, q, sp, with_value=True)
         payload = pickle.dumps(data)
         assert len(payload) < data.adjacency.nbytes + 1024
         back = pickle.loads(payload)

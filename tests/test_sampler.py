@@ -132,6 +132,89 @@ class TestPotential:
         )
 
 
+def _assembled_potential(state, data):
+    """Reference: U assembled stage by stage, apart from the evaluator."""
+    from msfactor.sampler import _potential_from
+    from msfactor.whitening import _whitened
+
+    w = state.relaxed_weights()
+    q, passes = _whitened(build_x(w, state.values))
+    sp = state.subject_params
+    ll = 0.0 if data is None else log_likelihood(data, q, sp)
+    return _potential_from(sp, state.probs, state.values, w, passes[0][1], ll)
+
+
+def _saturated(state):
+    return dataclasses.replace(state, logits=800.0 * state.tau * np.sign(state.logits))
+
+
+class TestPotentialPipeline:
+    """potential is a value-only pass of the evaluator the trajectories use."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("with_data", [True, False])
+    @pytest.mark.parametrize("saturate", [False, True])
+    def test_equals_stagewise_assembly_bit_for_bit(self, seed, with_data, saturate):
+        state = _generic_state(200 + seed, n=7, k=3, s=3)
+        if saturate:
+            state = _saturated(state)
+            assert set(np.unique(state.relaxed_weights())) == {0.0, 1.0}
+        data = _toy_data(7, 3, 300 + seed) if with_data else None
+        assert potential(state, data).hex() == _assembled_potential(state, data).hex()
+
+    def test_rank_deficient_state_raises(self):
+        # every node on side1 of both levels: two equal constant columns
+        state = dataclasses.replace(
+            _generic_state(44, n=5, k=2), logits=np.full((5, 2), 400.0)
+        )
+        for data in (_toy_data(5, 2, 45), None):
+            with pytest.raises(NotPositiveDefiniteError):
+                potential(state, data)
+            with pytest.raises(NotPositiveDefiniteError):
+                _assembled_potential(state, data)
+
+    def _spied(self, monkeypatch):
+        sampler = msfactor.sampler
+        calls = []
+        backward, likelihood = sampler.whiten_backward, sampler._likelihood_pass
+
+        def spy_backward(passes, grad_q):
+            calls.append("whiten_backward")
+            return backward(passes, grad_q)
+
+        def spy_likelihood(data, q, d, z, value, grads):
+            calls.append(("likelihood", value, grads))
+            return likelihood(data, q, d, z, value, grads)
+
+        monkeypatch.setattr(sampler, "whiten_backward", spy_backward)
+        monkeypatch.setattr(sampler, "_likelihood_pass", spy_likelihood)
+        return calls
+
+    def test_potential_runs_no_backward_or_gradient_pass(self, monkeypatch):
+        calls = self._spied(monkeypatch)
+        data = _toy_data(6, 2, 46)
+        for state in (_generic_state(47, n=6), _saturated(_generic_state(48, n=6))):
+            potential(state, data)
+            potential(state, None)
+        assert calls == [("likelihood", True, False)] * 2
+
+    def test_exchange_step_runs_no_backward_or_gradient_pass(self, monkeypatch):
+        calls = self._spied(monkeypatch)
+        data = _toy_data(6, 2, 49)
+        state = _generic_state(50, n=6)
+        u = potential(state, data)
+        rng = np.random.default_rng(51)
+        outcomes = set()
+        for _ in range(30):
+            state, accepted, _, u = msfactor.sampler._exchange_step(
+                state, data, ExchangeConfig(), rng, 0.5, u
+            )
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+        assert calls
+        assert set(calls) == {("likelihood", True, False)}
+
+
 def _frame_of(state):
     from msfactor.whitening import whiten
 
@@ -377,13 +460,14 @@ class TestUpdates:
         state = _generic_state(32)
         data = _toy_data(4, 2, 33)
         values = []
-        original = msfactor.sampler.log_likelihood
+        original = msfactor.sampler._likelihood_pass
 
-        def counting(*args):
-            values.append(args)
-            return original(*args)
+        def counting(data, q, d, z, value, grads):
+            if not grads:
+                values.append(value)     # a pass for the potential alone
+            return original(data, q, d, z, value, grads)
 
-        monkeypatch.setattr(msfactor.sampler, "log_likelihood", counting)
+        monkeypatch.setattr(msfactor.sampler, "_likelihood_pass", counting)
         omega = np.ones(_flatten(state).size)
         u_cur = potential(state, data)
         values.clear()
@@ -412,7 +496,7 @@ class TestCarriedGradient:
 
         def refusing_evaluator(state, data):
             if state.tau in refused:
-                def refuse(v, with_potential=False):
+                def refuse(v, with_potential=False, with_grad=True):
                     raise NotPositiveDefiniteError(0)
                 return refuse
             return evaluator(state, data)
@@ -805,11 +889,11 @@ class TestRunChain:
         def evaluator_at_target_only(state, data):
             evaluate = original_evaluator(state, data)
 
-            def refusing(v, with_potential=False):
+            def refusing(v, with_potential=False, with_grad=True):
                 if state.tau != init.tau:
                     refused.append(state.tau)
                     raise NotPositiveDefiniteError(0)
-                return evaluate(v, with_potential)
+                return evaluate(v, with_potential, with_grad)
 
             return refusing
 

@@ -7,12 +7,12 @@ from msfactor.partition import random_partition
 from msfactor.prior import ColumnValues, build_x
 from msfactor.whitening import (
     NotPositiveDefiniteError,
+    _whitened,
     cholesky,
     extract_column_partition,
     rank_ok,
     whiten,
     whiten_backward,
-    whiten_with_factors,
 )
 
 
@@ -205,7 +205,7 @@ class TestWhitenBackward:
         rng = np.random.default_rng(53)
         x = rng.standard_normal((7, 3))
         g_q = rng.standard_normal((7, 3))
-        _, passes = whiten_with_factors(x)
+        _, passes = _whitened(x)
         g_x = whiten_backward(passes, g_q)
         num = _whiten_central_differences(x, g_q)
         np.testing.assert_allclose(g_x, num, rtol=1e-6, atol=1e-8)
@@ -323,11 +323,13 @@ class TestLapackCholesky:
             cholesky(s)
         assert type(exc.value) is ValueError
 
-    def test_whiten_is_first_output_of_whiten_with_factors(self):
+    def test_whiten_is_first_output_of_whitened(self):
         x = np.random.default_rng(59).standard_normal((9, 4))
-        np.testing.assert_array_equal(whiten(x), whiten_with_factors(x)[0])
+        np.testing.assert_array_equal(whiten(x), _whitened(x)[0])
         with pytest.raises(ValueError):
             whiten(np.ones(4))
+        with pytest.raises(ValueError, match="n >= k"):
+            whiten(x.T)
 
 
 class TestBackwardSymmetrization:
@@ -351,7 +353,7 @@ class TestBackwardSymmetrization:
     def test_backward_matches_half_lower_form(self, k):
         rng = np.random.default_rng(300 + k)
         x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
-        _, passes = whiten_with_factors(x)
+        _, passes = _whitened(x)
         g_q = rng.standard_normal(x.shape)
         g = g_q
         for q, _, linv in reversed(passes):
@@ -372,7 +374,7 @@ class TestDirectLapack:
             s = x.T @ x
             low = cholesky(s)
             assert low.tobytes() == np.linalg.cholesky(s).tobytes()
-            _, passes = whiten_with_factors(x)
+            _, passes = _whitened(x)
             for _, low, linv in passes:
                 ref = np.where(np.tri(k, dtype=bool), np.linalg.inv(low), 0.0)
                 assert linv.tobytes() == ref.tobytes()
@@ -394,7 +396,7 @@ class TestDirectLapack:
             x[4, 1] = np.nan
         assert not rank_ok(x)
         with pytest.raises(NotPositiveDefiniteError):
-            whiten_with_factors(x)
+            _whitened(x)
 
     def test_pivot_search_bisects(self, monkeypatch):
         # a 128 x 30 draw whose last column repeats the one before fails at
@@ -423,7 +425,7 @@ class TestInverseFactor:
     def test_lower_triangular_inverse_of_each_pass(self, k):
         rng = np.random.default_rng(200 + k)
         x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
-        _, passes = whiten_with_factors(x)
+        _, passes = _whitened(x)
         for _, low, linv in passes:
             assert np.all(np.triu(linv, k=1) == 0.0)
             np.testing.assert_allclose(low @ linv, np.eye(k), rtol=0, atol=1e-12)
@@ -446,14 +448,14 @@ class TestInverseFactor:
         rng = np.random.default_rng(67)
         x = self._ill_conditioned(rng)
         g_q = rng.standard_normal(x.shape)
-        _, passes = whiten_with_factors(x)
+        _, passes = _whitened(x)
         g_x = whiten_backward(passes, g_q)
         num = _whiten_central_differences(x, g_q)
         np.testing.assert_allclose(g_x, num, rtol=0, atol=1e-6 * np.abs(g_x).max())
 
     def test_infinite_gradient_comes_back_non_finite(self):
         rng = np.random.default_rng(71)
-        _, passes = whiten_with_factors(rng.standard_normal((7, 3)))
+        _, passes = _whitened(rng.standard_normal((7, 3)))
         g_q = rng.standard_normal((7, 3))
         g_q[2, 1] = np.inf
         # the sampler's trajectories run under this errstate
