@@ -501,8 +501,8 @@ class SampleLog:
 
     @classmethod
     def from_csv(cls, trace_path, w_trace_path):
+        """Read a trace pair back; a malformed pair is a ValueError naming the file."""
         header, raw = _read_csv(trace_path)
-        col = {name: idx for idx, name in enumerate(header)}
         k = sum(1 for name in header if name.startswith("a_"))
         s = sum(1 for name in header if name.startswith("z_"))
         t_n = raw.shape[0]
@@ -510,39 +510,50 @@ class SampleLog:
         # take, unlike raw[:, idx], returns C order, so reductions over
         # the blocks sum in the same order as on the arrays run_chain builds
         def block(names, shape):
-            return raw.take([col[name] for name in names], axis=1).reshape((t_n,) + shape)
+            return raw.take(_columns(trace_path, header, names), axis=1).reshape((t_n,) + shape)
 
         a = block([f"a_{j + 1}" for j in range(k)], (k,))
         b = block([f"b_{j + 1}" for j in range(k)], (k,))
         p = block([f"p_{j + 1}" for j in range(k)], (k,))
         z = block([f"z_{i + 1}" for i in range(s)], (s,))
         ld = block([f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)], (s, k))
+        flags = ["hmc_accept", "exch_accept", "exch_skipped"]
+        i_it, i_u, i_h, *i_flags = _columns(trace_path, header, ["iteration", "U", "h"] + flags)
+        for i in i_flags:
+            _binary(trace_path, header[i], raw[:, i])
 
         w_header, w_raw = _read_csv(w_trace_path)
-        node_ids = sorted({int(name.split("_")[1]) for name in w_header[1:]})
+        try:
+            node_ids = sorted({int(name.split("_")[1]) for name in w_header[1:]})
+        except (IndexError, ValueError) as err:
+            raise ValueError(f"{w_trace_path} has a column not named w_<node>_<level>") from err
         if node_ids != list(range(len(node_ids))):
             raise ValueError(
                 "w_trace does not cover a contiguous node range from 0"
                 " (written with a w_trace_nodes subset?)"
             )
         n = len(node_ids)
-        w_col = {name: idx for idx, name in enumerate(w_header)}
-        w_idx = [w_col[f"w_{i}_{j + 1}"] for i in range(n) for j in range(k)]
-        w_hard = w_raw.take(w_idx, axis=1).reshape(t_n, n, k)
+        names = [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
+        w_it, *w_idx = _columns(w_trace_path, w_header, ["iteration"] + names)
+        if w_raw.shape[0] != t_n:
+            raise ValueError(f"{w_trace_path} holds {w_raw.shape[0]} draws, {trace_path} {t_n}")
+        if not np.array_equal(w_raw[:, w_it], raw[:, i_it]):
+            raise ValueError(f"{w_trace_path} iteration numbers differ from {trace_path}'s")
+        w_hard = _binary(w_trace_path, "w_ cells", w_raw.take(w_idx, axis=1))
 
         return cls(
-            iterations=raw[:, col["iteration"]].astype(np.int64),
-            u=raw[:, col["U"]],
-            hmc_accept=raw[:, col["hmc_accept"]].astype(bool),
-            exch_accept=raw[:, col["exch_accept"]].astype(bool),
-            exch_skipped=raw[:, col["exch_skipped"]].astype(bool),
-            step_sizes=raw[:, col["h"]],
+            iterations=raw[:, i_it].astype(np.int64),
+            u=raw[:, i_u],
+            hmc_accept=raw[:, i_flags[0]].astype(bool),
+            exch_accept=raw[:, i_flags[1]].astype(bool),
+            exch_skipped=raw[:, i_flags[2]].astype(bool),
+            step_sizes=raw[:, i_h],
             a=a,
             b=b,
             p=p,
             offsets=z,
             log_loadings=ld,
-            w_hard=w_hard,
+            w_hard=w_hard.reshape(t_n, n, k),
         )
 
 
@@ -553,7 +564,25 @@ def _read_csv(path):
         rows = fh.read()
     if not rows.strip():
         return header, np.empty((0, len(header)))
-    return header, np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
+    try:
+        return header, np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _columns(path, header, names):
+    """Positions of names in a CSV header; a missing one is a ValueError naming it."""
+    position = {name: idx for idx, name in enumerate(header)}
+    missing = [name for name in names if name not in position]
+    if missing:
+        raise ValueError(f"{path} has no column {missing[0]}")
+    return [position[name] for name in names]
+
+
+def _binary(path, what, cells):
+    if not np.isin(cells, (0.0, 1.0)).all():
+        raise ValueError(f"{path}: {what} must be 0 or 1")
+    return cells
 
 
 def run_chain(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,81 @@ class TestFailureModes:
         assert payload["meta"]["q_mean_orthonormalized"] is False
         assert payload["recovery"]["subspace_error"] is None
         assert len(payload["recovery"]["level_recovery"]) == 2
+
+
+def _edited_fit(fit_dir, root, trace=None, w_trace=None):
+    """A copy of a fit whose chain_00 trace files went through the edits.
+
+    Each edit maps the file's rows, as lists of cell strings with the
+    header first, to new rows.
+    """
+    copy = root / "fit"
+    shutil.copytree(fit_dir, copy)
+    for name, edit in (("trace.csv", trace), ("w_trace.csv", w_trace)):
+        if edit is not None:
+            path = copy / "chain_00" / name
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+    return copy
+
+
+def _set_cell(column, value, row=1):
+    def edit(rows):
+        rows[row][rows[0].index(column)] = value
+        return rows
+    return edit
+
+
+class TestTraceValidation:
+    """summarize exits 2, naming the file, on a trace pair that does not fit together."""
+
+    def _summarize(self, pipeline, tmp_path, capsys, **edits):
+        _, _, fit_dir, _ = pipeline
+        edited = _edited_fit(fit_dir, tmp_path, **edits)
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(edited)})
+        code = main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")])
+        return code, capsys.readouterr().err
+
+    def test_missing_trace_column(self, pipeline, tmp_path, capsys):
+        renamed = _set_cell("U", "energy", row=0)
+        code, err = self._summarize(pipeline, tmp_path, capsys, trace=renamed)
+        assert code == 2
+        assert "trace.csv" in err and "column U" in err
+
+    @pytest.mark.parametrize("column", ["hmc_accept", "exch_accept", "exch_skipped"])
+    def test_non_binary_flag(self, pipeline, tmp_path, capsys, column):
+        code, err = self._summarize(pipeline, tmp_path, capsys, trace=_set_cell(column, "2"))
+        assert code == 2
+        assert "trace.csv" in err and column in err
+
+    @pytest.mark.parametrize("name", ["x", "w_x_1"])
+    def test_w_trace_column_without_a_node(self, pipeline, tmp_path, capsys, name):
+        renamed = _set_cell("w_0_1", name, row=0)
+        code, err = self._summarize(pipeline, tmp_path, capsys, w_trace=renamed)
+        assert code == 2
+        assert "w_trace.csv" in err
+
+    def test_non_binary_w_cell(self, pipeline, tmp_path, capsys):
+        code, err = self._summarize(pipeline, tmp_path, capsys, w_trace=_set_cell("w_0_1", "0.5"))
+        assert code == 2
+        assert "w_trace.csv" in err
+
+    def test_w_trace_row_count_differs(self, pipeline, tmp_path, capsys):
+        code, err = self._summarize(pipeline, tmp_path, capsys, w_trace=lambda rows: rows[:-1])
+        assert code == 2
+        assert "w_trace.csv" in err
+
+    def test_w_trace_iterations_differ(self, pipeline, tmp_path, capsys):
+        def shift(rows):
+            return rows[:1] + [[str(int(row[0]) + 1000)] + row[1:] for row in rows[1:]]
+
+        code, err = self._summarize(pipeline, tmp_path, capsys, w_trace=shift)
+        assert code == 2
+        assert "w_trace.csv" in err and "iteration" in err
+
+    def test_unedited_copy_summarizes(self, pipeline, tmp_path, capsys):
+        code, _ = self._summarize(pipeline, tmp_path, capsys, trace=lambda rows: rows)
+        assert code == 0
 
 
 class TestWTraceNodes:
