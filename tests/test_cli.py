@@ -214,6 +214,45 @@ class TestDatasetParsing:
             assert (tmp_path / "fit" / f"chain_{c:02d}" / "trace.csv").exists()
 
 
+class TestChainPoolContract:
+    def test_every_chain_goes_through_the_module_pool(self, tmp_path, monkeypatch):
+        """Chains run through the pool class bound in msfactor.cli at import.
+
+        The benchmark's traced run (perfbench/tracing.py::run_pipeline)
+        swaps cli.ProcessPoolExecutor for a serial pool, so that every
+        chain runs in the benchmark's own process, under its tracer.
+        Importing the pool lazily inside cmd_fit would save about 19 ms
+        per single-chain command (python -X importtime), but the chains
+        would then bypass the swapped name and `--trace 1` would break.
+        """
+        sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        fit = _write(tmp_path / "fit.json", {
+            "data": str(tmp_path / "sim" / "dataset.json"),
+            "k": 1, "seed": 17, "iterations": 4, "warmup": 2,
+            "tau": 0.3, "leapfrog_steps": 2, "chains": 2,
+        })
+        pools, ran = [], []
+
+        class RecordingPool(_SerialPool):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(max_workers)
+
+            def map(self, fn, jobs):
+                def recorded(job):
+                    ran.append((job[0], os.getpid()))
+                    return fn(job)
+                return map(recorded, jobs)
+
+        monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
+        assert pools == [2]
+        assert ran == [(0, os.getpid()), (1, os.getpid())]
+        meta = json.loads((tmp_path / "fit" / "run_meta.json").read_text())
+        assert set(meta["chains"]) == {"chain_00", "chain_01"}
+
+
 class TestFailureModes:
     def test_missing_config_field(self, tmp_path, capsys):
         cfg = _write(tmp_path / "fit.json", {"data": "x.json", "k": 1, "seed": 0})
