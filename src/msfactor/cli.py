@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 import traceback
@@ -74,11 +75,20 @@ def _optional(cfg, name, kind, default):
     return _require(cfg, name, kind)
 
 
+def _reject_unknown_fields(cfg, names):
+    # "out" is read by main, and written back into effective_config.json
+    unknown = sorted(set(cfg) - set(names) - {"out"})
+    if unknown:
+        raise ConfigError(f"unknown config field: {unknown[0]}")
+
+
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_simulate(cfg, out_dir):
+    _reject_unknown_fields(cfg, ("n", "k", "subjects", "seed", "loading_min", "loading_max",
+                                 "offset", "a", "b"))
     n = _require(cfg, "n", int)
     k = _require(cfg, "k", int)
     n_subjects = _require(cfg, "subjects", int)
@@ -154,8 +164,7 @@ def _fit_single_chain(args):
         elapsed = time.perf_counter() - start
         chain_dir = Path(out_dir) / f"chain_{chain_id:02d}"
         chain_dir.mkdir(parents=True, exist_ok=True)
-        nodes = cfg["w_trace_nodes"]
-        log.to_csv(chain_dir / "trace.csv", chain_dir / "w_trace.csv", nodes=nodes)
+        log.to_csv(chain_dir / "trace.csv", chain_dir / "w_trace.csv")
     except Exception as err:
         # the traceback goes to stderr here, since a pool worker's would be lost
         traceback.print_exc()
@@ -164,6 +173,9 @@ def _fit_single_chain(args):
 
 
 def cmd_fit(cfg, out_dir):
+    _reject_unknown_fields(cfg, ("data", "k", "seed", "chains", "iterations", "warmup", "thin",
+                                 "tau", "anneal_from", "step_size", "leapfrog_steps",
+                                 "target_accept", "window", "max_rejection_attempts"))
     data_path = _require(cfg, "data", str)
     k = _require(cfg, "k", int)
     seed = _require(cfg, "seed", int)
@@ -182,7 +194,6 @@ def cmd_fit(cfg, out_dir):
         "max_rejection_attempts": _optional(
             cfg, "max_rejection_attempts", int, ExchangeConfig.max_rejection_attempts
         ),
-        "w_trace_nodes": _optional(cfg, "w_trace_nodes", list, None),
     }
     if chains < 1:
         raise ConfigError("config field chains must be >= 1")
@@ -217,14 +228,6 @@ def cmd_fit(cfg, out_dir):
         raise ConfigError(f"data file {data_path} must hold at least 2 nodes")
     if k > data.n:
         raise ConfigError(f"config field k must be at most the dataset's n = {data.n}")
-    nodes = run_cfg["w_trace_nodes"]
-    if nodes is not None and (
-        len(set(nodes)) != len(nodes)
-        or not all(type(i) is int and 0 <= i < data.n for i in nodes)
-    ):
-        raise ConfigError(
-            f"config field w_trace_nodes must hold distinct node ids in [0, {data.n})"
-        )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,7 +241,8 @@ def cmd_fit(cfg, out_dir):
     if chains == 1:
         results = [_fit_single_chain(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=chains) as pool:
+        # fork starts every worker at the first submit, so never more than the cores
+        with ProcessPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_fit_single_chain, jobs))
     elapsed = time.perf_counter() - start
     per_chain = {f"chain_{cid:02d}": meta for cid, meta in sorted(results)}
@@ -263,6 +267,7 @@ def _parse_truth(text):
 
 
 def cmd_summarize(cfg, out_dir, truth_path=None):
+    _reject_unknown_fields(cfg, ("fit_dir", "burn_in"))
     fit_dir = Path(_require(cfg, "fit_dir", str))
     burn_in = _optional(cfg, "burn_in", float, 0.5)
     # checked before any trace is read
@@ -284,8 +289,7 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
         if log.w_hard.shape[1] != fit_n[d.name]:
             raise ConfigError(
                 f"{d.name}: w_trace covers {log.w_hard.shape[1]} of the fit's "
-                f"{fit_n[d.name]} nodes; summarize needs them all, so fit without "
-                "w_trace_nodes"
+                f"{fit_n[d.name]} nodes; summarize needs them all"
             )
         logs.append(log)
     per_chain_ess = {d.name: chain_ess(log, burn_in) for d, log in zip(chain_dirs, logs)}

@@ -7,10 +7,8 @@ are the groups of nodes that agree on the first j columns of W, labeled
 by the bit string of side choices, one bit per level ('0' = side1,
 '1' = side2).
 
-partition_distance scores two labelings by their best agreement under
-relabeling.  Two labels need no search (the bijection is the identity
-or the swap), so scipy.optimize is imported only for three or more,
-and the CLI, which compares binary levels, never loads it.
+partition_distance scores two binary labelings by their best agreement
+under relabeling, which is the identity or the swap.
 """
 
 from __future__ import annotations
@@ -107,9 +105,9 @@ def random_partition(n, k, rng):
 def partition_distance(labels_a, labels_b):
     """1 - (best-case label agreement under relabeling) / n.
 
-    Zero iff the two labelings induce the same partition.  With at most
-    two labels the optimal bijection is the identity or the swap; with
-    more it is found by assignment on the confusion matrix.
+    Zero iff the two labelings induce the same partition.  Each side
+    may use at most two labels, so the best bijection is the identity
+    or the swap: the agreement is max(same, n - same).
     """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
@@ -120,14 +118,7 @@ def partition_distance(labels_a, labels_b):
         raise ValueError("empty label vectors")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    m = max(ai.max(), bi.max()) + 1
-    confusion = np.zeros((m, m), dtype=np.int64)
-    np.add.at(confusion, (ai, bi), 1)
-    if m <= 2:
-        agreement = max(np.trace(confusion), np.trace(confusion[::-1]))
-    else:
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(-confusion)
-        agreement = confusion[rows, cols].sum()
-    return 1.0 - agreement / n
+    if max(ai.max(), bi.max()) > 1:
+        raise ValueError("partition_distance compares at most two labels per side")
+    same = int(np.count_nonzero(ai == bi))
+    return 1.0 - max(same, n - same) / n

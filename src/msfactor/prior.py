@@ -4,7 +4,8 @@ A structured matrix has columns taking one of two values per level:
 x[i, j] = a[j] if node i is assigned to side1 at level j, else b[j].
 The prior draws a, b standard normal, assignment rates p uniform, the
 binary assignment matrix Bernoulli(p) columnwise, and rejects draws
-whose structured matrix is column-rank-deficient.
+whose structured matrix is column-rank-deficient.  This module holds
+the prior's log-densities and full_rank_pattern, its rejection loop.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whitening import cholesky, rank_ok
-
-
-class PriorRejectionError(RuntimeError):
-    """Rank-rejection sampling exhausted its attempt budget."""
 
 
 @dataclass(frozen=True)
@@ -75,28 +72,6 @@ def full_rank_pattern(draw, values, max_attempts):
         if rank_ok(build_x(w, values)):
             return w
     return None
-
-
-def sample_prior(n, k, rng, max_attempts=1000):
-    """Draw (values, probs, assignment matrix) with rank rejection.
-
-    a, b, p are drawn once; the assignment matrix alone is resampled
-    until the structured matrix has full column rank.  Exhausting
-    max_attempts raises PriorRejectionError, which in practice signals
-    rates pinned near 0 or 1 (near-constant columns).
-    """
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    values = ColumnValues(a=rng.standard_normal(k), b=rng.standard_normal(k))
-    probs = MixtureProbs(p=rng.uniform(size=k))
-    w = full_rank_pattern(
-        lambda: (rng.random((n, k)) < probs.p).astype(np.float64), values, max_attempts
-    )
-    if w is None:
-        raise PriorRejectionError(
-            f"no full-rank assignment in {max_attempts} attempts (n={n}, k={k})"
-        )
-    return values, probs, w
 
 
 def log_bernoulli_mass(w, probs):

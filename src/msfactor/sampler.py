@@ -211,19 +211,11 @@ def _evaluator(state, data):
     return evaluate
 
 
-def potential_grad(state, data, with_potential=False):
-    """Gradient of U over (log_loadings, offsets, logits).
-
-    With with_potential, returns (U, grad_ld, grad_z, grad_logits), U
-    taken from the same forward pass and equal to potential(state, data).
-    """
-    evaluate = _evaluator(state, data)
-    pos = _pack(state.subject_params, state.logits)
+def potential_grad(state, data):
+    """Gradient of U over (log_loadings, offsets, logits)."""
     s_n, k = state.subject_params.log_loadings.shape
-    if with_potential:
-        u, grad = evaluate(pos, with_potential=True)
-        return (u, *_blocks(grad, s_n, k))
-    return _blocks(evaluate(pos), s_n, k)
+    pos = _pack(state.subject_params, state.logits)
+    return _blocks(_evaluator(state, data)(pos), s_n, k)
 
 
 def _pack(sp, logits):
@@ -394,7 +386,7 @@ def exchange_update(state, data, cfg, rng):
     return new, accepted
 
 
-def initial_state(data, k, tau, rng, n=None, n_subjects=None, max_attempts=1000):
+def initial_state(data, k, tau, rng, n=None, n_subjects=None):
     """Default start: a random valid partition pattern with unit values.
 
     Logits are set mildly inside the relaxation (weights 0.05/0.95), so
@@ -414,11 +406,11 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None, max_attempts=1000)
     w = full_rank_pattern(
         lambda: random_partition(n, k, rng).membership_matrix().astype(np.float64),
         values,
-        max_attempts,
+        1000,
     )
     if w is None:
         raise InitializationError(
-            f"no full-rank starting pattern in {max_attempts} attempts (n={n}, k={k})"
+            f"no full-rank starting pattern in 1000 attempts (n={n}, k={k})"
         )
     relaxed = 0.05 + 0.9 * w
     logits = tau * _logit(relaxed)
@@ -461,7 +453,7 @@ class SampleLog:
     def n_draws(self):
         return self.iterations.size
 
-    def to_csv(self, trace_path, w_trace_path, nodes=None):
+    def to_csv(self, trace_path, w_trace_path):
         k = self.a.shape[1]
         s = self.offsets.shape[1]
         cols = ["iteration", "U", "hmc_accept", "exch_accept", "h", "exch_skipped"]
@@ -483,13 +475,10 @@ class SampleLog:
             fh.write(",".join(cols) + "\n")
             fh.write(row * self.n_draws % tuple(table.ravel().tolist()))
         n = self.w_hard.shape[1]
-        sel = list(range(n)) if nodes is None else list(nodes)
-        wcols = ["iteration"] + [
-            f"w_{i}_{j + 1}" for i in sel for j in range(k)
-        ]
+        wcols = ["iteration"] + [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
         # every row after its iteration number is ",c,c,...,c\n" with
         # 0/1 cells, built for all rows at once as bytes
-        cells = self.w_hard[:, sel, :].reshape(self.n_draws, len(sel) * k)
+        cells = self.w_hard.reshape(self.n_draws, n * k)
         body = np.empty((self.n_draws, 2 * cells.shape[1] + 1), dtype=np.uint8)
         body[:, :-1:2] = ord(",")
         body[:, 1::2] = cells.astype(np.uint8) + ord("0")
@@ -528,10 +517,7 @@ class SampleLog:
         except (IndexError, ValueError) as err:
             raise ValueError(f"{w_trace_path} has a column not named w_<node>_<level>") from err
         if node_ids != list(range(len(node_ids))):
-            raise ValueError(
-                "w_trace does not cover a contiguous node range from 0"
-                " (written with a w_trace_nodes subset?)"
-            )
+            raise ValueError(f"{w_trace_path} does not cover a contiguous node range from 0")
         n = len(node_ids)
         names = [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
         w_it, *w_idx = _columns(w_trace_path, w_header, ["iteration"] + names)

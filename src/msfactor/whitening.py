@@ -27,12 +27,6 @@ PIVOT_EPS = 1e-12
 class NotPositiveDefiniteError(ValueError):
     """Cholesky pivot at or below the relative floor; doubles as the rank test."""
 
-    def __init__(self, pivot_index, message=None):
-        self.pivot_index = pivot_index
-        super().__init__(
-            message or f"pivot {pivot_index} not positive definite"
-        )
-
 
 def _lapack_errstate():
     # np.linalg's own state around these kernels, except that the
@@ -44,8 +38,7 @@ def _lapack_errstate():
 def cholesky(s):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    A pivot <= PIVOT_EPS * max(diag(s)) raises NotPositiveDefiniteError
-    carrying the failing pivot index.
+    A pivot <= PIVOT_EPS * max(diag(s)) raises NotPositiveDefiniteError.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -73,20 +66,9 @@ def _factor_or_none(s, floor):
 def _factor(s):
     # cholesky without the input checks, for callers that build s = X'X
     # and hold _lapack_errstate()
-    floor = _floor(s)
-    low = _factor_or_none(s, floor)
+    low = _factor_or_none(s, _floor(s))
     if low is None:
-        # the failing pivot is the last of the first leading block that
-        # fails; failing blocks are nested, so bisect between a block
-        # that factors (the empty one) and one that fails (the whole)
-        good, bad = 0, s.shape[0]
-        while bad - good > 1:
-            m = (good + bad) // 2
-            if _factor_or_none(s[:m, :m], floor) is None:
-                bad = m
-            else:
-                good = m
-        raise NotPositiveDefiniteError(bad - 1)
+        raise NotPositiveDefiniteError("matrix is not positive definite above the pivot floor")
     return low
 
 
@@ -136,31 +118,6 @@ def rank_ok(x):
     s = x.T @ x
     with _lapack_errstate():
         return _factor_or_none(s, _floor(s)) is not None
-
-
-def extract_column_partition(column, tol=1e-8):
-    """Group a column's entries into clusters of near-equal values.
-
-    Single-linkage on the sorted values with gap threshold tol; labels
-    are integers numbered by first occurrence along the column.
-    """
-    v = np.asarray(column, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("empty column")
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    boundary = np.diff(sorted_v) > tol
-    group_sorted = np.concatenate(([0], np.cumsum(boundary)))
-    groups = np.empty(v.size, dtype=np.int64)
-    groups[order] = group_sorted
-    # relabel so the first node of each cluster fixes its id
-    labels = np.full(v.size, -1, dtype=np.int64)
-    remap = {}
-    for i, g in enumerate(groups):
-        if g not in remap:
-            remap[g] = len(remap)
-        labels[i] = remap[g]
-    return labels
 
 
 @functools.lru_cache(maxsize=None)

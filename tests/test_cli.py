@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: simulate -> fit -> summarize."""
 
+import ast
 import json
 import os
 import shutil
@@ -246,11 +247,41 @@ class TestChainPoolContract:
                 return map(recorded, jobs)
 
         monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(msfactor.cli.os, "cpu_count", lambda: 2)
         assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
         assert pools == [2]
         assert ran == [(0, os.getpid()), (1, os.getpid())]
         meta = json.loads((tmp_path / "fit" / "run_meta.json").read_text())
         assert set(meta["chains"]) == {"chain_00", "chain_01"}
+
+
+    def test_pool_is_bounded_by_the_core_count(self, tmp_path, monkeypatch):
+        # fork starts every worker at the first submit, so a pool as wide
+        # as the chain count would start one sampler per chain at once
+        sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        fit = _write(tmp_path / "fit.json", {
+            "data": str(tmp_path / "sim" / "dataset.json"),
+            "k": 1, "seed": 17, "iterations": 4, "warmup": 2,
+            "tau": 0.3, "leapfrog_steps": 2, "chains": 2,
+        })
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "wide")]) == 0
+
+        pools = []
+        real_pool = msfactor.cli.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(msfactor.cli.os, "cpu_count", lambda: 1)
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "narrow")]) == 0
+        assert pools == [1]
+        for chain in ("chain_00", "chain_01"):
+            for name in ("trace.csv", "w_trace.csv"):
+                narrow = (tmp_path / "narrow" / chain / name).read_bytes()
+                assert narrow == (tmp_path / "wide" / chain / name).read_bytes()
 
 
 class TestFailureModes:
@@ -298,7 +329,7 @@ class TestFailureModes:
         # a NotPositiveDefiniteError is a ValueError, yet it is a rank
         # failure of the run, not a config problem
         def failing_simulate(*args, **kwargs):
-            raise NotPositiveDefiniteError(1)
+            raise NotPositiveDefiniteError("pivot 1 not positive definite")
 
         monkeypatch.setattr(msfactor.cli, "simulate_dataset", failing_simulate)
         cfg = _write(tmp_path / "sim.json", {"n": 6, "k": 2, "subjects": 1, "seed": 0})
@@ -389,6 +420,37 @@ class TestFailureModes:
             main([command, "--config", str(tmp_path / "cfg.json"), *flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field", [
+        ("simulate", "subject"),
+        ("fit", "warmpu"),
+        ("summarize", "burnin"),
+    ])
+    def test_unknown_config_field_exits_2(self, pipeline, tmp_path, capsys, command, field):
+        _, sim_dir, fit_dir, _ = pipeline
+        cfg = {
+            "simulate": {"n": 6, "k": 2, "subjects": 1, "seed": 0},
+            "fit": {"data": str(sim_dir / "dataset.json"), "k": 2, "seed": 1, "iterations": 4},
+            "summarize": {"fit_dir": str(fit_dir)},
+        }[command]
+        path = _write(tmp_path / "cfg.json", {**cfg, field: 0.9})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown config field: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_effective_configs_load_as_configs(self, pipeline, tmp_path):
+        # every field a command writes back, "out" included, is one it reads
+        _, sim_dir, fit_dir, sum_dir = pipeline
+        for command, source, output in (
+            ("simulate", sim_dir, "dataset.json"),
+            ("fit", fit_dir, "chain_00/trace.csv"),
+            ("summarize", sum_dir, "summary.json"),
+        ):
+            out = tmp_path / command
+            cfg = str(source / "effective_config.json")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            if command != "summarize":  # the pipeline's summary was taken with --truth
+                assert (out / output).read_bytes() == (source / output).read_bytes()
 
     def test_unorthonormalizable_mean_frame_gives_null_subspace_error(
         self, pipeline, tmp_path, monkeypatch
@@ -490,38 +552,48 @@ class TestTraceValidation:
 
 
 class TestWTraceNodes:
+    """w_trace.csv holds every node, and summarize refuses one that does not."""
+
     @pytest.fixture
     def fit_cfg(self, tmp_path):
         sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 3})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
 
-        def write(nodes):
+        def write(**extra):
             return _write(tmp_path / "fit.json", {
                 "data": str(tmp_path / "sim" / "dataset.json"),
                 "k": 1, "seed": 5, "iterations": 6, "warmup": 2,
-                "tau": 0.3, "leapfrog_steps": 2, "w_trace_nodes": nodes,
+                "tau": 0.3, "leapfrog_steps": 2, **extra,
             })
         return write
 
-    @pytest.mark.parametrize("nodes", [[0, 8], [-1], [2, 2], [0, "1"], [True]])
+    @pytest.mark.parametrize(
+        "nodes", [[0, 8], [-1], [2, 2], [0, "1"], [True], [7, 6, 5, 4, 3, 2, 1, 0], None]
+    )
     def test_fit_rejects_bad_node_ids(self, tmp_path, capsys, fit_cfg, nodes):
-        assert main(["fit", "--config", fit_cfg(nodes), "--out", str(tmp_path / "fit")]) == 2
+        # no node subset can be chosen: the field is unknown, whatever it holds
+        cfg = fit_cfg(w_trace_nodes=nodes)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
         assert "w_trace_nodes" in capsys.readouterr().err
         assert not (tmp_path / "fit" / "chain_00").exists()
 
     @pytest.mark.parametrize("nodes", [[0, 1, 2, 3, 4], [5, 6, 7]])
     def test_summarize_rejects_partial_w_trace(self, tmp_path, capsys, fit_cfg, nodes):
-        assert main(["fit", "--config", fit_cfg(nodes), "--out", str(tmp_path / "fit")]) == 0
-        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
-        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
-        assert "w_trace_nodes" in capsys.readouterr().err
-        assert not (tmp_path / "sum" / "summary.json").exists()
+        assert main(["fit", "--config", fit_cfg(), "--out", str(tmp_path / "full")]) == 0
 
-    def test_full_node_list_in_any_order_summarizes(self, tmp_path, fit_cfg):
-        nodes = [7, 6, 5, 4, 3, 2, 1, 0]
-        assert main(["fit", "--config", fit_cfg(nodes), "--out", str(tmp_path / "fit")]) == 0
-        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
-        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 0
+        def keep_nodes(rows):
+            keep = [0] + [
+                c for c, name in enumerate(rows[0][1:], start=1)
+                if int(name.split("_")[1]) in nodes
+            ]
+            return [[row[c] for c in keep] for row in rows]
+
+        fit_dir = _edited_fit(tmp_path / "full", tmp_path, w_trace=keep_nodes)
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir)})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
+        err = capsys.readouterr().err
+        assert "w_trace" in err and "cover" in err
+        assert not (tmp_path / "sum" / "summary.json").exists()
 
 
 def _assert_traces_match_at_one_and_two_threads(tmp_path, n, k, subjects):
@@ -609,6 +681,31 @@ class TestStartup:
         )
         subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=120,
                        capture_output=True)
+
+
+class TestRuntimeDependencies:
+    """The commands need numpy alone; scipy is for the tests."""
+
+    def test_no_module_imports_scipy(self):
+        package = Path(msfactor.cli.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            # ast.walk reaches imports inside functions, so lazy ones too
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+        assert not found
+
+    def test_declared_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def _reference_matrix_csv(path, mat):

@@ -9,11 +9,28 @@ from msfactor.whitening import (
     NotPositiveDefiniteError,
     _whitened,
     cholesky,
-    extract_column_partition,
     rank_ok,
     whiten,
     whiten_backward,
 )
+
+
+def extract_column_partition(column, tol=1e-8):
+    """Group a column's entries into clusters of near-equal values.
+
+    Single-linkage on the sorted values with gap threshold tol; labels
+    are integers numbered by first occurrence along the column.
+    """
+    v = np.asarray(column, dtype=np.float64).ravel()
+    if v.size == 0:
+        raise ValueError("empty column")
+    order = np.argsort(v, kind="stable")
+    boundary = np.diff(v[order]) > tol
+    groups = np.empty(v.size, dtype=np.int64)
+    groups[order] = np.concatenate(([0], np.cumsum(boundary)))
+    # relabel so the first node of each cluster fixes its id
+    remap = {}
+    return np.array([remap.setdefault(g, len(remap)) for g in groups.tolist()], dtype=np.int64)
 
 
 def _structured_frame(n, k, rng):
@@ -49,10 +66,9 @@ class TestCholesky:
             assert np.all(low.diagonal() > 0)
             assert np.all(np.triu(low, k=1) == 0.0)
 
-    def test_rank_one_rejected_with_pivot_index(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
+    def test_rank_one_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
             cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert exc.value.pivot_index == 1
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -110,9 +126,8 @@ class TestWhiten:
 
     def test_rank_deficient_raises(self):
         x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        with pytest.raises(NotPositiveDefiniteError) as exc:
+        with pytest.raises(NotPositiveDefiniteError):
             whiten(x)
-        assert exc.value.pivot_index == 1
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -211,8 +226,17 @@ class TestWhitenBackward:
         np.testing.assert_allclose(g_x, num, rtol=1e-6, atol=1e-8)
 
 
+class _LoopPivotFailure(Exception):
+    def __init__(self, index):
+        super().__init__(index)
+        self.index = index
+
+
 def _loop_cholesky(s, eps=1e-12):
-    """Column-by-column reference factor with the relative pivot floor."""
+    """Column-by-column reference factor with the relative pivot floor.
+
+    A failing pivot raises _LoopPivotFailure carrying its index.
+    """
     s = np.asarray(s, dtype=np.float64)
     k = s.shape[0]
     floor = eps * max(s.diagonal().max(), 0.0)
@@ -220,19 +244,28 @@ def _loop_cholesky(s, eps=1e-12):
     for j in range(k):
         pivot = s[j, j] - low[j, :j] @ low[j, :j]
         if not pivot > floor:
-            raise NotPositiveDefiniteError(j)
+            raise _LoopPivotFailure(j)
         low[j, j] = np.sqrt(pivot)
         if j + 1 < k:
             low[j + 1:, j] = (s[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     return low
 
 
-def _failing_pivot(factor, s):
+def _failing_pivot(s):
+    """The loop reference's failing pivot index, or None if it factors."""
     try:
-        factor(s)
-    except NotPositiveDefiniteError as err:
-        return err.pivot_index
+        _loop_cholesky(s)
+    except _LoopPivotFailure as err:
+        return err.index
     return None
+
+
+def _cholesky_fails(s):
+    try:
+        cholesky(s)
+    except NotPositiveDefiniteError:
+        return True
+    return False
 
 
 class TestLapackCholesky:
@@ -264,15 +297,15 @@ class TestLapackCholesky:
     def test_rank_deficient_pivot_index(self, name):
         x, expected = self._patterns()[name]
         s = x.T @ x
-        assert _failing_pivot(_loop_cholesky, s) == expected
-        assert _failing_pivot(cholesky, s) == expected
+        assert _failing_pivot(s) == expected
+        assert _cholesky_fails(s) == (expected is not None)
 
     def test_indefinite_pivot_index(self):
         # a negative pivot with a zero diagonal after it: the entries past
         # the failing pivot are unfactored and must not be tested
         s = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        assert _failing_pivot(_loop_cholesky, s) == 1
-        assert _failing_pivot(cholesky, s) == 1
+        assert _failing_pivot(s) == 1
+        assert _cholesky_fails(s)
 
     @pytest.mark.parametrize("j", [0, 2, 4])
     @pytest.mark.parametrize("ratio, fails", [(0.5, True), (2.0, False)])
@@ -285,8 +318,8 @@ class TestLapackCholesky:
         low[j, j] = np.sqrt(ratio * floor)
         s = low @ low.T
         expected = j if fails else None
-        assert _failing_pivot(_loop_cholesky, s) == expected
-        assert _failing_pivot(cholesky, s) == expected
+        assert _failing_pivot(s) == expected
+        assert _cholesky_fails(s) == (expected is not None)
 
     def test_random_structured_patterns_agree_with_loop(self):
         rng = np.random.default_rng(43)
@@ -298,7 +331,7 @@ class TestLapackCholesky:
                 )
                 x = build_x(w, values)
                 s = x.T @ x
-                assert _failing_pivot(cholesky, s) == _failing_pivot(_loop_cholesky, s)
+                assert _cholesky_fails(s) == (_failing_pivot(s) is not None)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("where", ["diagonal", "off_diagonal", "after_negative_pivot"])
@@ -398,9 +431,9 @@ class TestDirectLapack:
         with pytest.raises(NotPositiveDefiniteError):
             _whitened(x)
 
-    def test_pivot_search_bisects(self, monkeypatch):
-        # a 128 x 30 draw whose last column repeats the one before fails at
-        # pivot 29; the search factors at most 1 + ceil(log2 30) blocks
+    def test_failed_factor_is_not_searched(self, monkeypatch):
+        # a 128 x 30 draw whose last column repeats the one before fails
+        # after one factorization of the whole of X'X
         import msfactor.whitening
 
         x = np.random.default_rng(61).standard_normal((128, 30))
@@ -413,11 +446,9 @@ class TestDirectLapack:
             return original(s, floor)
 
         monkeypatch.setattr(msfactor.whitening, "_factor_or_none", counting)
-        with pytest.raises(NotPositiveDefiniteError) as exc:
+        with pytest.raises(NotPositiveDefiniteError):
             whiten(x)
-        assert exc.value.pivot_index == 29
-        assert calls[0] == 30
-        assert len(calls) <= 1 + 5
+        assert calls == [30]
 
 
 class TestInverseFactor:
