@@ -280,16 +280,26 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
 
     try:
         meta = json.loads((fit_dir / "run_meta.json").read_text())
-        fit_n = {d.name: meta["chains"][d.name]["n"] for d in chain_dirs}
+        fit_dims = {d.name: (meta["chains"][d.name]["n"], meta["chains"][d.name]["k"])
+                    for d in chain_dirs}
     except (ValueError, KeyError, TypeError) as err:
-        raise ConfigError(f"cannot read node counts from {fit_dir / 'run_meta.json'}: {err}") from err
+        raise ConfigError(f"cannot read the fit's sizes from {fit_dir / 'run_meta.json'}: {err}") from err
+    if truth is not None:
+        rp = truth[0]
+        for name, (n, k) in fit_dims.items():
+            if (n, k) != (rp.n, rp.depth):
+                raise ConfigError(
+                    f"truth file {truth_path} has n = {rp.n} and depth {rp.depth}, "
+                    f"but {name} was fit with n = {n} and k = {k}"
+                )
     logs = []
     for d in chain_dirs:
         log = SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv")
-        if log.w_hard.shape[1] != fit_n[d.name]:
+        n = fit_dims[d.name][0]
+        if log.w_hard.shape[1] != n:
             raise ConfigError(
                 f"{d.name}: w_trace covers {log.w_hard.shape[1]} of the fit's "
-                f"{fit_n[d.name]} nodes; summarize needs them all"
+                f"{n} nodes; summarize needs them all"
             )
         logs.append(log)
     per_chain_ess = {d.name: chain_ess(log, burn_in) for d, log in zip(chain_dirs, logs)}

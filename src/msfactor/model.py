@@ -120,10 +120,12 @@ class SubjectParams:
 
 
 # Work arrays of the likelihood pass, held for one dataset at a time:
-# (weak reference to the dataset, 2A - 1, two S x n x n scratch arrays).
-# Reusing them spares a page-faulting allocation per call; they live
-# here rather than on the dataset, so pickling a dataset never copies
-# them.  Not thread-safe: chains run in separate processes.
+# (weak reference to the dataset, 2A - 1, two S x n x n scratch arrays,
+# the flat indices of the pairs i < j within one n x n slice, and the
+# positions of the edges among all subjects' packed pairs).  Reusing
+# them spares a page-faulting allocation per call; they live here rather
+# than on the dataset, so pickling a dataset never copies them.  Not
+# thread-safe: chains run in separate processes.
 _workspace = None
 
 
@@ -131,11 +133,26 @@ def _work_arrays(data):
     global _workspace
     if _workspace is None or _workspace[0]() is not data:
         _workspace = None  # free the previous dataset's arrays first
-        shape = data.adjacency.shape
+        adj = data.adjacency
+        s, n, _ = adj.shape
+        rows, cols = np.triu_indices(n, k=1)
+        pairs = rows * n + cols
+        work = np.empty(adj.shape)
+        # the edges are read once, through the scratch array's packed view
+        packed_adj = _packed(adj, pairs, work)
         _workspace = (
-            weakref.ref(data), 2.0 * data.adjacency - 1.0, np.empty(shape), np.empty(shape)
+            weakref.ref(data), 2.0 * adj - 1.0, np.empty(adj.shape), work,
+            pairs, np.flatnonzero(packed_adj),
         )
     return _workspace[1:]
+
+
+def _packed(a, pairs, out):
+    """The pairs i < j of every S x n x n slice of a, as an S x P view of out."""
+    s, n, _ = a.shape
+    dest = out.reshape(-1)[: s * pairs.size].reshape(s, pairs.size)
+    # in range by construction; "clip" spares take's buffered copy
+    return np.take(a.reshape(s, n * n), pairs, axis=1, out=dest, mode="clip")
 
 
 def _diagonals(a):
@@ -148,27 +165,40 @@ def _likelihood_pass(data, q, d, z, value, grads):
     """One forward pass: (log-likelihood or None, gradients or None).
 
     Unchecked, on plain arrays: frame q (n x k), loadings d =
-    exp(log_loadings) (S x k) and offsets z (S,).  The log-odds of all
-    subjects come from a single batched product psi = (q diag(d_s)) q'
-    + z_s.  With grads, the symmetric zero-diagonal residual R_s = A_s
-    - sigmoid(psi_s) is formed in place through sigmoid(x) = (1 +
-    tanh(x/2)) / 2, as (A_s - 1/2) - tanh(psi_s/2) / 2, and RQ_s =
-    R_s q is taken once; the gradients (g_q, g_ld, g_z) w.r.t. (q,
-    log_loadings, offsets) all reduce from it:
+    exp(log_loadings) (S x k) and offsets z (S,).  The offsets ride as
+    a ones column of the frame, so the log-odds of all subjects come
+    from a single batched product psi_s = [q | 1] diag([d_s | z_s])
+    [q | 1]'.  With grads, the symmetric zero-diagonal residual R_s =
+    A_s - sigmoid(psi_s) is formed in place through sigmoid(x) = (1 +
+    tanh(x/2)) / 2, as (A_s - 1/2) - tanh(psi_s/2) / 2, and RQ_s = R_s
+    [q | 1] is taken once; its last column holds R_s's row sums, and
+    the gradients (g_q, g_ld, g_z) w.r.t. (q, log_loadings, offsets)
+    all reduce from it:
       d/dq[i, m]          = sum_s d[s, m] * RQ_s[i, m]
       d/dlog_loadings[s,m]= d[s, m] * q[:, m]' RQ_s[:, m] / 2
       d/doffsets[s]       = sum of R_s above the diagonal
-                          = sum of all of R_s / 2
-    The pass works on the full n x n matrices: every off-diagonal pair
-    appears twice, so upper-triangle sums are halves of full sums.
-    Scaling by a power of two is exact short of the subnormal range, so
-    the pass carries psi / 2 and twice the residual and takes the
-    factors back out where a product is formed anyway.
+                          = sum_i RQ_s[i, k] / 2
+    Every off-diagonal pair appears twice in R_s, so upper-triangle
+    sums are halves of full sums.  The value is summed over the packed
+    pairs i < j only, each counted once:
+      sum over edges of psi - sum of softplus(psi),
+    with softplus(t) = max(t, 0) + log1p(exp(-|t|)) and sum max(t, 0)
+    = (sum t + sum |t|) / 2.  Scaling by a power of two is exact short
+    of the subnormal range, so the pass carries psi / 2 and twice the
+    residual and takes the factors back out where a product or a sum is
+    formed anyway.  Every long sum is a numpy reduction, not a BLAS dot:
+    OpenBLAS splits a long dot product across threads, so its rounding
+    would follow the thread count.
     """
-    a2, psi, work = _work_arrays(data)
-    half_d = 0.5 * d
-    np.matmul(q * half_d[:, None, :], q.T, out=psi)
-    psi += (0.5 * z)[:, None, None]     # psi / 2
+    a2, psi, work, pairs, edges = _work_arrays(data)
+    k = q.shape[1]
+    q1 = np.empty((q.shape[0], k + 1))
+    q1[:, :k] = q
+    q1[:, k] = 1.0
+    half_dz = np.empty((d.shape[0], k + 1))
+    np.multiply(0.5, d, out=half_dz[:, :k])
+    np.multiply(0.5, z, out=half_dz[:, k])
+    np.matmul(q1 * half_dz[:, None, :], q1.T, out=psi)     # psi / 2
 
     g = None
     if grads:
@@ -176,29 +206,24 @@ def _likelihood_pass(data, q, d, z, value, grads):
         np.tanh(psi, out=work)
         np.subtract(a2, work, out=work)
         _diagonals(work)[:] = 0.0
-        rq = work @ q
-        g_q = np.einsum("sim,sm->im", rq, half_d)
-        g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq)
-        g_z = 0.25 * work.sum(axis=(1, 2))
+        rq = work @ q1
+        g_q = np.einsum("sim,sm->im", rq[..., :k], half_dz[:, :k])
+        g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq[..., :k])
+        g_z = 0.25 * rq[..., k].sum(axis=1)
         g = (g_q, g_ld, g_z)
 
     ll = None
     if value:
-        # sum of A psi - log(1 + exp(psi)) off the diagonal, with
-        # log(1 + exp(t)) = max(t, 0) + log1p(exp(-|t|)); psi is spent
-        psi *= 2.0
-        _diagonals(psi)[:] = 0.0
-        # einsum's own loop, not a BLAS dot: OpenBLAS splits a long dot
-        # product across threads, so its rounding follows the thread count
-        a_psi = np.einsum("sij,sij->", data.adjacency, psi)
-        np.abs(psi, out=work)
-        np.negative(work, out=work)
-        np.exp(work, out=work)
-        np.log1p(work, out=work)
-        np.maximum(psi, 0.0, out=psi)
-        psi += work
-        _diagonals(psi)[:] = 0.0
-        ll = 0.5 * float(a_psi - psi.sum())
+        # work is free here in every mode; half holds psi / 2 over the pairs
+        half = _packed(psi, pairs, work).reshape(-1)
+        on_edges = half[edges].sum()
+        total = half.sum()
+        np.abs(half, out=half)
+        total_abs = half.sum()
+        np.multiply(half, -2.0, out=half)   # -|psi|
+        np.exp(half, out=half)
+        np.log1p(half, out=half)
+        ll = float(2.0 * on_edges - total - total_abs - half.sum())
     return ll, g
 
 

@@ -50,6 +50,10 @@ from .whitening import (
 
 PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
 EXCHANGE_TARGET_ACCEPT = 0.35  # warmup tunes the exchange window toward it
+# |logit / tau| beyond which a relaxed weight is within e^-30 of 0 or 1,
+# so its HMC gradient has all but vanished; run_meta.json reports the
+# share of such logits at the end of a chain
+SATURATED_LOGIT = 30.0
 
 
 class InitializationError(RuntimeError):
@@ -739,5 +743,7 @@ def run_chain(
         "grad_evals": grad_evals,
         "grads_reused": grads_reused,
         "mass_range": [float(omega.min()), float(omega.max())],
+        "saturated_logit_share": float(np.mean(np.abs(state.logits / state.tau) > SATURATED_LOGIT)),
+        "w_flips": int(np.count_nonzero(log.w_hard[1:] != log.w_hard[:-1])),
     }
     return log

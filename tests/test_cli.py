@@ -71,6 +71,8 @@ class TestPipeline:
         assert meta["chains"]["chain_00"]["n_draws"] == 30
         counts = meta["chains"]["chain_00"]
         assert counts["grad_evals"] > 0 and counts["grads_reused"] >= 0
+        assert 0.0 <= counts["saturated_logit_share"] <= 1.0
+        assert 0 <= counts["w_flips"] <= 29 * 12 * 2
         effective = json.loads((fit_dir / "effective_config.json").read_text())
         assert effective["seed"] == 11 and effective["thin"] == 1
 
@@ -455,16 +457,8 @@ class TestFailureModes:
     def test_unorthonormalizable_mean_frame_gives_null_subspace_error(
         self, pipeline, tmp_path, monkeypatch
     ):
-        # every draw's matrix is two-valued per column; the mean frame is not
         _, sim_dir, fit_dir, _ = pipeline
-        whiten = msfactor.diagnostics.whiten
-
-        def whiten_draws_only(x):
-            if any(np.unique(col).size > 2 for col in x.T):
-                raise NotPositiveDefiniteError(1)
-            return whiten(x)
-
-        monkeypatch.setattr(msfactor.diagnostics, "whiten", whiten_draws_only)
+        _whiten_draws_only(monkeypatch)
         cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir), "burn_in": 0.5})
         assert main([
             "summarize", "--config", cfg, "--out", str(tmp_path / "sum"),
@@ -474,6 +468,50 @@ class TestFailureModes:
         assert payload["meta"]["q_mean_orthonormalized"] is False
         assert payload["recovery"]["subspace_error"] is None
         assert len(payload["recovery"]["level_recovery"]) == 2
+
+    @pytest.mark.parametrize("n, k, mean_frame", [
+        (12, 3, "orthonormalized"),
+        (12, 3, "unorthonormalizable"),
+        (10, 2, "orthonormalized"),
+    ])
+    def test_truth_of_other_sizes_exits_2_before_any_trace(
+        self, pipeline, tmp_path, capsys, monkeypatch, n, k, mean_frame
+    ):
+        # the pipeline's fit has n = 12 and k = 2
+        _, _, fit_dir, _ = pipeline
+        sim_cfg = _write(tmp_path / "sim.json", {"n": n, "k": k, "subjects": 1, "seed": 5})
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+        truth = str(tmp_path / "sim" / "truth.json")
+        if mean_frame == "unorthonormalizable":
+            _whiten_draws_only(monkeypatch)
+        loads = []
+        from_csv = msfactor.cli.SampleLog.from_csv
+        monkeypatch.setattr(msfactor.cli.SampleLog, "from_csv",
+                            lambda *paths: loads.append(paths) or from_csv(*paths))
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir), "burn_in": 0.5})
+        args = ["summarize", "--config", cfg, "--out", str(tmp_path / "sum"), "--truth", truth]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"truth file {truth} has n = {n} and depth {k}" in err
+        assert "chain_00 was fit with n = 12 and k = 2" in err
+        assert loads == []
+        assert not (tmp_path / "sum").exists()
+
+
+def _whiten_draws_only(monkeypatch):
+    """Make every mean frame fail to re-orthonormalise in summarize.
+
+    Every draw's matrix is two-valued per column; the mean frame's is not.
+    """
+    whiten = msfactor.diagnostics.whiten
+
+    def whiten_draws_only(x):
+        if any(np.unique(col).size > 2 for col in x.T):
+            raise NotPositiveDefiniteError(1)
+        return whiten(x)
+
+    monkeypatch.setattr(msfactor.diagnostics, "whiten", whiten_draws_only)
 
 
 def _edited_fit(fit_dir, root, trace=None, w_trace=None):

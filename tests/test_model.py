@@ -218,19 +218,39 @@ def _assert_close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
+# (n, s, k, log_mean, offset_scale, the subject left without edges or None)
+_KERNEL_CASES = [
+    (2, 1, 1, 0.0, 1.0, None),
+    (2, 3, 2, 0.0, 1.0, None),
+    (7, 1, 3, 0.0, 1.0, None),
+    (9, 4, 3, 0.0, 1.0, None),
+    (12, 3, 4, 5.0, 20.0, None),    # saturated: log-odds beyond +-40
+    (128, 4, 30, 5.0, 40.0, None),  # saturated, at full size
+    (16, 3, 2, 0.0, 1.0, 1),
+]
+
+
+def _kernel_case_id(case):
+    *sizes, bare = case
+    return "-".join(map(str, sizes)) + ("" if bare is None else f"-bare{bare}")
+
+
 class TestFusedKernel:
-    @pytest.mark.parametrize("n, s, k, log_mean, offset_scale", [
-        (2, 1, 1, 0.0, 1.0),
-        (2, 3, 2, 0.0, 1.0),
-        (7, 1, 3, 0.0, 1.0),
-        (9, 4, 3, 0.0, 1.0),
-        (12, 3, 4, 5.0, 20.0),  # saturated: log-odds beyond +-40
-    ])
-    def test_matches_textbook_formulas(self, n, s, k, log_mean, offset_scale):
+    @pytest.mark.parametrize(
+        "n, s, k, log_mean, offset_scale, bare",
+        _KERNEL_CASES,
+        ids=[_kernel_case_id(case) for case in _KERNEL_CASES],
+    )
+    def test_matches_textbook_formulas(self, n, s, k, log_mean, offset_scale, bare):
         data, q, sp = _random_problem(n * 100 + s, n, s, k, log_mean, offset_scale)
+        if bare is not None:
+            adj = data.adjacency.copy()
+            adj[bare] = 0.0
+            assert data.adjacency[bare].any()
+            data = NetworkDataset(n=n, adjacency=adj)
         value, grads, psi = _textbook(data, q, sp)
         if log_mean > 0.0:
-            assert np.abs(psi).max() > 40.0
+            assert np.abs(psi[:, ~np.eye(n, dtype=bool)]).max() > 40.0
         assert log_likelihood(data, q, sp) == pytest.approx(value, rel=1e-12, abs=0.0)
         for got, ref in zip(_grads(data, q, sp), grads):
             _assert_close(got, ref)

@@ -268,14 +268,25 @@ class TestPotentialGrad:
 
 
     def test_with_potential_matches_separate_calls(self):
-        # the evaluator's paired pass, which the last leapfrog step uses
-        state = _generic_state(16)
-        data = _toy_data(4, 2, 17)
-        pos = msfactor.sampler._pack(state.subject_params, state.logits)
-        u, grad = msfactor.sampler._evaluator(state, data)(pos, with_potential=True)
-        assert u == potential(state, data)
-        ref = np.concatenate([g.ravel() for g in potential_grad(state, data)])
-        np.testing.assert_array_equal(grad, ref)
+        # the evaluator's paired pass, which the last leapfrog step uses,
+        # at toy size and at the full-scale workload's n=128, k=30, S=20
+        cases = [(_generic_state(16), _toy_data(4, 2, 17))]
+        n, k, s = 128, 30, 20
+        state = _generic_state(18, n=n, k=k, s=s, tau=0.2)
+        state = dataclasses.replace(
+            state,
+            subject_params=SubjectParams(
+                log_loadings=np.random.default_rng(19).normal(3.0, 1.0, size=(s, k)),
+                offsets=np.linspace(-4.0, 2.0, s),
+            ),
+        )
+        cases.append((state, _toy_data(n, s, 20, density=0.2)))
+        for state, data in cases:
+            pos = msfactor.sampler._pack(state.subject_params, state.logits)
+            u, grad = msfactor.sampler._evaluator(state, data)(pos, with_potential=True)
+            assert u == potential(state, data)
+            ref = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+            np.testing.assert_array_equal(grad, ref)
 
     def test_full_scale_central_differences(self):
         # n=128, k=30, S=3 with loadings and offsets large enough that the
@@ -933,6 +944,29 @@ class TestRunChain:
         expected = [0.25] * 50 + [0.25 * shrink] * 50 + [0.25 * shrink**2] * 20
         np.testing.assert_allclose(windows, expected, rtol=1e-12)
         assert log.meta["window_scale"] == pytest.approx(shrink**2, rel=1e-12)
+
+    def test_meta_counts_saturated_logits_and_flips(self):
+        data = _toy_data(6, 2, 43)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(44))
+        saturated = np.zeros(init.logits.shape, dtype=bool)
+        saturated[:4] = True    # 8 of the 12 logits, |l / tau| = 100
+        sign = np.where(init.logits >= 0.0, 1.0, -1.0)
+        logits = sign * np.where(saturated, 100.0, 0.02) * init.tau
+        log = run_chain(
+            data,
+            dataclasses.replace(init, logits=logits),
+            HmcConfig(step_size=0.01, leapfrog_steps=5, warmup=0),
+            ExchangeConfig(window=0.25),
+            iterations=40,
+            rng=np.random.default_rng(45),
+        )
+        assert msfactor.sampler.SATURATED_LOGIT == 30.0
+        assert log.meta["saturated_logit_share"] == 8 / 12
+        flips = sum(
+            int(np.count_nonzero(row != prev)) for prev, row in zip(log.w_hard, log.w_hard[1:])
+        )
+        assert log.meta["w_flips"] == flips > 0
+        assert (log.w_hard[:, saturated] == log.w_hard[0, saturated]).all()
 
     def test_rank_deficient_start_rejected(self):
         w_bad = np.ones((3, 2))
