@@ -119,32 +119,37 @@ class SubjectParams:
         return self.log_loadings.shape[1]
 
 
-# Work arrays of the likelihood pass, held for one dataset at a time:
-# (weak reference to the dataset, 2A - 1, two S x n x n scratch arrays,
-# the flat indices of the pairs i < j within one n x n slice, and the
-# positions of the edges among all subjects' packed pairs).  Reusing
-# them spares a page-faulting allocation per call; they live here rather
-# than on the dataset, so pickling a dataset never copies them.  Not
-# thread-safe: chains run in separate processes.
+# Work arrays of the likelihood pass, held for one dataset and frame
+# width w = k + 1 at a time: (weak reference to the dataset, w, 2A - 1,
+# two S x n x n scratch arrays, the flat indices of the pairs i < j
+# within one n x n slice, the positions of the edges among all
+# subjects' packed pairs, room for the log-odds at the edges, [q | 1]
+# (n x w) and its transpose, the halved loadings and offsets (S x w),
+# and one S x n x w array for [q | 1] scaled per subject and then for
+# R [q | 1]).  Reusing them spares a page-faulting allocation per call;
+# they live here rather than on the dataset, so pickling a dataset
+# never copies them.  Not thread-safe: chains run in separate processes.
 _workspace = None
 
 
-def _work_arrays(data):
+def _work_arrays(data, width):
     global _workspace
-    if _workspace is None or _workspace[0]() is not data:
-        _workspace = None  # free the previous dataset's arrays first
+    if _workspace is None or _workspace[0]() is not data or _workspace[1] != width:
+        _workspace = None  # free the previous arrays first
         adj = data.adjacency
         s, n, _ = adj.shape
         rows, cols = np.triu_indices(n, k=1)
         pairs = rows * n + cols
         work = np.empty(adj.shape)
         # the edges are read once, through the scratch array's packed view
-        packed_adj = _packed(adj, pairs, work)
+        edges = np.flatnonzero(_packed(adj, pairs, work))
+        # the ones column of [q | 1] (row of its transpose) is written once, here
         _workspace = (
-            weakref.ref(data), 2.0 * adj - 1.0, np.empty(adj.shape), work,
-            pairs, np.flatnonzero(packed_adj),
+            weakref.ref(data), width, 2.0 * adj - 1.0, np.empty(adj.shape), work,
+            pairs, edges, np.empty(edges.size), np.ones((n, width)), np.ones((width, n)),
+            np.empty((s, width)), np.empty((s, n, width)),
         )
-    return _workspace[1:]
+    return _workspace[2:]
 
 
 def _packed(a, pairs, out):
@@ -168,8 +173,11 @@ def _likelihood_pass(data, q, d, z, value, grads):
     exp(log_loadings) (S x k) and offsets z (S,).  The offsets ride as
     a ones column of the frame, so the log-odds of all subjects come
     from a single batched product psi_s = [q | 1] diag([d_s | z_s])
-    [q | 1]'.  With grads, the symmetric zero-diagonal residual R_s =
-    A_s - sigmoid(psi_s) is formed in place through sigmoid(x) = (1 +
+    [q | 1]', taken against a C-contiguous copy of [q | 1]' (numpy's
+    batched product is slower with the transposed view).  Products,
+    scalings and gathers write into buffers kept per dataset and frame
+    width.  With grads, the symmetric zero-diagonal residual R_s = A_s -
+    sigmoid(psi_s) is formed in place through sigmoid(x) = (1 +
     tanh(x/2)) / 2, as (A_s - 1/2) - tanh(psi_s/2) / 2, and RQ_s = R_s
     [q | 1] is taken once; its last column holds R_s's row sums, and
     the gradients (g_q, g_ld, g_z) w.r.t. (q, log_loadings, offsets)
@@ -190,15 +198,14 @@ def _likelihood_pass(data, q, d, z, value, grads):
     OpenBLAS splits a long dot product across threads, so its rounding
     would follow the thread count.
     """
-    a2, psi, work, pairs, edges = _work_arrays(data)
     k = q.shape[1]
-    q1 = np.empty((q.shape[0], k + 1))
+    a2, psi, work, pairs, edges, at_edges, q1, q1t, half_dz, wide = _work_arrays(data, k + 1)
     q1[:, :k] = q
-    q1[:, k] = 1.0
-    half_dz = np.empty((d.shape[0], k + 1))
+    q1t[:k] = q.T
     np.multiply(0.5, d, out=half_dz[:, :k])
     np.multiply(0.5, z, out=half_dz[:, k])
-    np.matmul(q1 * half_dz[:, None, :], q1.T, out=psi)     # psi / 2
+    np.multiply(q1, half_dz[:, None, :], out=wide)
+    np.matmul(wide, q1t, out=psi)     # psi / 2
 
     g = None
     if grads:
@@ -206,7 +213,7 @@ def _likelihood_pass(data, q, d, z, value, grads):
         np.tanh(psi, out=work)
         np.subtract(a2, work, out=work)
         _diagonals(work)[:] = 0.0
-        rq = work @ q1
+        rq = np.matmul(work, q1, out=wide)
         g_q = np.einsum("sim,sm->im", rq[..., :k], half_dz[:, :k])
         g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq[..., :k])
         g_z = 0.25 * rq[..., k].sum(axis=1)
@@ -216,7 +223,7 @@ def _likelihood_pass(data, q, d, z, value, grads):
     if value:
         # work is free here in every mode; half holds psi / 2 over the pairs
         half = _packed(psi, pairs, work).reshape(-1)
-        on_edges = half[edges].sum()
+        on_edges = np.take(half, edges, out=at_edges, mode="clip").sum()   # as in _packed
         total = half.sum()
         np.abs(half, out=half)
         total_abs = half.sum()
@@ -225,18 +232,6 @@ def _likelihood_pass(data, q, d, z, value, grads):
         np.log1p(half, out=half)
         ll = float(2.0 * on_edges - total - total_abs - half.sum())
     return ll, g
-
-
-def log_likelihood(data, q, sp):
-    """Bernoulli log-likelihood over all subjects' upper triangles."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != data.n:
-        raise ValueError(f"frame has {q.shape[0]} rows, data has {data.n} nodes")
-    if sp.n_subjects != data.n_subjects or sp.depth != q.shape[1]:
-        raise ValueError("subject parameters do not match data/frame dimensions")
-    return _likelihood_pass(
-        data, q, np.exp(sp.log_loadings), sp.offsets, value=True, grads=False
-    )[0]
 
 
 def log_prior_theta(sp):

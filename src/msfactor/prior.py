@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .whitening import cholesky, rank_ok
+from .whitening import rank_ok
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,3 @@ def log_gaussian_ab(values):
     """Standard normal log-kernel of the column values, -sum(a^2 + b^2)/2."""
     return float(-0.5 * (values.a @ values.a + values.b @ values.b))
 
-
-def log_det_gram(x):
-    """((n - k - 1)/2) * log det(X'X), via the Cholesky diagonal.
-
-    This is the Jacobian weight relating the structured-matrix density
-    to the induced density of its whitened frame; it vanishes at
-    n = k + 1.  Rank deficiency propagates as NotPositiveDefiniteError.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n, k = x.shape
-    low = cholesky(x.T @ x)
-    return float((n - k - 1) * np.sum(np.log(low.diagonal())))

@@ -9,10 +9,11 @@ The chain alternates two moves:
        by rejection-sampling an auxiliary assignment pattern.
 
 The shared potential is
-  U = -log_likelihood - log_prior_theta - log_bernoulli_mass
-      - log_det_gram + sum(a^2 + b^2)/2,
-and a Cholesky failure anywhere (the rank test) invalidates the
-proposal that produced it.
+  U = -log-likelihood - log_prior_theta - log_bernoulli_mass
+      - ((n - k - 1)/2) log det X'X + sum(a^2 + b^2)/2,
+the log-likelihood from model._likelihood_pass and the log-det from
+the whitening, and a Cholesky failure anywhere (the rank test)
+invalidates the proposal that produced it.
 """
 
 from __future__ import annotations
@@ -133,12 +134,12 @@ class ExchangeConfig:
             )
 
 
-def _potential_from(sp, probs, values, w, low, ll):
-    # low is the first whitening pass's factor of X'X
+def _potential_from(sp, probs, values, w, log_det, ll):
+    # log_det = log det(X'X) / 2, from the whitening
     n, k = w.shape
     lp = log_prior_theta(sp)
     lg = log_bernoulli_mass(w, probs)
-    gram = (n - k - 1) * float(np.sum(np.log(low.diagonal())))
+    gram = (n - k - 1) * log_det
     lab = log_gaussian_ab(values)
     return -(ll + lp + lg + gram + lab)
 
@@ -183,33 +184,31 @@ def _evaluator(state, data):
     def evaluate(v, with_potential=False, with_grad=True):
         ld, z, lg = _blocks(v, s_n, k)
         w = _expit(lg / tau)
-        q, passes = _whitened(build_x(w, values))
-        q1, low1, linv1 = passes[0]
+        q, log_det, passes = _whitened(build_x(w, values))
         d = np.exp(ld)
         ll = 0.0
         if data is not None:
             ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad)
         if with_grad:
             if data is None:
-                gx_like = 0.0
+                g_q = None
                 np.subtract(LOADING_SHAPE, LOADING_RATE / d, out=grad_ld)
                 np.divide(z, OFFSET_SD**2, out=grad_z)
             else:
                 g_q, g_ld, g_z = g
                 if not np.isfinite(g_q).all():
                     raise _DivergenceError("non-finite frame gradient")
-                gx_like = whiten_backward(passes, g_q)
                 np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
                 np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
-            # -dU/dX: the likelihood's part plus (n - k - 1)/2 times
-            # d(log det X'X)/dX = 2 X (X'X)^-1 = 2 Q1 L1^-1
-            gx = gx_like + gram_weight * (q1 @ linv1)
+            # -dU/dX: the likelihood's part through the frame plus the
+            # gram term's, (n - k - 1) times d(log det(X'X) / 2)/dX
+            gx = whiten_backward(passes, g_q, gram_weight)
             sig_slope = w * (1.0 - w) / tau
             np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
             if not with_potential:
                 return grad
         sp = SubjectParams(log_loadings=ld, offsets=z)
-        u = _potential_from(sp, probs, values, w, low1, ll)
+        u = _potential_from(sp, probs, values, w, log_det, ll)
         return (u, grad) if with_grad else u
 
     return evaluate

@@ -10,8 +10,10 @@ behind np.linalg.cholesky and np.linalg.inv without their wrappers;
 the relative pivot floor is checked on the factor's diagonal
 afterwards.  Each whitening pass inverts its factor once, zeroing the
 inverse above the diagonal, so every solve against L or L' is a matrix
-product.  Products check nothing: an overflowed gradient comes back as
-inf/nan for the sampler to reject as a divergence.
+product.  This module alone reads the factor: _whitened returns log
+det(X'X) / 2 beside the frame, and whiten_backward pulls a gradient
+w.r.t. both back to X.  Products check nothing: an overflowed gradient
+comes back as inf/nan for the sampler to reject as a divergence.
 """
 
 from __future__ import annotations
@@ -35,45 +37,23 @@ def _lapack_errstate():
     return np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
 
 
-def cholesky(s):
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+def _factor_or_none(s):
+    """Lower Cholesky factor of s, or None below the relative pivot floor.
 
-    A pivot <= PIVOT_EPS * max(diag(s)) raises NotPositiveDefiniteError.
+    The factor is rejected when a pivot is <= PIVOT_EPS * max(diag(s)).
+    Its squared pivots are the loop's pivots, so the floor is applied to
+    the smallest afterwards; a failed or NaN factor makes the minimum
+    NaN, which fails it.  The caller holds _lapack_errstate().
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(np.abs(s).max(), 1.0)
-    if np.abs(s - s.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    with _lapack_errstate():
-        return _factor(s)
-
-
-def _floor(s):
-    return PIVOT_EPS * max(s.diagonal().max(), 0.0)
-
-
-def _factor_or_none(s, floor):
-    # the squared pivots of the factor are the loop's pivots, so the
-    # relative floor is applied to the smallest afterwards; a failed or
-    # NaN factor makes the minimum NaN, which fails it.  The caller holds
-    # _lapack_errstate().
+    floor = PIVOT_EPS * max(s.diagonal().max(), 0.0)
     low = _umath_linalg.cholesky_lo(s, signature="d->d")
     return low if low.diagonal().min() ** 2 > floor else None
 
 
-def _factor(s):
-    # cholesky without the input checks, for callers that build s = X'X
-    # and hold _lapack_errstate()
-    low = _factor_or_none(s, _floor(s))
+def _whiten_pass(x):
+    low = _factor_or_none(x.T @ x)
     if low is None:
         raise NotPositiveDefiniteError("matrix is not positive definite above the pivot floor")
-    return low
-
-
-def _whiten_pass(x):
-    low = _factor(x.T @ x)
     # the mask keeps L^-1 exactly lower triangular, so column j of the
     # frame mixes only columns 1..j of x
     inv = _umath_linalg.inv(low, signature="d->d")
@@ -89,14 +69,16 @@ def _whitened(x):
     composite is still X (L2 L1)^-T with L2 L1 lower triangular, so
     the triangular column structure is preserved exactly.
 
-    Returns (q, passes) where passes = [(q1, low1, linv1), (q2, low2,
-    linv2)], linv the lower-triangular inverse of low, and q = q2 is
-    the refined frame.
+    Returns (q, log_det, passes): q = q2 the refined frame, log_det =
+    sum(log(diag(L1))) = log det(X'X) / 2 from the first pass's factor,
+    and passes = [(q1, low1, linv1), (q2, low2, linv2)], linv the
+    lower-triangular inverse of low, for whiten_backward.
     """
     with _lapack_errstate():
         first = _whiten_pass(x)
         second = _whiten_pass(first[0])
-    return second[0], [first, second]
+    log_det = float(np.log(first[1].diagonal()).sum())
+    return second[0], log_det, [first, second]
 
 
 def whiten(x):
@@ -115,9 +97,8 @@ def rank_ok(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < x.shape[1]:
         return False
-    s = x.T @ x
     with _lapack_errstate():
-        return _factor_or_none(s, _floor(s)) is not None
+        return _factor_or_none(x.T @ x) is not None
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,14 +108,21 @@ def _lower_mask(k):
     return mask
 
 
-def whiten_backward(passes, grad_q):
-    """Pull a gradient w.r.t. the whitened frame back to the input matrix.
+def whiten_backward(passes, grad_q, grad_log_det):
+    """Pull gradients w.r.t. the frame and the log-det back to the input.
 
-    For one pass Q = X L^-T, the adjoint is
+    Returns the gradient w.r.t. X of <grad_q, Q> + grad_log_det *
+    log_det, for the passes and log_det of _whitened(X); grad_q None
+    drops the frame term.  For one pass Q = X L^-T, the frame's adjoint is
         X_bar = (G - Q (phi(G'Q) + phi(G'Q)')) L^-1
-    with phi the lower-triangle mask at half diagonal; applied once per
-    whitening pass, innermost last.
+    with phi the lower-triangle mask at half diagonal, applied once per
+    whitening pass, innermost last.  The log-det's is
+        d(log det(X'X) / 2)/dX = X (X'X)^-1 = Q1 L1^-1.
     """
+    q1, _, linv1 = passes[0]
+    g_log_det = grad_log_det * (q1 @ linv1)
+    if grad_q is None:
+        return g_log_det
     g = grad_q
     mask = _lower_mask(g.shape[1])
     for q, _, linv in reversed(passes):
@@ -143,4 +131,4 @@ def whiten_backward(passes, grad_q):
         # differ in sign) without halving the diagonal and adding
         m = g.T @ q
         g = (g - q @ np.where(mask, m, m.T)) @ linv
-    return g
+    return g + g_log_det

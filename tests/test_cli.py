@@ -746,6 +746,53 @@ class TestRuntimeDependencies:
         assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
+# test-only code left in the package on purpose, each with the ROADMAP
+# item that moves it out
+_UNCALLED_ALLOWED = {
+    # ROADMAP: "RecursivePartition.cells_at_level is test-only code in src/"
+    "partition.RecursivePartition.cells_at_level",
+}
+
+
+class TestNoUncalledCode:
+    """Every public function and method is named by the program or the benchmark."""
+
+    def test_public_functions_are_named_outside_their_definition(self):
+        package = Path(msfactor.cli.__file__).parent
+        benchmark = [
+            path for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+            if not path.name.startswith("test_")
+        ]
+        defined, named = [], set()
+        for path in sorted(package.glob("*.py")) + benchmark:
+            tree = ast.parse(path.read_text())
+            # a name, an attribute or an import mentions a function; a
+            # string such as a trace label does not call it
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.split(".")[-1])
+            if path.parent != package:
+                continue
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    defined.append(f"{path.stem}.{node.name}")
+                elif isinstance(node, ast.ClassDef):
+                    defined += [
+                        f"{path.stem}.{node.name}.{item.name}"
+                        for item in node.body if isinstance(item, ast.FunctionDef)
+                    ]
+        assert defined
+        uncalled = {
+            name for name in defined
+            if not name.rsplit(".", 1)[1].startswith("_") and name.rsplit(".", 1)[1] not in named
+        }
+        assert uncalled == _UNCALLED_ALLOWED
+
+
 def _reference_matrix_csv(path, mat):
     """Per-value writer the factor writer must match byte for byte."""
     with open(path, "w") as fh:

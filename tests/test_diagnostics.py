@@ -244,9 +244,9 @@ class TestSummarize:
         factored = []
         factor = msfactor.whitening._factor_or_none
 
-        def counting(s, floor):
+        def counting(s):
             factored.append(s.shape)
-            return factor(s, floor)
+            return factor(s)
 
         monkeypatch.setattr(msfactor.whitening, "_factor_or_none", counting)
         w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])

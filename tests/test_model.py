@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from msfactor.model import (
     _expit,
     _likelihood_pass,
     _logit,
-    log_likelihood,
     log_prior_theta,
     simulate_dataset,
 )
@@ -25,6 +25,13 @@ from msfactor.prior import ColumnValues, MixtureProbs
 
 def _empty_data(n, s):
     return NetworkDataset(n=n, adjacency=np.zeros((s, n, n)))
+
+
+def _log_likelihood(data, q, sp):
+    """The likelihood pass's value alone."""
+    return _likelihood_pass(
+        data, q, np.exp(sp.log_loadings), sp.offsets, value=True, grads=False
+    )[0]
 
 
 def _grads(data, q, sp, with_value=False):
@@ -74,13 +81,13 @@ class TestLogLikelihood:
         # identity-column frames put zero off the diagonal, so every edge is a coin flip
         n, s, k = 5, 3, 2
         sp = SubjectParams(log_loadings=np.zeros((s, k)), offsets=np.zeros(s))
-        got = log_likelihood(_empty_data(n, s), _identity_frame(n, k), sp)
+        got = _log_likelihood(_empty_data(n, s), _identity_frame(n, k), sp)
         assert got == pytest.approx(s * n * (n - 1) / 2 * math.log(0.5), abs=1e-12)
 
     def test_single_edge_hand_value(self):
         q = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
         sp = SubjectParams(log_loadings=np.array([[math.log(2.0)]]), offsets=np.zeros(1))
-        got = log_likelihood(_empty_data(2, 1), q, sp)
+        got = _log_likelihood(_empty_data(2, 1), q, sp)
         # psi_12 = 2 * (1/sqrt2) * (-1/sqrt2) = -1, no edge present
         assert got == pytest.approx(-math.log1p(math.exp(-1.0)), abs=1e-14)
         assert got == pytest.approx(-0.31326168751822286, abs=1e-14)
@@ -88,7 +95,7 @@ class TestLogLikelihood:
     def test_saturated_edge_vanishes(self):
         q = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
         sp = SubjectParams(log_loadings=np.array([[math.log(80.0)]]), offsets=np.zeros(1))
-        got = log_likelihood(_empty_data(2, 1), q, sp)
+        got = _log_likelihood(_empty_data(2, 1), q, sp)
         assert abs(got) < 1e-12
 
     def test_column_sign_flip_invariant(self):
@@ -101,18 +108,9 @@ class TestLogLikelihood:
         data = NetworkDataset(n=n, adjacency=adj.astype(np.float64))
         flipped = q.copy()
         flipped[:, 1] *= -1.0
-        assert log_likelihood(data, flipped, sp) == pytest.approx(
-            log_likelihood(data, q, sp), abs=1e-12
+        assert _log_likelihood(data, flipped, sp) == pytest.approx(
+            _log_likelihood(data, q, sp), abs=1e-12
         )
-
-    def test_dimension_errors(self):
-        sp = SubjectParams(log_loadings=np.zeros((1, 1)), offsets=np.zeros(1))
-        with pytest.raises(ValueError):
-            log_likelihood(_empty_data(3, 1), _identity_frame(4, 1), sp)
-        with pytest.raises(ValueError):
-            log_likelihood(_empty_data(3, 2), _identity_frame(3, 1), sp)
-        with pytest.raises(ValueError):
-            log_likelihood(_empty_data(3, 1), _identity_frame(3, 2), sp)
 
 
 class TestGradients:
@@ -138,7 +136,7 @@ class TestGradients:
                 qp, qm = q.copy(), q.copy()
                 qp[i, m] += h
                 qm[i, m] -= h
-                fd = (log_likelihood(data, qp, sp) - log_likelihood(data, qm, sp)) / (2 * h)
+                fd = (_log_likelihood(data, qp, sp) - _log_likelihood(data, qm, sp)) / (2 * h)
                 assert g_q[i, m] == pytest.approx(fd, abs=1e-6)
 
         for s_i in range(sp.n_subjects):
@@ -147,8 +145,8 @@ class TestGradients:
                 ldp[s_i, m] += h
                 ldm[s_i, m] -= h
                 fd = (
-                    log_likelihood(data, q, SubjectParams(ldp, sp.offsets))
-                    - log_likelihood(data, q, SubjectParams(ldm, sp.offsets))
+                    _log_likelihood(data, q, SubjectParams(ldp, sp.offsets))
+                    - _log_likelihood(data, q, SubjectParams(ldm, sp.offsets))
                 ) / (2 * h)
                 assert g_ld[s_i, m] == pytest.approx(fd, abs=1e-6)
 
@@ -156,8 +154,8 @@ class TestGradients:
             zp[s_i] += h
             zm[s_i] -= h
             fd = (
-                log_likelihood(data, q, SubjectParams(sp.log_loadings, zp))
-                - log_likelihood(data, q, SubjectParams(sp.log_loadings, zm))
+                _log_likelihood(data, q, SubjectParams(sp.log_loadings, zp))
+                - _log_likelihood(data, q, SubjectParams(sp.log_loadings, zm))
             ) / (2 * h)
             assert g_z[s_i] == pytest.approx(fd, abs=1e-6)
 
@@ -251,25 +249,30 @@ class TestFusedKernel:
         value, grads, psi = _textbook(data, q, sp)
         if log_mean > 0.0:
             assert np.abs(psi[:, ~np.eye(n, dtype=bool)]).max() > 40.0
-        assert log_likelihood(data, q, sp) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert _log_likelihood(data, q, sp) == pytest.approx(value, rel=1e-12, abs=0.0)
         for got, ref in zip(_grads(data, q, sp), grads):
             _assert_close(got, ref)
         fused = _grads(data, q, sp, with_value=True)
-        assert fused[0] == log_likelihood(data, q, sp)
+        assert fused[0] == _log_likelihood(data, q, sp)
         for got, ref in zip(fused[1:], grads):
             _assert_close(got, ref)
 
     def test_interleaved_datasets_leave_earlier_results_intact(self):
         small = _random_problem(1, 5, 3, 2)
         large = _random_problem(2, 11, 2, 3, log_mean=3.0, offset_scale=5.0)
-        first = [_grads(*p, with_value=True) for p in (small, large)]
+        # the small dataset again under a wider frame: the kept work
+        # arrays follow the frame width, and no result aliases them
+        _, q4, sp4 = _random_problem(5, 5, 3, 4)
+        wide = (small[0], q4, sp4)
+        problems = (small, large, wide)
+        first = [_grads(*p, with_value=True) for p in problems]
         kept = [[np.copy(part) for part in out] for out in first]
-        for p in (small, large, small, large):
+        for p in (small, wide, large, small, wide, small, large):
             data, q, sp = p
             moved = SubjectParams(sp.log_loadings + 0.3, sp.offsets - 0.2)
-            log_likelihood(data, q, moved)
+            _log_likelihood(data, q, moved)
             _grads(data, q, moved)
-        for out, copy, p in zip(first, kept, (small, large)):
+        for out, copy, p in zip(first, kept, problems):
             for part, saved in zip(out, copy):
                 np.testing.assert_array_equal(part, saved)
             value, grads, _ = _textbook(*p)
@@ -277,13 +280,29 @@ class TestFusedKernel:
             for got, ref in zip(out[1:], grads):
                 _assert_close(got, ref)
 
+    @pytest.mark.parametrize("value, grads", [(True, False), (False, True), (True, True)])
+    def test_warm_pass_allocates_less_than_one_frame_product(self, value, grads):
+        # every S x n x (k + 1) product and the edge gather write into
+        # kept buffers, so a warm call allocates only small results
+        n, s, k = 128, 20, 30
+        data, q, sp = _random_problem(6, n, s, k)
+        d = np.exp(sp.log_loadings)
+        _likelihood_pass(data, q, d, sp.offsets, value, grads)
+        tracemalloc.start()
+        try:
+            _likelihood_pass(data, q, d, sp.offsets, value, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s * n * (k + 1) * 8
+
     def test_pickled_dataset_carries_only_its_adjacency(self):
         data, q, sp = _random_problem(3, 16, 4, 2)
         _grads(data, q, sp, with_value=True)
         payload = pickle.dumps(data)
         assert len(payload) < data.adjacency.nbytes + 1024
         back = pickle.loads(payload)
-        assert log_likelihood(back, q, sp) == log_likelihood(data, q, sp)
+        assert _log_likelihood(back, q, sp) == _log_likelihood(data, q, sp)
 
     def test_adjacency_is_read_only(self):
         data, _, _ = _random_problem(4, 4, 1, 1)

@@ -11,10 +11,11 @@ from msfactor.prior import (
     build_x,
     full_rank_pattern,
     log_bernoulli_mass,
-    log_det_gram,
     log_gaussian_ab,
 )
-from msfactor.whitening import NotPositiveDefiniteError, rank_ok, whiten
+from msfactor.model import SubjectParams
+from msfactor.sampler import _potential_from
+from msfactor.whitening import NotPositiveDefiniteError, _whitened, rank_ok, whiten
 
 
 class TestBuildX:
@@ -169,22 +170,39 @@ class TestLogGaussianAb:
         assert got == pytest.approx(-2.5, abs=1e-15)
 
 
+def _gram_term(x):
+    """The prior's Jacobian weight ((n - k - 1)/2) log det(X'X), as the
+    potential takes it: the whitening's log-det through _potential_from."""
+    n, k = x.shape
+    sp = SubjectParams(log_loadings=np.zeros((1, k)), offsets=np.zeros(1))
+    w = np.zeros((n, k))
+    probs = MixtureProbs(p=np.full(k, 0.5))
+    values = ColumnValues(a=np.zeros(k), b=np.zeros(k))
+    log_det = _whitened(x)[1]
+    return _potential_from(sp, probs, values, w, 0.0, 0.0) - _potential_from(
+        sp, probs, values, w, log_det, 0.0
+    )
+
+
 class TestLogDetGram:
     def test_identity_columns(self):
-        assert log_det_gram(np.eye(5)[:, :2]) == 0.0
+        assert _whitened(np.eye(5)[:, :2])[1] == 0.0
+        assert _gram_term(np.eye(5)[:, :2]) == 0.0
 
     def test_vanishes_at_critical_dimension(self):
         # n = k + 1 makes the exponent zero regardless of the gram matrix
-        assert log_det_gram(np.array([[1.0], [-1.0]])) == 0.0
-        assert log_det_gram(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])) == 0.0
+        assert _gram_term(np.array([[1.0], [-1.0]])) == 0.0
+        assert _gram_term(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])) == 0.0
 
     def test_hand_gram(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        assert log_det_gram(x) == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
+        assert _gram_term(x) == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
+        x5 = np.vstack([x, [1.0, 1.0]])     # n - k - 1 = 2, X'X = [[3, 2], [2, 3]]
+        assert _gram_term(x5) == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_rank_error_propagates(self):
         with pytest.raises(NotPositiveDefiniteError):
-            log_det_gram(np.ones((4, 2)))
+            _whitened(np.ones((4, 2)))
 
 
 class TestValueValidation:

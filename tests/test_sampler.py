@@ -11,13 +11,12 @@ from scipy.special import expit, logit
 
 import msfactor.sampler
 from msfactor.diagnostics import ess_batch_means
-from msfactor.model import NetworkDataset, SubjectParams, log_likelihood, log_prior_theta
+from msfactor.model import NetworkDataset, SubjectParams, _likelihood_pass, log_prior_theta
 from msfactor.prior import (
     ColumnValues,
     MixtureProbs,
     build_x,
     log_bernoulli_mass,
-    log_det_gram,
     log_gaussian_ab,
 )
 from msfactor.sampler import (
@@ -35,6 +34,15 @@ from msfactor.sampler import (
     run_chain,
 )
 from msfactor.whitening import NotPositiveDefiniteError, rank_ok
+
+
+def _log_likelihood(data, q, sp):
+    """Reference Bernoulli log-likelihood over every subject's pairs i < j."""
+    d = np.exp(sp.log_loadings)
+    psi = np.einsum("ik,sk,jk->sij", q, d, q) + sp.offsets[:, None, None]
+    iu = np.triu_indices(data.n, k=1)
+    psi_u = psi[:, iu[0], iu[1]]
+    return float(np.sum(data.adjacency[:, iu[0], iu[1]] * psi_u - np.logaddexp(0.0, psi_u)))
 
 
 def _toy_data(n, s, seed, density=0.4):
@@ -82,11 +90,12 @@ class TestPotential:
         w = state.relaxed_weights()
         x = build_x(w, state.values)
         q = x @ np.linalg.inv(np.linalg.cholesky(x.T @ x)).T
+        n, k = x.shape
         expect = -(
-            log_likelihood(data, q, state.subject_params)
+            _log_likelihood(data, q, state.subject_params)
             + log_prior_theta(state.subject_params)
             + log_bernoulli_mass(w, state.probs)
-            + log_det_gram(x)
+            + (n - k - 1) / 2 * np.linalg.slogdet(x.T @ x)[1]
             + log_gaussian_ab(state.values)
         )
         assert potential(state, data) == pytest.approx(expect, abs=1e-10)
@@ -128,7 +137,7 @@ class TestPotential:
         with_data = potential(state, data)
         without = potential(state, None)
         assert with_data - without == pytest.approx(
-            -log_likelihood(data, _frame_of(state), state.subject_params), abs=1e-10
+            -_log_likelihood(data, _frame_of(state), state.subject_params), abs=1e-10
         )
 
 
@@ -138,10 +147,12 @@ def _assembled_potential(state, data):
     from msfactor.whitening import _whitened
 
     w = state.relaxed_weights()
-    q, passes = _whitened(build_x(w, state.values))
+    q, log_det, _ = _whitened(build_x(w, state.values))
     sp = state.subject_params
-    ll = 0.0 if data is None else log_likelihood(data, q, sp)
-    return _potential_from(sp, state.probs, state.values, w, passes[0][1], ll)
+    ll = 0.0
+    if data is not None:
+        ll = _likelihood_pass(data, q, np.exp(sp.log_loadings), sp.offsets, True, False)[0]
+    return _potential_from(sp, state.probs, state.values, w, log_det, ll)
 
 
 def _saturated(state):
@@ -178,9 +189,9 @@ class TestPotentialPipeline:
         calls = []
         backward, likelihood = sampler.whiten_backward, sampler._likelihood_pass
 
-        def spy_backward(passes, grad_q):
+        def spy_backward(passes, grad_q, grad_log_det):
             calls.append("whiten_backward")
-            return backward(passes, grad_q)
+            return backward(passes, grad_q, grad_log_det)
 
         def spy_likelihood(data, q, d, z, value, grads):
             calls.append(("likelihood", value, grads))
@@ -453,8 +464,8 @@ class TestUpdates:
         backward = []
         original = msfactor.sampler.whiten_backward
 
-        def spy(passes, grad_q):
-            out = original(passes, grad_q)
+        def spy(passes, grad_q, grad_log_det):
+            out = original(passes, grad_q, grad_log_det)
             backward.append((np.isfinite(grad_q).all(), np.isfinite(out).all()))
             return out
 

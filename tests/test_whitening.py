@@ -1,4 +1,4 @@
-"""Cholesky, the whitening transform, rank checks, and column grouping."""
+"""Cholesky, the whitening transform and its log-det, rank checks, and column grouping."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,22 @@ from msfactor.partition import random_partition
 from msfactor.prior import ColumnValues, build_x
 from msfactor.whitening import (
     NotPositiveDefiniteError,
+    _factor_or_none,
+    _lapack_errstate,
     _whitened,
-    cholesky,
     rank_ok,
     whiten,
     whiten_backward,
 )
+
+
+def _factor(s):
+    """The whitening's factor of s, raising where the whitening does."""
+    with _lapack_errstate():
+        low = _factor_or_none(np.asarray(s, dtype=np.float64))
+    if low is None:
+        raise NotPositiveDefiniteError("below the pivot floor")
+    return low
 
 
 def extract_column_partition(column, tol=1e-8):
@@ -48,10 +58,10 @@ def _structured_frame(n, k, rng):
 
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(2)), np.eye(2))
+        np.testing.assert_array_equal(_factor(np.eye(2)), np.eye(2))
 
     def test_hand_factor(self):
-        low = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        low = _factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
         np.testing.assert_allclose(
             low, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], rtol=0, atol=1e-15
         )
@@ -61,18 +71,14 @@ class TestCholesky:
         for _ in range(20):
             m = rng.standard_normal((5, 5))
             s = m @ m.T + 5 * np.eye(5)
-            low = cholesky(s)
+            low = _factor(s)
             np.testing.assert_allclose(low @ low.T, s, rtol=1e-10)
             assert np.all(low.diagonal() > 0)
             assert np.all(np.triu(low, k=1) == 0.0)
 
     def test_rank_one_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with _lapack_errstate():
+            assert _factor_or_none(np.array([[1.0, 1.0], [1.0, 1.0]])) is None
 
 
 class TestWhiten:
@@ -220,10 +226,53 @@ class TestWhitenBackward:
         rng = np.random.default_rng(53)
         x = rng.standard_normal((7, 3))
         g_q = rng.standard_normal((7, 3))
-        _, passes = _whitened(x)
-        g_x = whiten_backward(passes, g_q)
+        _, _, passes = _whitened(x)
+        g_x = whiten_backward(passes, g_q, 0.0)
         num = _whiten_central_differences(x, g_q)
         np.testing.assert_allclose(g_x, num, rtol=1e-6, atol=1e-8)
+
+
+class TestLogDet:
+    """_whitened's log det(X'X) / 2 and its gradient through whiten_backward."""
+
+    @staticmethod
+    def _objective(x, g_q, c):
+        q, log_det, _ = _whitened(x)
+        return c * log_det + (0.0 if g_q is None else np.sum(g_q * q))
+
+    @pytest.mark.parametrize("n, k", [(32, 3), (128, 30)])
+    def test_equals_slogdet(self, n, k):
+        rng = np.random.default_rng(n + k)
+        for _ in range(5):
+            _, _, x = _structured_frame(n, k, rng)
+            sign, ref = np.linalg.slogdet(x.T @ x)
+            assert sign == 1.0
+            assert _whitened(x)[1] == pytest.approx(ref / 2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, k", [(32, 3), (128, 30)])
+    @pytest.mark.parametrize("with_frame", [False, True])
+    def test_gradient_matches_central_differences(self, n, k, with_frame):
+        rng = np.random.default_rng(7 * n + k)
+        _, _, x = _structured_frame(n, k, rng)
+        g_q = rng.standard_normal(x.shape) if with_frame else None
+        c = 2.5
+        _, _, passes = _whitened(x)
+        g_x = whiten_backward(passes, g_q, c)
+        flat = rng.permutation(x.size)[:40]    # forty entries at random
+        h = 1e-6
+        for i, j in zip(*np.unravel_index(flat, x.shape)):
+            up, dn = x.copy(), x.copy()
+            up[i, j] += h
+            dn[i, j] -= h
+            num = (self._objective(up, g_q, c) - self._objective(dn, g_q, c)) / (2 * h)
+            assert g_x[i, j] == pytest.approx(num, rel=1e-6, abs=1e-7)
+
+    def test_rank_deficient_raises(self):
+        rng = np.random.default_rng(5)
+        _, _, x = _structured_frame(32, 3, rng)
+        x[:, 2] = x[:, 1]
+        with pytest.raises(NotPositiveDefiniteError):
+            _whitened(x)
 
 
 class _LoopPivotFailure(Exception):
@@ -262,7 +311,7 @@ def _failing_pivot(s):
 
 def _cholesky_fails(s):
     try:
-        cholesky(s)
+        _factor(s)
     except NotPositiveDefiniteError:
         return True
     return False
@@ -276,7 +325,7 @@ class TestLapackCholesky:
             x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
             s = x.T @ x
             ref = _loop_cholesky(s)
-            low = cholesky(s)
+            low = _factor(s)
             np.testing.assert_allclose(low, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             assert np.all(np.triu(low, k=1) == 0.0)
 
@@ -346,14 +395,13 @@ class TestLapackCholesky:
             s[0, 0] = -1.0
             s[1, 0] = s[0, 1] = np.nan
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky(s)
+            _factor(s)
 
-    @pytest.mark.parametrize(
-        "s", [np.array([[1.0, 0.5], [0.2, 1.0]]), np.ones((2, 3)), np.ones(3)]
-    )
+    @pytest.mark.parametrize("s", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
     def test_malformed_input_is_plain_value_error(self, s):
+        # a shape whiten cannot take is not a rank failure
         with pytest.raises(ValueError) as exc:
-            cholesky(s)
+            whiten(s)
         assert type(exc.value) is ValueError
 
     def test_whiten_is_first_output_of_whitened(self):
@@ -386,14 +434,16 @@ class TestBackwardSymmetrization:
     def test_backward_matches_half_lower_form(self, k):
         rng = np.random.default_rng(300 + k)
         x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
-        _, passes = _whitened(x)
+        _, _, passes = _whitened(x)
         g_q = rng.standard_normal(x.shape)
         g = g_q
         for q, _, linv in reversed(passes):
             h = np.tril(g.T @ q)
             np.fill_diagonal(h, 0.5 * h.diagonal())
             g = (g - q @ (h + h.T)) @ linv
-        assert whiten_backward(passes, g_q).tobytes() == g.tobytes()
+        q1, _, linv1 = passes[0]
+        g = g + 3.0 * (q1 @ linv1)
+        assert whiten_backward(passes, g_q, 3.0).tobytes() == g.tobytes()
 
 
 class TestDirectLapack:
@@ -405,9 +455,9 @@ class TestDirectLapack:
         for _ in range(20):
             x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
             s = x.T @ x
-            low = cholesky(s)
+            low = _factor(s)
             assert low.tobytes() == np.linalg.cholesky(s).tobytes()
-            _, passes = _whitened(x)
+            _, _, passes = _whitened(x)
             for _, low, linv in passes:
                 ref = np.where(np.tri(k, dtype=bool), np.linalg.inv(low), 0.0)
                 assert linv.tobytes() == ref.tobytes()
@@ -417,7 +467,7 @@ class TestDirectLapack:
     def test_indefinite_raises_without_warnings(self, s):
         # a failed factor comes back as NaN; NaN inputs: test_nan_rejected
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky(s)
+            _factor(s)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", ["repeated", "nan"])
@@ -441,9 +491,9 @@ class TestDirectLapack:
         calls = []
         original = msfactor.whitening._factor_or_none
 
-        def counting(s, floor):
+        def counting(s):
             calls.append(s.shape[0])
-            return original(s, floor)
+            return original(s)
 
         monkeypatch.setattr(msfactor.whitening, "_factor_or_none", counting)
         with pytest.raises(NotPositiveDefiniteError):
@@ -456,7 +506,7 @@ class TestInverseFactor:
     def test_lower_triangular_inverse_of_each_pass(self, k):
         rng = np.random.default_rng(200 + k)
         x = rng.standard_normal((k + 20, k)) * rng.uniform(0.1, 10.0, size=k)
-        _, passes = _whitened(x)
+        _, _, passes = _whitened(x)
         for _, low, linv in passes:
             assert np.all(np.triu(linv, k=1) == 0.0)
             np.testing.assert_allclose(low @ linv, np.eye(k), rtol=0, atol=1e-12)
@@ -479,17 +529,17 @@ class TestInverseFactor:
         rng = np.random.default_rng(67)
         x = self._ill_conditioned(rng)
         g_q = rng.standard_normal(x.shape)
-        _, passes = _whitened(x)
-        g_x = whiten_backward(passes, g_q)
+        _, _, passes = _whitened(x)
+        g_x = whiten_backward(passes, g_q, 0.0)
         num = _whiten_central_differences(x, g_q)
         np.testing.assert_allclose(g_x, num, rtol=0, atol=1e-6 * np.abs(g_x).max())
 
     def test_infinite_gradient_comes_back_non_finite(self):
         rng = np.random.default_rng(71)
-        _, passes = _whitened(rng.standard_normal((7, 3)))
+        _, _, passes = _whitened(rng.standard_normal((7, 3)))
         g_q = rng.standard_normal((7, 3))
         g_q[2, 1] = np.inf
         # the sampler's trajectories run under this errstate
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            g_x = whiten_backward(passes, g_q)
+            g_x = whiten_backward(passes, g_q, 1.0)
         assert not np.isfinite(g_x).all()
