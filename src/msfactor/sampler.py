@@ -50,7 +50,6 @@ from .whitening import (
 )
 
 PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
-EXCHANGE_TARGET_ACCEPT = 0.35  # warmup tunes the exchange window toward it
 # |logit / tau| beyond which a relaxed weight is within e^-30 of 0 or 1,
 # so its HMC gradient has all but vanished; run_meta.json reports the
 # share of such logits at the end of a chain
@@ -574,6 +573,128 @@ def _binary(path, what, cells):
     return cells
 
 
+class _Tempering:
+    """tau annealed linearly from anneal_from to the target over warmup."""
+
+    def __init__(self, anneal_from, target, warmup):
+        # without annealing or without warmup every step is at the target
+        self.start = target if anneal_from is None or warmup == 0 else anneal_from
+        self.target, self.warmup = target, warmup
+
+    def retemper(self, t, state, data, u_cur, grad_cur):
+        """(state, U, gradient) at t's temperature; a rank failure keeps all three."""
+        tau = self.start + (self.target - self.start) * min(1.0, t / max(self.warmup, 1))
+        if tau != state.tau:
+            retempered = dataclasses.replace(state, tau=tau)
+            pos = _pack(state.subject_params, state.logits)
+            try:
+                with _diverging():
+                    return retempered, *_evaluator(retempered, data)(pos, with_potential=True)
+            except NotPositiveDefiniteError:
+                pass
+            except _DivergenceError:
+                # whitenable, but the next trajectory will reject
+                return retempered, potential(retempered, data), None
+        return state, u_cur, grad_cur
+
+
+class _StepSize:
+    """Dual averaging of the HMC step toward target_accept (Hoffman &
+    Gelman 2014, section 3.2), frozen at its average at t == warmup."""
+
+    def __init__(self, step, target_accept, warmup):
+        self.step, self.target, self.warmup = step, target_accept, warmup
+        self.mu = np.log(10.0 * step)
+        self.log_avg = np.log(step)
+        self.stat = 0.0
+
+    def update(self, t, alpha):
+        if t < self.warmup:
+            t1 = t + 1
+            self.stat += (self.target - alpha - self.stat) / (t1 + 10.0)
+            log_step = self.mu - np.sqrt(t1) / 0.05 * self.stat
+            eta = t1 ** -0.75
+            self.log_avg = eta * log_step + (1.0 - eta) * self.log_avg
+            self.step = float(np.exp(log_step))
+        elif t == self.warmup and t > 0:
+            # without warmup the chain runs at the configured step as given
+            self.step = float(np.exp(self.log_avg))
+
+
+class _KineticDiagonal:
+    """omega from the variance of the positions visited from warmup // 10
+    on, refreshed at warmup // 2 and 3 * warmup // 4."""
+
+    def __init__(self, size, warmup):
+        self.omega = np.ones(size)
+        self.collect_from = warmup // 10
+        self.refresh_points = {warmup // 2, (3 * warmup) // 4}
+        self.count = 0
+        self.mean = np.zeros(size)
+        self.m2 = np.zeros(size)
+
+    def update(self, t, state):
+        if t >= self.collect_from:
+            self.count += 1
+            pos = _pack(state.subject_params, state.logits)
+            delta = pos - self.mean
+            self.mean += delta / self.count
+            self.m2 += delta * (pos - self.mean)
+        if t + 1 in self.refresh_points and self.count > 10:
+            var = self.m2 / (self.count - 1)
+            self.omega = np.clip((self.count * var + 5.0) / (self.count + 5.0), 1e-4, 1e4)
+
+
+class _ExchangeWindow:
+    """Exchange-window scale, moved toward a 0.35 acceptance rate every 50 iterations."""
+
+    def __init__(self):
+        self.scale = 1.0
+        self.accepts = 0
+
+    def update(self, t, accepted):
+        self.accepts += int(accepted)
+        if (t + 1) % 50 == 0:
+            rate = self.accepts / 50.0
+            self.scale *= float(np.exp(0.8 * (rate - 0.35)))
+            self.scale = float(np.clip(self.scale, 1e-2, 40.0))
+            self.accepts = 0
+
+
+class _Recording:
+    """The draws of range(warmup, iterations, thin), in a SampleLog allocated up front."""
+
+    def __init__(self, init, warmup, iterations, thin):
+        self.recorded = range(warmup, iterations, thin)
+        k, s_n, n = init.depth, init.subject_params.n_subjects, init.n_nodes
+        t_n = len(self.recorded)
+        self.log = log = SampleLog(
+            iterations=np.asarray(self.recorded, dtype=np.int64),
+            u=np.empty(t_n),
+            hmc_accept=np.empty(t_n, dtype=bool),
+            exch_accept=np.empty(t_n, dtype=bool),
+            exch_skipped=np.empty(t_n, dtype=bool),
+            step_sizes=np.empty(t_n),
+            a=np.empty((t_n, k)),
+            b=np.empty((t_n, k)),
+            p=np.empty((t_n, k)),
+            offsets=np.empty((t_n, s_n)),
+            log_loadings=np.empty((t_n, s_n, k)),
+            w_hard=np.empty((t_n, n, k)),
+        )
+        # the arrays a row fills, in the order record() builds the row
+        self.columns = (log.u, log.hmc_accept, log.exch_accept, log.exch_skipped, log.step_sizes,
+                        log.a, log.b, log.p, log.offsets, log.log_loadings, log.w_hard)
+
+    def record(self, t, state, u, hmc_acc, exch_acc, exch_skip, step):
+        if t in self.recorded:
+            sp, r = state.subject_params, self.recorded.index(t)
+            row = (u, hmc_acc, exch_acc, exch_skip, step, state.values.a, state.values.b,
+                   state.probs.p, sp.offsets, sp.log_loadings, state.hard_weights())
+            for column, value in zip(self.columns, row):
+                column[r] = value
+
+
 def run_chain(
     data,
     init,
@@ -584,14 +705,9 @@ def run_chain(
     thin=1,
     anneal_from=None,
 ):
-    """Alternate HMC and exchange moves, adapting during warmup.
+    """Alternate HMC and exchange moves, annealing and adapting during warmup.
 
-    Warmup adapts the step size by dual averaging toward the target
-    acceptance, the kinetic diagonal from per-coordinate position
-    variances, and the exchange window toward its target rate; all
-    three freeze afterward.  Post-warmup draws are recorded raw every
-    `thin` iterations, into log arrays allocated up front; label
-    resolution happens in the summaries.
+    Post-warmup draws are recorded raw every `thin` iterations.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -605,143 +721,52 @@ def run_chain(
         raise InitializationError("initial structured matrix is rank-deficient") from err
     grad_cur = None     # the gradient at state, when a move has computed it
 
-    state = init
-    tau_target = init.tau
-    warmup = hmc_cfg.warmup
-    m = _pack(state.subject_params, state.logits).size
-    omega = np.ones(m)
-    window_scale = 1.0
-
-    # dual averaging (target: hmc_cfg.target_accept)
-    step = hmc_cfg.step_size
-    mu = np.log(10.0 * step)
-    log_step_avg = np.log(step)
-    accept_stat = 0.0
-    da_gamma, da_t0, da_kappa = 0.05, 10.0, 0.75
-
-    # per-coordinate position variance for the kinetic diagonal
-    var_count = 0
-    var_mean = np.zeros(m)
-    var_m2 = np.zeros(m)
-    collect_from = warmup // 10
-    refresh_points = {warmup // 2, (3 * warmup) // 4} - {0}
-
-    exch_window_accepts = 0
-    grad_evals = grads_reused = 0
-    hmc_total = 0
-    exch_total = 0
-    skip_total = 0
-
-    k, s_n, n = state.depth, state.subject_params.n_subjects, state.n_nodes
-    recorded = range(warmup, iterations, thin)
-    t_n = len(recorded)
-    log = SampleLog(
-        iterations=np.asarray(recorded, dtype=np.int64),
-        u=np.empty(t_n),
-        hmc_accept=np.empty(t_n, dtype=bool),
-        exch_accept=np.empty(t_n, dtype=bool),
-        exch_skipped=np.empty(t_n, dtype=bool),
-        step_sizes=np.empty(t_n),
-        a=np.empty((t_n, k)),
-        b=np.empty((t_n, k)),
-        p=np.empty((t_n, k)),
-        offsets=np.empty((t_n, s_n)),
-        log_loadings=np.empty((t_n, s_n, k)),
-        w_hard=np.empty((t_n, n, k)),
-    )
+    state, warmup = init, hmc_cfg.warmup
+    tempering = _Tempering(anneal_from, init.tau, warmup)
+    step_size = _StepSize(hmc_cfg.step_size, hmc_cfg.target_accept, warmup)
+    kinetic = _KineticDiagonal(_pack(init.subject_params, init.logits).size, warmup)
+    window = _ExchangeWindow()
+    recording = _Recording(init, warmup, iterations, thin)
+    grad_evals = grads_reused = hmc_total = exch_total = skip_total = 0
     for t in range(iterations):
-        if anneal_from is not None and warmup > 0:
-            frac = min(1.0, t / warmup)
-            tau_t = anneal_from + (tau_target - anneal_from) * frac
-            if tau_t != state.tau:
-                retempered = dataclasses.replace(state, tau=tau_t)
-                # a temperature change is taken only if it stays whitenable
-                pos = _pack(state.subject_params, state.logits)
-                try:
-                    with _diverging():
-                        u_cur, grad_cur = _evaluator(retempered, data)(pos, with_potential=True)
-                    state = retempered
-                except NotPositiveDefiniteError:
-                    pass
-                except _DivergenceError:
-                    # whitenable, but the next trajectory will reject
-                    state, u_cur, grad_cur = retempered, potential(retempered, data), None
-
+        state, u_cur, grad_cur = tempering.retemper(t, state, data, u_cur, grad_cur)
         grads_reused += grad_cur is not None
         state, hmc_acc, alpha, u_cur, grad_cur, evals = _hmc_step(
-            state, data, rng, step, hmc_cfg.leapfrog_steps, omega, u_cur, grad_cur
+            state, data, rng, step_size.step, hmc_cfg.leapfrog_steps, kinetic.omega, u_cur, grad_cur
         )
         grad_evals += evals
         state, exch_acc, exch_skip, u_cur = _exchange_step(
-            state, data, exch_cfg, rng, exch_cfg.window * window_scale, u_cur
+            state, data, exch_cfg, rng, exch_cfg.window * window.scale, u_cur
         )
         if exch_acc:
             grad_cur = None     # a, b and p moved
         hmc_total += int(hmc_acc)
         exch_total += int(exch_acc)
         skip_total += int(exch_skip)
-
         # the exchange move keeps the HMC position, which adaptation reads
+        step_size.update(t, alpha)
         if t < warmup:
-            t1 = t + 1
-            accept_stat += (hmc_cfg.target_accept - alpha - accept_stat) / (t1 + da_t0)
-            log_step = mu - np.sqrt(t1) / da_gamma * accept_stat
-            eta = t1 ** (-da_kappa)
-            log_step_avg = eta * log_step + (1.0 - eta) * log_step_avg
-            step = float(np.exp(log_step))
+            kinetic.update(t, state)
+            window.update(t, exch_acc)
+        recording.record(t, state, u_cur, hmc_acc, exch_acc, exch_skip, step_size.step)
 
-            if t >= collect_from:
-                var_count += 1
-                pos = _pack(state.subject_params, state.logits)
-                delta = pos - var_mean
-                var_mean += delta / var_count
-                var_m2 += delta * (pos - var_mean)
-            if t1 in refresh_points and var_count > 10:
-                var = var_m2 / (var_count - 1)
-                omega = np.clip(
-                    (var_count * var + 5.0) / (var_count + 5.0), 1e-4, 1e4
-                )
-
-            exch_window_accepts += int(exch_acc)
-            if t1 % 50 == 0:
-                rate = exch_window_accepts / 50.0
-                window_scale *= float(np.exp(0.8 * (rate - EXCHANGE_TARGET_ACCEPT)))
-                window_scale = float(np.clip(window_scale, 1e-2, 40.0))
-                exch_window_accepts = 0
-        elif warmup > 0 and t == warmup:
-            # without warmup the chain runs at the configured step as given
-            step = float(np.exp(log_step_avg))
-
-        if t >= warmup and (t - warmup) % thin == 0:
-            r = (t - warmup) // thin
-            log.u[r] = u_cur
-            log.hmc_accept[r] = hmc_acc
-            log.exch_accept[r] = exch_acc
-            log.exch_skipped[r] = exch_skip
-            log.step_sizes[r] = step
-            log.a[r] = state.values.a
-            log.b[r] = state.values.b
-            log.p[r] = state.probs.p
-            log.offsets[r] = state.subject_params.offsets
-            log.log_loadings[r] = state.subject_params.log_loadings
-            log.w_hard[r] = state.hard_weights()
-
+    log = recording.log
     log.meta = {
         "iterations": iterations,
         "warmup": warmup,
         "thin": thin,
-        "final_step_size": step,
-        "window_scale": window_scale,
-        "tau": tau_target,
-        "n": n,
-        "k": k,
-        "n_subjects": s_n,
+        "final_step_size": step_size.step,
+        "window_scale": window.scale,
+        "tau": init.tau,
+        "n": init.n_nodes,
+        "k": init.depth,
+        "n_subjects": init.subject_params.n_subjects,
         "hmc_accept_rate": hmc_total / iterations if iterations else 0.0,
         "exch_accept_rate": exch_total / iterations if iterations else 0.0,
         "exch_skip_count": skip_total,
         "grad_evals": grad_evals,
         "grads_reused": grads_reused,
-        "mass_range": [float(omega.min()), float(omega.max())],
+        "mass_range": [float(kinetic.omega.min()), float(kinetic.omega.max())],
         "saturated_logit_share": float(np.mean(np.abs(state.logits / state.tau) > SATURATED_LOGIT)),
         "w_flips": int(np.count_nonzero(log.w_hard[1:] != log.w_hard[:-1])),
     }

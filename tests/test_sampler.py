@@ -951,7 +951,7 @@ class TestRunChain:
             rng=np.random.default_rng(3),
         )
         # a block of 50 with no acceptance shrinks the window once
-        shrink = math.exp(0.8 * -msfactor.sampler.EXCHANGE_TARGET_ACCEPT)
+        shrink = math.exp(0.8 * -0.35)
         expected = [0.25] * 50 + [0.25 * shrink] * 50 + [0.25 * shrink**2] * 20
         np.testing.assert_allclose(windows, expected, rtol=1e-12)
         assert log.meta["window_scale"] == pytest.approx(shrink**2, rel=1e-12)
@@ -1012,6 +1012,89 @@ class TestRunChain:
                 np.random.default_rng(0),
                 anneal_from=0.0,
             )
+
+
+class TestStepSize:
+    def test_dual_averaging_follows_its_recursion_and_freezes(self):
+        step0, target, warmup = 0.05, 0.7, 300
+        alphas = np.random.default_rng(50).uniform(size=warmup)
+        alphas[::7], alphas[3::11] = 0.0, 1.0
+        part = msfactor.sampler._StepSize(step0, target, warmup)
+        # Hoffman & Gelman 2014, section 3.2, with gamma 0.05, t0 10, kappa 0.75
+        mu, log_avg, stat = np.log(10.0 * step0), np.log(step0), 0.0
+        for t, alpha in enumerate(alphas.tolist()):
+            part.update(t, alpha)
+            t1 = t + 1
+            stat += (target - alpha - stat) / (t1 + 10.0)
+            log_step = mu - np.sqrt(t1) / 0.05 * stat
+            eta = t1 ** (-0.75)
+            log_avg = eta * log_step + (1.0 - eta) * log_avg
+            assert part.step == float(np.exp(log_step))
+        for t, alpha in [(warmup, 0.0), (warmup + 1, 1.0), (warmup + 50, 0.3)]:
+            part.update(t, alpha)
+            assert part.step == float(np.exp(log_avg))
+
+
+class TestKineticDiagonal:
+    def test_refreshes_from_the_position_variance(self):
+        base = _generic_state(51)
+        m, warmup = _flatten(base).size, 200
+        # the widest coordinates reach the 1e4 clip
+        positions = np.random.default_rng(52).standard_normal((warmup, m))
+        positions *= np.geomspace(1e-3, 1e3, m)
+        part = msfactor.sampler._KineticDiagonal(m, warmup)
+        for t, pos in enumerate(positions):
+            part.update(t, _rebuild(base, pos))
+            if t + 1 in (100, 150):
+                collected = positions[warmup // 10:t + 1]
+                c = len(collected)
+                var = np.var(collected, axis=0, ddof=1)
+                expected = np.clip((c * var + 5.0) / (c + 5.0), 1e-4, 1e4)
+                assert (expected == 1e4).any()
+                np.testing.assert_allclose(part.omega, expected, rtol=1e-12)
+                refreshed = part.omega.copy()
+            elif t + 1 < 100:
+                assert (part.omega == 1.0).all()
+            else:
+                assert part.omega.tobytes() == refreshed.tobytes()
+
+    def test_short_warmup_keeps_unit_omega(self):
+        # refreshes at 6 and 9 hold 5 and 8 positions, too few to refresh
+        base = _generic_state(53)
+        m, warmup = _flatten(base).size, 12
+        rng = np.random.default_rng(54)
+        part = msfactor.sampler._KineticDiagonal(m, warmup)
+        for t in range(warmup):
+            part.update(t, _rebuild(base, 10.0 * rng.standard_normal(m)))
+            assert (part.omega == 1.0).all()
+
+
+class TestExchangeWindow:
+    def test_scale_moves_only_after_each_block_of_50(self):
+        part = msfactor.sampler._ExchangeWindow()
+        accepted = np.random.default_rng(55).random(300) < 0.4
+        scale = 1.0
+        for t, acc in enumerate(accepted):
+            before = part.scale
+            part.update(t, acc)
+            if (t + 1) % 50:
+                assert part.scale == before
+            else:
+                rate = accepted[t - 49:t + 1].sum() / 50.0
+                scale *= math.exp(0.8 * (rate - 0.35))
+                assert part.scale == pytest.approx(scale, rel=1e-12)
+
+    def test_accepts_grow_the_scale_until_it_clips(self):
+        part = msfactor.sampler._ExchangeWindow()
+        for t in range(50):
+            part.update(t, True)
+        assert part.scale == pytest.approx(math.exp(0.8 * 0.65), rel=1e-12)
+        for t in range(50, 50 * 12):
+            part.update(t, True)
+        assert part.scale == 40.0
+        for t in range(50 * 12, 50 * 60):
+            part.update(t, False)
+        assert part.scale == 0.01
 
 
 class TestConfigValidation:
