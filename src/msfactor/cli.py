@@ -15,11 +15,11 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from .csvtext import csv_rows, g17_slots
 from .diagnostics import _retained_start, chain_ess, partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition, random_partition
@@ -33,6 +33,15 @@ from .sampler import (
     run_chain,
 )
 from .whitening import NotPositiveDefiniteError
+
+
+def __getattr__(name):
+    # the process pool loads only when a fit runs chains in parallel; tests
+    # and the benchmark's serial run replace cli.ProcessPoolExecutor
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -241,8 +250,10 @@ def cmd_fit(cfg, out_dir):
     if chains == 1:
         results = [_fit_single_chain(jobs[0])]
     else:
-        # fork starts every worker at the first submit, so never more than the cores
-        with ProcessPoolExecutor(max_workers=min(chains, os.cpu_count() or 1)) as pool:
+        # fork starts every worker at the first submit, so never more than the
+        # cores; the pool is looked up on the module, where a replacement goes
+        pool_type = sys.modules[__name__].ProcessPoolExecutor
+        with pool_type(max_workers=min(chains, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_fit_single_chain, jobs))
     elapsed = time.perf_counter() - start
     per_chain = {f"chain_{cid:02d}": meta for cid, meta in sorted(results)}
@@ -338,20 +349,17 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
 
 
 def _write_symmetric_csv(path, mat):
-    """Write mat as CSV rows, each value as format(v, ".17g").
+    """Write mat as CSV rows, each value as '%.17g' % v.
 
     mat must be exactly symmetric, as a scaled outer product is: each
-    upper-triangle value is formatted once, in one %-format call, and
-    its string is mirrored into the lower triangle.
+    upper-triangle value is formatted once, and its slot is gathered
+    again for the lower triangle.
     """
     n = mat.shape[0]
     rows, cols = np.triu_indices(n)
-    upper = mat[rows, cols].tolist()
-    cells = np.empty((n, n), dtype=object)
-    text = "%.17g\n" * len(upper) % tuple(upper)
-    cells[rows, cols] = cells[cols, rows] = text.split("\n")[:-1]
-    with open(path, "w") as fh:
-        fh.write("".join(",".join(row) + "\n" for row in cells.tolist()))
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
+    Path(path).write_bytes(csv_rows(g17_slots(mat[rows, cols]).take(slot, axis=0)))
 
 
 def _pool_logs(logs, burn_in):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvtext import csv_rows, g17_slots
 from .model import (
     LOADING_RATE,
     LOADING_SHAPE,
@@ -464,18 +465,16 @@ class SampleLog:
         cols += [f"p_{j + 1}" for j in range(k)]
         cols += [f"z_{i + 1}" for i in range(s)]
         cols += [f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)]
-        # one %-format call over the whole table; '%.17g' % v equals
-        # format(v, ".17g"), and the integer columns ride in the float
-        # table, exact below 2^53, to be printed by '%d'
+        # the integer columns ride in the float table: below 1e17, '%.17g'
+        # of an integer-valued float is the text '%d' prints
         table = np.column_stack([
             self.iterations, self.u, self.hmc_accept, self.exch_accept,
             self.step_sizes, self.exch_skipped, self.a, self.b, self.p,
             self.offsets, self.log_loadings.reshape(self.n_draws, s * k),
         ])
-        row = "%d,%.17g,%d,%d,%.17g,%d" + ",%.17g" * (table.shape[1] - 6) + "\n"
-        with open(trace_path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            fh.write(row * self.n_draws % tuple(table.ravel().tolist()))
+        with open(trace_path, "wb") as fh:
+            fh.write((",".join(cols) + "\n").encode())
+            fh.write(csv_rows(g17_slots(table)))
         n = self.w_hard.shape[1]
         wcols = ["iteration"] + [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
         # every row after its iteration number is ",c,c,...,c\n" with
@@ -513,7 +512,7 @@ class SampleLog:
         for i in i_flags:
             _binary(trace_path, header[i], raw[:, i])
 
-        w_header, w_raw = _read_csv(w_trace_path)
+        w_header, w_it, cells = _read_w_trace(w_trace_path)
         try:
             node_ids = sorted({int(name.split("_")[1]) for name in w_header[1:]})
         except (IndexError, ValueError) as err:
@@ -522,12 +521,13 @@ class SampleLog:
             raise ValueError(f"{w_trace_path} does not cover a contiguous node range from 0")
         n = len(node_ids)
         names = [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
-        w_it, *w_idx = _columns(w_trace_path, w_header, ["iteration"] + names)
-        if w_raw.shape[0] != t_n:
-            raise ValueError(f"{w_trace_path} holds {w_raw.shape[0]} draws, {trace_path} {t_n}")
-        if not np.array_equal(w_raw[:, w_it], raw[:, i_it]):
+        _, *w_idx = _columns(w_trace_path, w_header, ["iteration"] + names)
+        if w_it.size != t_n:
+            raise ValueError(f"{w_trace_path} holds {w_it.size} draws, {trace_path} {t_n}")
+        if not np.array_equal(w_it, raw[:, i_it]):
             raise ValueError(f"{w_trace_path} iteration numbers differ from {trace_path}'s")
-        w_hard = _binary(w_trace_path, "w_ cells", w_raw.take(w_idx, axis=1))
+        # the iteration is the first column, so cell column c is header column c + 1
+        w_hard = cells.take(np.subtract(w_idx, 1), axis=1).astype(np.float64)
 
         return cls(
             iterations=raw[:, i_it].astype(np.int64),
@@ -558,6 +558,29 @@ def _read_csv(path):
         raise ValueError(f"{path}: {err}") from err
 
 
+def _read_w_trace(path):
+    """Header names, iteration numbers and T x columns 0/1 cells of a w_trace.csv.
+
+    Read as bytes: each row is an iteration number, then ",0" or ",1"
+    per column; any other row is a ValueError naming the file.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().strip().split(",")
+        rows = fh.read().replace(b"\r\n", b"\n").split(b"\n")
+    if rows[-1] == b"":
+        rows.pop()
+    width = 2 * (len(header) - 1)
+    cut = [len(row) - width for row in rows]
+    if not all(0 < c <= 18 and row[:c].isdigit() for row, c in zip(rows, cut)):
+        raise ValueError(f"{path}: a row is not an iteration number, then one cell per column")
+    # ",0" and ",1" as little-endian byte pairs
+    pairs = np.frombuffer(b"".join([row[c:] for row, c in zip(rows, cut)]), dtype="<u2")
+    if ((pairs | 0x100) != 0x312C).any():
+        raise ValueError(f"{path}: w_ cells must be 0 or 1")
+    iterations = np.array([int(row[:c]) for row, c in zip(rows, cut)], dtype=np.int64)
+    return header, iterations, (pairs == 0x312C).reshape(len(rows), width // 2)
+
+
 def _columns(path, header, names):
     """Positions of names in a CSV header; a missing one is a ValueError naming it."""
     position = {name: idx for idx, name in enumerate(header)}
@@ -570,7 +593,6 @@ def _columns(path, header, names):
 def _binary(path, what, cells):
     if not np.isin(cells, (0.0, 1.0)).all():
         raise ValueError(f"{path}: {what} must be 0 or 1")
-    return cells
 
 
 class _Tempering:

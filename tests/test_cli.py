@@ -219,14 +219,14 @@ class TestDatasetParsing:
 
 class TestChainPoolContract:
     def test_every_chain_goes_through_the_module_pool(self, tmp_path, monkeypatch):
-        """Chains run through the pool class bound in msfactor.cli at import.
+        """Chains run through the pool class cmd_fit finds on msfactor.cli.
 
         The benchmark's traced run (perfbench/tracing.py::run_pipeline)
         swaps cli.ProcessPoolExecutor for a serial pool, so that every
         chain runs in the benchmark's own process, under its tracer.
-        Importing the pool lazily inside cmd_fit would save about 19 ms
-        per single-chain command (python -X importtime), but the chains
-        would then bypass the swapped name and `--trace 1` would break.
+        The name resolves lazily (a module __getattr__), and cmd_fit
+        looks it up on the module when it starts the pool, so a swapped
+        name is the one used.
         """
         sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
@@ -584,6 +584,12 @@ class TestTraceValidation:
         assert code == 2
         assert "w_trace.csv" in err and "iteration" in err
 
+    def test_non_integer_w_trace_iteration(self, pipeline, tmp_path, capsys):
+        code, err = self._summarize(pipeline, tmp_path, capsys,
+                                    w_trace=_set_cell("iteration", "31.5"))
+        assert code == 2
+        assert "w_trace.csv" in err
+
     def test_unedited_copy_summarizes(self, pipeline, tmp_path, capsys):
         code, _ = self._summarize(pipeline, tmp_path, capsys, trace=lambda rows: rows)
         assert code == 0
@@ -683,6 +689,14 @@ def _src_env():
 class TestStartup:
     def test_cli_import_does_not_load_scipy_optimize(self):
         code = "import sys, msfactor.cli; assert 'scipy.optimize' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
+
+    def test_cli_import_does_not_load_the_process_pool(self):
+        # the pool's module loads when a fit first runs chains in parallel
+        code = ("import sys, msfactor.cli; "
+                "assert 'concurrent.futures.process' not in sys.modules; "
+                "import concurrent.futures as cf; "
+                "assert msfactor.cli.ProcessPoolExecutor is cf.ProcessPoolExecutor")
         subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
 
     def test_summarize_with_truth_does_not_load_scipy_optimize(self, pipeline):

@@ -1385,3 +1385,47 @@ class TestSampleLogCsv:
         # depend on their layout, which is C order in run_chain's logs
         assert back.log_loadings.flags["C_CONTIGUOUS"]
         assert back.w_hard.flags["C_CONTIGUOUS"]
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """A trace pair with varied patterns and iteration numbers of two widths."""
+        data = _toy_data(5, 2, 37)
+        init = initial_state(data, 2, 0.5, np.random.default_rng(6))
+        log = run_chain(
+            data,
+            init,
+            HmcConfig(step_size=0.05, leapfrog_steps=2, warmup=3),
+            ExchangeConfig(window=0.25),
+            iterations=15,
+            rng=np.random.default_rng(21),
+        )
+        log.w_hard[:] = np.random.default_rng(2).random(log.w_hard.shape) < 0.5
+        trace, w_trace = tmp_path / "trace.csv", tmp_path / "w_trace.csv"
+        log.to_csv(trace, w_trace)
+        return log, trace, w_trace
+
+    @pytest.mark.parametrize("edit", ["crlf", "no_final_newline"])
+    def test_w_trace_line_ends_read_as_loadtxt_reads_them(self, written, edit):
+        log, trace, w_trace = written
+        text = w_trace.read_bytes()
+        w_trace.write_bytes(text.replace(b"\n", b"\r\n") if edit == "crlf" else text[:-1])
+        back = SampleLog.from_csv(trace, w_trace)
+        raw = np.loadtxt(w_trace, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(back.iterations, raw[:, 0])
+        assert back.w_hard.dtype == raw.dtype
+        np.testing.assert_array_equal(back.w_hard, raw[:, 1:].reshape(log.w_hard.shape))
+        np.testing.assert_array_equal(back.w_hard, log.w_hard)
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row[:1] + ["2"] + row[2:],     # a cell 2
+        lambda row: row[:-1],                      # a short row
+        lambda row: [row[0] + ".5"] + row[1:],     # a non-integer iteration
+    ])
+    def test_malformed_w_trace_row_is_an_error_naming_the_file(self, written, edit):
+        _, trace, w_trace = written
+        lines = w_trace.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        w_trace.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            SampleLog.from_csv(trace, w_trace)
+        assert str(w_trace) in str(err.value)
