@@ -22,8 +22,8 @@ import numpy as np
 from .csvtext import csv_rows, g17_slots
 from .diagnostics import _retained_start, chain_ess, partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
-from .partition import RecursivePartition, random_partition
-from .prior import ColumnValues, MixtureProbs, full_rank_pattern
+from .partition import RecursivePartition
+from .prior import ColumnValues, MixtureProbs, random_full_rank_partition
 from .sampler import (
     ExchangeConfig,
     HmcConfig,
@@ -124,15 +124,8 @@ def cmd_simulate(cfg, out_dir):
         offsets=np.full(n_subjects, offset),
     )
 
-    rp = None
-
-    def draw():
-        nonlocal rp
-        rp = random_partition(n, k, rng)
-        return rp.membership_matrix().astype(np.float64)
-
-    # no draw follows the full-rank one, so rp is the partition behind it
-    if full_rank_pattern(draw, values, 1000) is None:
+    rp = random_full_rank_partition(n, k, values, rng)
+    if rp is None:
         raise InitializationError(f"no full-rank partition found for n={n}, k={k}")
 
     data, truth = simulate_dataset(rp, values, probs, sp, rng)

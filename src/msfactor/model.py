@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ class NetworkDataset:
     adjacency: np.ndarray  # S x n x n, arrays of 0/1
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         a = np.asarray(self.adjacency)
         if a.ndim != 3 or a.shape[1] != self.n or a.shape[2] != self.n:
             raise ValueError(f"adjacency must be S x {self.n} x {self.n}, got {a.shape}")

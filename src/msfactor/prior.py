@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .partition import RecursivePartition, random_partition
 from .whitening import rank_ok
 
 
@@ -63,15 +64,22 @@ def build_x(w, values):
 def full_rank_pattern(draw, values, max_attempts):
     """The first pattern from draw() whose structured matrix has full rank.
 
-    draw() is called once per attempt, and never again after the first
-    full-rank pattern, so a caller can keep whatever its last draw made.
-    Returns None when max_attempts draws all fail.
+    draw() is called once per attempt.  Returns None when max_attempts
+    draws all fail.
     """
     for _ in range(max_attempts):
         w = draw()
         if rank_ok(build_x(w, values)):
             return w
     return None
+
+
+def random_full_rank_partition(n, k, values, rng):
+    """The first of 1000 random_partition draws that is full rank under values, or None."""
+    w = full_rank_pattern(
+        lambda: random_partition(n, k, rng).membership_matrix().astype(np.float64), values, 1000
+    )
+    return None if w is None else RecursivePartition(w)
 
 
 def log_bernoulli_mass(w, probs):

@@ -19,7 +19,9 @@ invalidates the proposal that produced it.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .model import (
     _logit,
     log_prior_theta,
 )
-from .partition import random_partition
 from .prior import (
     ColumnValues,
     MixtureProbs,
@@ -42,6 +43,7 @@ from .prior import (
     full_rank_pattern,
     log_bernoulli_mass,
     log_gaussian_ab,
+    random_full_rank_partition,
 )
 from .whitening import (
     NotPositiveDefiniteError,
@@ -55,6 +57,9 @@ PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
 # so its HMC gradient has all but vanished; run_meta.json reports the
 # share of such logits at the end of a chain
 SATURATED_LOGIT = 30.0
+# every outcome of a move, in the order run_meta.json lists their counts
+HMC_OUTCOMES = ("accepted", "mh", "rank", "divergence")
+EXCHANGE_OUTCOMES = ("accepted", "mh", "rank", "reverse_rank", "aux_exhausted", "divergence")
 
 
 class InitializationError(RuntimeError):
@@ -99,6 +104,18 @@ class ChainState:
 
     def hard_weights(self):
         return (self.relaxed_weights() > 0.5).astype(np.float64)
+
+
+class _Step(NamedTuple):
+    """A move's result: the state, its U, its gradient (None if unknown), the
+    outcome ("start" before any move), and for HMC alpha and the gradient passes."""
+
+    state: ChainState
+    u: float
+    grad: np.ndarray | None
+    outcome: str
+    alpha: float = 0.0
+    evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -268,20 +285,16 @@ def _diverging():
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
-def _hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
-    """One HMC trajectory from state, whose potential is u_cur.
-
-    grad_cur is the gradient at state, or None to compute it.  Returns
-    (state, accepted, alpha, u, grad, evals): the potential and the
-    gradient (None if unknown) at the returned state, and the number of
-    gradient passes the trajectory computed.
-    """
+def _hmc_step(cur, data, rng, step, n_steps, omega):
+    """One HMC trajectory from cur, from its gradient if known; a
+    non-finite position, gradient or log-alpha rejects as "divergence"."""
+    state = cur.state
     evaluate = _evaluator(state, data)
     pos = _pack(state.subject_params, state.logits)
     vel = rng.standard_normal(pos.size) / np.sqrt(omega)
     kin0 = _kinetic(vel, omega)
     calls = evals = 0
-    first = grad_cur
+    first = cur.grad
     u_prop = g_prop = None
 
     def grad_fn(v):
@@ -309,29 +322,31 @@ def _hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
         with _diverging():
             pos1, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
             kin1 = _kinetic(vel1, omega)
-    except (NotPositiveDefiniteError, _DivergenceError):
-        return state, False, 0.0, u_cur, first, evals
-    log_alpha = (u_cur - u_prop) + (kin0 - kin1)
+    except NotPositiveDefiniteError:
+        return _Step(state, cur.u, first, "rank", 0.0, evals)
+    except _DivergenceError:
+        return _Step(state, cur.u, first, "divergence", 0.0, evals)
+    log_alpha = (cur.u - u_prop) + (kin0 - kin1)
     if not np.isfinite(log_alpha):
-        return state, False, 0.0, u_cur, first, evals
+        return _Step(state, cur.u, first, "divergence", 0.0, evals)
     alpha = float(np.exp(min(0.0, log_alpha)))
     if rng.random() < alpha:
-        return _unpack(pos1, state), True, alpha, u_prop, g_prop, evals
-    return state, False, alpha, u_cur, first, evals
+        return _Step(_unpack(pos1, state), u_prop, g_prop, "accepted", alpha, evals)
+    return _Step(state, cur.u, first, "mh", alpha, evals)
 
 
 def hmc_update(state, data, cfg, rng):
     """One HMC transition at the configured step size and unit mass."""
     omega = np.ones(_pack(state.subject_params, state.logits).size)
-    new, accepted, *_ = _hmc_step(
-        state, data, rng, cfg.step_size, cfg.leapfrog_steps, omega,
-        potential(state, data), None,
-    )
-    return new, accepted
+    cur = _Step(state, potential(state, data), None, "start")
+    step = _hmc_step(cur, data, rng, cfg.step_size, cfg.leapfrog_steps, omega)
+    return step.state, step.outcome == "accepted"
 
 
-def _exchange_step(state, data, cfg, rng, window, u_cur):
-    """Returns (state, accepted, aux_exhausted, u_of_returned_state)."""
+def _exchange_step(cur, data, cfg, rng, window):
+    """One exchange move on (a, b, p) from cur; an acceptance drops the gradient,
+    and a rejection keeps cur's state, U and gradient."""
+    state = cur.state
     n, k = state.logits.shape
     hard = state.hard_weights()
     counts = hard.sum(axis=0)
@@ -350,12 +365,12 @@ def _exchange_step(state, data, cfg, rng, window, u_cur):
         cfg.max_rejection_attempts,
     )
     if aux is None:
-        return state, False, True, u_cur
+        return _Step(state, cur.u, cur.grad, "aux_exhausted")
 
     # the reverse move draws the same pattern under the current values,
     # so it must be full rank there too
     if not rank_ok(build_x(aux, state.values)):
-        return state, False, False, u_cur
+        return _Step(state, cur.u, cur.grad, "reverse_rank")
 
     proposal = dataclasses.replace(
         state, values=values_star, probs=MixtureProbs(p=p_star)
@@ -363,7 +378,7 @@ def _exchange_step(state, data, cfg, rng, window, u_cur):
     try:
         u_star = potential(proposal, data)
     except NotPositiveDefiniteError:
-        return state, False, False, u_cur
+        return _Step(state, cur.u, cur.grad, "rank")
 
     # log of g(W; p)/g(W; p*) x g(Y; p)/g(Y; p*); the first factor is
     # simultaneously the Beta proposal-density correction (the Beta
@@ -371,22 +386,21 @@ def _exchange_step(state, data, cfg, rng, window, u_cur):
     aux_counts = aux.sum(axis=0)
     dlp = np.log(p) - np.log(p_star)
     dlq = np.log1p(-p) - np.log1p(-p_star)
-    log_ratio = (u_cur - u_star)
+    log_ratio = (cur.u - u_star)
     log_ratio += float(counts @ dlp + (n - counts) @ dlq)
     log_ratio += float(aux_counts @ dlp + (n - aux_counts) @ dlq)
     if not np.isfinite(log_ratio):
-        return state, False, False, u_cur
+        return _Step(state, cur.u, cur.grad, "divergence")
     if rng.random() < np.exp(min(0.0, log_ratio)):
-        return proposal, True, False, u_star
-    return state, False, False, u_cur
+        return _Step(proposal, u_star, None, "accepted")
+    return _Step(state, cur.u, cur.grad, "mh")
 
 
 def exchange_update(state, data, cfg, rng):
     """One exchange transition on (a, b, p) at the configured window."""
-    new, accepted, _, _ = _exchange_step(
-        state, data, cfg, rng, cfg.window, potential(state, data)
-    )
-    return new, accepted
+    cur = _Step(state, potential(state, data), None, "start")
+    step = _exchange_step(cur, data, cfg, rng, cfg.window)
+    return step.state, step.outcome == "accepted"
 
 
 def initial_state(data, k, tau, rng, n=None, n_subjects=None):
@@ -406,16 +420,10 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None):
             raise InitializationError("without data, n and n_subjects are required")
         z0 = 0.0
     values = ColumnValues(a=np.ones(k), b=-np.ones(k))
-    w = full_rank_pattern(
-        lambda: random_partition(n, k, rng).membership_matrix().astype(np.float64),
-        values,
-        1000,
-    )
-    if w is None:
-        raise InitializationError(
-            f"no full-rank starting pattern in 1000 attempts (n={n}, k={k})"
-        )
-    relaxed = 0.05 + 0.9 * w
+    rp = random_full_rank_partition(n, k, values, rng)
+    if rp is None:
+        raise InitializationError(f"no full-rank starting pattern in 1000 attempts (n={n}, k={k})")
+    relaxed = 0.05 + 0.9 * rp.membership_matrix()
     logits = tau * _logit(relaxed)
     sp = SubjectParams(
         log_loadings=np.zeros((n_subjects, k)), offsets=np.full(n_subjects, z0)
@@ -457,14 +465,7 @@ class SampleLog:
         return self.iterations.size
 
     def to_csv(self, trace_path, w_trace_path):
-        k = self.a.shape[1]
-        s = self.offsets.shape[1]
-        cols = ["iteration", "U", "hmc_accept", "exch_accept", "h", "exch_skipped"]
-        cols += [f"a_{j + 1}" for j in range(k)]
-        cols += [f"b_{j + 1}" for j in range(k)]
-        cols += [f"p_{j + 1}" for j in range(k)]
-        cols += [f"z_{i + 1}" for i in range(s)]
-        cols += [f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)]
+        s, k = self.log_loadings.shape[1:]
         # the integer columns ride in the float table: below 1e17, '%.17g'
         # of an integer-valued float is the text '%d' prints
         table = np.column_stack([
@@ -473,10 +474,9 @@ class SampleLog:
             self.offsets, self.log_loadings.reshape(self.n_draws, s * k),
         ])
         with open(trace_path, "wb") as fh:
-            fh.write((",".join(cols) + "\n").encode())
+            fh.write((",".join(_trace_header(k, s)) + "\n").encode())
             fh.write(csv_rows(g17_slots(table)))
         n = self.w_hard.shape[1]
-        wcols = ["iteration"] + [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
         # every row after its iteration number is ",c,c,...,c\n" with
         # 0/1 cells, built for all rows at once as bytes
         cells = self.w_hard.reshape(self.n_draws, n * k)
@@ -485,64 +485,71 @@ class SampleLog:
         body[:, 1::2] = cells.astype(np.uint8) + ord("0")
         body[:, -1] = ord("\n")
         with open(w_trace_path, "wb") as fh:
-            fh.write((",".join(wcols) + "\n").encode())
+            fh.write((",".join(_w_header(n, k)) + "\n").encode())
             for it, row in zip(self.iterations, body):
                 fh.write(str(int(it)).encode() + row.tobytes())
 
     @classmethod
     def from_csv(cls, trace_path, w_trace_path):
-        """Read a trace pair back; a malformed pair is a ValueError naming the file."""
+        """Read a pair to_csv wrote; any other pair is a ValueError naming the file."""
         header, raw = _read_csv(trace_path)
         k = sum(1 for name in header if name.startswith("a_"))
         s = sum(1 for name in header if name.startswith("z_"))
+        _check_header(header, _trace_header(k, s), trace_path)
+        for i in (2, 3, 5):     # the flags
+            if not np.isin(raw[:, i], (0.0, 1.0)).all():
+                raise ValueError(f"{trace_path}: {header[i]} must be 0 or 1")
         t_n = raw.shape[0]
-
-        # take, unlike raw[:, idx], returns C order, so reductions over
-        # the blocks sum in the same order as on the arrays run_chain builds
-        def block(names, shape):
-            return raw.take(_columns(trace_path, header, names), axis=1).reshape((t_n,) + shape)
-
-        a = block([f"a_{j + 1}" for j in range(k)], (k,))
-        b = block([f"b_{j + 1}" for j in range(k)], (k,))
-        p = block([f"p_{j + 1}" for j in range(k)], (k,))
-        z = block([f"z_{i + 1}" for i in range(s)], (s,))
-        ld = block([f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)], (s, k))
-        flags = ["hmc_accept", "exch_accept", "exch_skipped"]
-        i_it, i_u, i_h, *i_flags = _columns(trace_path, header, ["iteration", "U", "h"] + flags)
-        for i in i_flags:
-            _binary(trace_path, header[i], raw[:, i])
+        # C-order copies, so reductions over the blocks sum in the same
+        # order as on the arrays run_chain builds
+        cuts = np.cumsum([k, k, k, s])
+        a, b, p, z, ld = map(np.ascontiguousarray, np.split(raw[:, 6:], cuts, axis=1))
 
         w_header, w_it, cells = _read_w_trace(w_trace_path)
-        try:
-            node_ids = sorted({int(name.split("_")[1]) for name in w_header[1:]})
-        except (IndexError, ValueError) as err:
-            raise ValueError(f"{w_trace_path} has a column not named w_<node>_<level>") from err
-        if node_ids != list(range(len(node_ids))):
-            raise ValueError(f"{w_trace_path} does not cover a contiguous node range from 0")
-        n = len(node_ids)
-        names = [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
-        _, *w_idx = _columns(w_trace_path, w_header, ["iteration"] + names)
+        n = (len(w_header) - 1) // max(k, 1)
+        _check_header(w_header, _w_header(n, k), f"{w_trace_path}, covering nodes 0..{n - 1},")
         if w_it.size != t_n:
             raise ValueError(f"{w_trace_path} holds {w_it.size} draws, {trace_path} {t_n}")
-        if not np.array_equal(w_it, raw[:, i_it]):
+        if not np.array_equal(w_it, raw[:, 0]):
             raise ValueError(f"{w_trace_path} iteration numbers differ from {trace_path}'s")
-        # the iteration is the first column, so cell column c is header column c + 1
-        w_hard = cells.take(np.subtract(w_idx, 1), axis=1).astype(np.float64)
 
         return cls(
-            iterations=raw[:, i_it].astype(np.int64),
-            u=raw[:, i_u],
-            hmc_accept=raw[:, i_flags[0]].astype(bool),
-            exch_accept=raw[:, i_flags[1]].astype(bool),
-            exch_skipped=raw[:, i_flags[2]].astype(bool),
-            step_sizes=raw[:, i_h],
+            iterations=raw[:, 0].astype(np.int64),
+            u=raw[:, 1],
+            hmc_accept=raw[:, 2].astype(bool),
+            exch_accept=raw[:, 3].astype(bool),
+            exch_skipped=raw[:, 5].astype(bool),
+            step_sizes=raw[:, 4],
             a=a,
             b=b,
             p=p,
             offsets=z,
-            log_loadings=ld,
-            w_hard=w_hard.reshape(t_n, n, k),
+            log_loadings=ld.reshape(t_n, s, k),
+            w_hard=cells.astype(np.float64).reshape(t_n, n, k),
         )
+
+
+def _trace_header(k, s):
+    """trace.csv's column names for depth k and S subjects."""
+    return (["iteration", "U", "hmc_accept", "exch_accept", "h", "exch_skipped"]
+            + [f"{v}_{j + 1}" for v in "abp" for j in range(k)]
+            + [f"z_{i + 1}" for i in range(s)]
+            + [f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)])
+
+
+def _w_header(n, k):
+    """w_trace.csv's column names for n nodes and depth k."""
+    return ["iteration"] + [f"w_{i}_{j + 1}" for i in range(n) for j in range(k)]
+
+
+def _check_header(header, expected, what):
+    """Unless header is its writer's, a ValueError naming what and the first column that differs."""
+    if header != expected:
+        pairs = enumerate(zip(header + [None], expected + [None]))
+        i = next(i for i, (found, wanted) in pairs if found != wanted)
+        found = repr(header[i]) if i < len(header) else "no column"
+        wanted = f"column {expected[i]}" if i < len(expected) else "no column"
+        raise ValueError(f"{what} has {found} where its writer puts {wanted}")
 
 
 def _read_csv(path):
@@ -553,9 +560,12 @@ def _read_csv(path):
     if not rows.strip():
         return header, np.empty((0, len(header)))
     try:
-        return header, np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
+        raw = np.loadtxt(rows.splitlines(), delimiter=",", ndmin=2)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+    if raw.shape[1] != len(header):
+        raise ValueError(f"{path} has {raw.shape[1]} cells a row under {len(header)} columns")
+    return header, raw
 
 
 def _read_w_trace(path):
@@ -581,20 +591,6 @@ def _read_w_trace(path):
     return header, iterations, (pairs == 0x312C).reshape(len(rows), width // 2)
 
 
-def _columns(path, header, names):
-    """Positions of names in a CSV header; a missing one is a ValueError naming it."""
-    position = {name: idx for idx, name in enumerate(header)}
-    missing = [name for name in names if name not in position]
-    if missing:
-        raise ValueError(f"{path} has no column {missing[0]}")
-    return [position[name] for name in names]
-
-
-def _binary(path, what, cells):
-    if not np.isin(cells, (0.0, 1.0)).all():
-        raise ValueError(f"{path}: {what} must be 0 or 1")
-
-
 class _Tempering:
     """tau annealed linearly from anneal_from to the target over warmup."""
 
@@ -603,21 +599,22 @@ class _Tempering:
         self.start = target if anneal_from is None or warmup == 0 else anneal_from
         self.target, self.warmup = target, warmup
 
-    def retemper(self, t, state, data, u_cur, grad_cur):
-        """(state, U, gradient) at t's temperature; a rank failure keeps all three."""
+    def retemper(self, t, cur, data):
+        """cur's state at t's temperature; a rank failure keeps cur."""
         tau = self.start + (self.target - self.start) * min(1.0, t / max(self.warmup, 1))
-        if tau != state.tau:
-            retempered = dataclasses.replace(state, tau=tau)
-            pos = _pack(state.subject_params, state.logits)
-            try:
-                with _diverging():
-                    return retempered, *_evaluator(retempered, data)(pos, with_potential=True)
-            except NotPositiveDefiniteError:
-                pass
-            except _DivergenceError:
-                # whitenable, but the next trajectory will reject
-                return retempered, potential(retempered, data), None
-        return state, u_cur, grad_cur
+        if tau == cur.state.tau:
+            return cur
+        retempered = dataclasses.replace(cur.state, tau=tau)
+        pos = _pack(retempered.subject_params, retempered.logits)
+        try:
+            with _diverging():
+                u, grad = _evaluator(retempered, data)(pos, with_potential=True)
+            return _Step(retempered, u, grad, "accepted")
+        except NotPositiveDefiniteError:
+            return cur
+        except _DivergenceError:
+            # whitenable, but the next trajectory will reject
+            return _Step(retempered, potential(retempered, data), None, "divergence")
 
 
 class _StepSize:
@@ -708,10 +705,12 @@ class _Recording:
         self.columns = (log.u, log.hmc_accept, log.exch_accept, log.exch_skipped, log.step_sizes,
                         log.a, log.b, log.p, log.offsets, log.log_loadings, log.w_hard)
 
-    def record(self, t, state, u, hmc_acc, exch_acc, exch_skip, step):
+    def record(self, t, hmc, exch, step):
+        """Row t, if recorded: exch's state and potential, both moves' flags, the step."""
         if t in self.recorded:
-            sp, r = state.subject_params, self.recorded.index(t)
-            row = (u, hmc_acc, exch_acc, exch_skip, step, state.values.a, state.values.b,
+            state, sp, r = exch.state, exch.state.subject_params, self.recorded.index(t)
+            row = (exch.u, hmc.outcome == "accepted", exch.outcome == "accepted",
+                   exch.outcome == "aux_exhausted", step, state.values.a, state.values.b,
                    state.probs.p, sp.offsets, sp.log_loadings, state.hard_weights())
             for column, value in zip(self.columns, row):
                 column[r] = value
@@ -738,41 +737,35 @@ def run_chain(
     if anneal_from is not None and not anneal_from > 0.0:
         raise ValueError(f"anneal_from must be positive, got {anneal_from}")
     try:
-        u_cur = potential(init, data)
+        cur = _Step(init, potential(init, data), None, "start")
     except NotPositiveDefiniteError as err:
         raise InitializationError("initial structured matrix is rank-deficient") from err
-    grad_cur = None     # the gradient at state, when a move has computed it
 
-    state, warmup = init, hmc_cfg.warmup
+    warmup = hmc_cfg.warmup
     tempering = _Tempering(anneal_from, init.tau, warmup)
     step_size = _StepSize(hmc_cfg.step_size, hmc_cfg.target_accept, warmup)
     kinetic = _KineticDiagonal(_pack(init.subject_params, init.logits).size, warmup)
     window = _ExchangeWindow()
     recording = _Recording(init, warmup, iterations, thin)
-    grad_evals = grads_reused = hmc_total = exch_total = skip_total = 0
+    hmc_tally = Counter(dict.fromkeys(HMC_OUTCOMES, 0))
+    exch_tally = Counter(dict.fromkeys(EXCHANGE_OUTCOMES, 0))
+    grad_evals = grads_reused = 0
     for t in range(iterations):
-        state, u_cur, grad_cur = tempering.retemper(t, state, data, u_cur, grad_cur)
-        grads_reused += grad_cur is not None
-        state, hmc_acc, alpha, u_cur, grad_cur, evals = _hmc_step(
-            state, data, rng, step_size.step, hmc_cfg.leapfrog_steps, kinetic.omega, u_cur, grad_cur
-        )
-        grad_evals += evals
-        state, exch_acc, exch_skip, u_cur = _exchange_step(
-            state, data, exch_cfg, rng, exch_cfg.window * window.scale, u_cur
-        )
-        if exch_acc:
-            grad_cur = None     # a, b and p moved
-        hmc_total += int(hmc_acc)
-        exch_total += int(exch_acc)
-        skip_total += int(exch_skip)
+        cur = tempering.retemper(t, cur, data)
+        grads_reused += cur.grad is not None
+        hmc = _hmc_step(cur, data, rng, step_size.step, hmc_cfg.leapfrog_steps, kinetic.omega)
+        cur = _exchange_step(hmc, data, exch_cfg, rng, exch_cfg.window * window.scale)
+        hmc_tally[hmc.outcome] += 1
+        exch_tally[cur.outcome] += 1
+        grad_evals += hmc.evals
         # the exchange move keeps the HMC position, which adaptation reads
-        step_size.update(t, alpha)
+        step_size.update(t, hmc.alpha)
         if t < warmup:
-            kinetic.update(t, state)
-            window.update(t, exch_acc)
-        recording.record(t, state, u_cur, hmc_acc, exch_acc, exch_skip, step_size.step)
+            kinetic.update(t, cur.state)
+            window.update(t, cur.outcome == "accepted")
+        recording.record(t, hmc, cur, step_size.step)
 
-    log = recording.log
+    state, log = cur.state, recording.log
     log.meta = {
         "iterations": iterations,
         "warmup": warmup,
@@ -783,13 +776,14 @@ def run_chain(
         "n": init.n_nodes,
         "k": init.depth,
         "n_subjects": init.subject_params.n_subjects,
-        "hmc_accept_rate": hmc_total / iterations if iterations else 0.0,
-        "exch_accept_rate": exch_total / iterations if iterations else 0.0,
-        "exch_skip_count": skip_total,
+        "hmc_accept_rate": hmc_tally["accepted"] / iterations if iterations else 0.0,
+        "exch_accept_rate": exch_tally["accepted"] / iterations if iterations else 0.0,
+        "exch_skip_count": exch_tally["aux_exhausted"],
         "grad_evals": grad_evals,
         "grads_reused": grads_reused,
         "mass_range": [float(kinetic.omega.min()), float(kinetic.omega.max())],
         "saturated_logit_share": float(np.mean(np.abs(state.logits / state.tau) > SATURATED_LOGIT)),
         "w_flips": int(np.count_nonzero(log.w_hard[1:] != log.w_hard[:-1])),
+        "outcomes": {"hmc": dict(hmc_tally), "exchange": dict(exch_tally)},
     }
     return log

@@ -105,6 +105,32 @@ class TestPipeline:
         assert payload["ess"]["chain_00"] == direct.ess
 
 
+class TestOutcomes:
+    def test_counts_match_the_trace(self, tmp_path):
+        """With warmup 0 and thin 1 every move is a trace row."""
+        sim = _write(tmp_path / "sim.json", {"n": 5, "k": 3, "subjects": 2, "seed": 4})
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        fit = _write(tmp_path / "fit.json", {
+            "data": str(tmp_path / "sim" / "dataset.json"), "k": 3, "seed": 6,
+            "iterations": 60, "warmup": 0, "thin": 1, "tau": 0.3, "leapfrog_steps": 3,
+            "window": 0.5, "max_rejection_attempts": 1,
+        })
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
+        meta = json.loads((tmp_path / "fit" / "run_meta.json").read_text())["chains"]["chain_00"]
+        hmc, exchange = meta["outcomes"]["hmc"], meta["outcomes"]["exchange"]
+        assert list(hmc) == ["accepted", "mh", "rank", "divergence"]
+        assert list(exchange) == [
+            "accepted", "mh", "rank", "reverse_rank", "aux_exhausted", "divergence",
+        ]
+        assert sum(hmc.values()) == sum(exchange.values()) == 60
+        log = SampleLog.from_csv(tmp_path / "fit" / "chain_00" / "trace.csv",
+                                 tmp_path / "fit" / "chain_00" / "w_trace.csv")
+        assert log.n_draws == 60
+        assert hmc["accepted"] == log.hmc_accept.sum() == 60 * meta["hmc_accept_rate"]
+        assert exchange["accepted"] == log.exch_accept.sum() == 60 * meta["exch_accept_rate"]
+        assert exchange["aux_exhausted"] == log.exch_skipped.sum() == meta["exch_skip_count"] > 0
+
+
 class TestDeterminism:
     def test_simulate_repeats_bytewise(self, tmp_path):
         cfg = _write(tmp_path / "sim.json", {"n": 10, "k": 2, "subjects": 2, "seed": 7})
@@ -365,6 +391,17 @@ class TestFailureModes:
         assert "data file" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
+    def test_non_integer_n_in_dataset(self, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"n": 16.0, "subjects": np.zeros((2, 16, 16), int).tolist()}))
+        cfg = _write(tmp_path / "fit.json", {
+            "data": str(data), "k": 2, "seed": 0, "iterations": 4,
+        })
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and "n must be an integer" in err
+        assert not (tmp_path / "fit" / "chain_00").exists()
+
     def test_truth_file_is_checked_before_any_trace(self, pipeline, tmp_path, capsys,
                                                     monkeypatch):
         _, sim_dir, fit_dir, _ = pipeline
@@ -589,6 +626,35 @@ class TestTraceValidation:
                                     w_trace=_set_cell("iteration", "31.5"))
         assert code == 2
         assert "w_trace.csv" in err
+
+    def test_reordered_trace_columns(self, pipeline, tmp_path, capsys):
+        def swap(rows):     # U and a_1 trade places, names and cells alike
+            i, j = rows[0].index("U"), rows[0].index("a_1")
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+            return rows
+
+        code, err = self._summarize(pipeline, tmp_path, capsys, trace=swap)
+        assert code == 2
+        assert "trace.csv has 'a_1' where its writer puts column U" in err
+
+    @pytest.mark.parametrize("edit", [lambda row: row + ["0"], lambda row: row[:-1]],
+                             ids=["wider", "narrower"])
+    def test_trace_row_width_differs_from_header(self, pipeline, tmp_path, capsys, edit):
+        def rewidth(rows):
+            return rows[:1] + [edit(row) for row in rows[1:]]
+
+        code, err = self._summarize(pipeline, tmp_path, capsys, trace=rewidth)
+        assert code == 2
+        assert "trace.csv" in err and "cells a row" in err
+
+    def test_w_trace_header_longer_than_its_writer_s(self, pipeline, tmp_path, capsys):
+        def extra(rows):
+            return [rows[0] + ["w_x"]] + [row + ["0"] for row in rows[1:]]
+
+        code, err = self._summarize(pipeline, tmp_path, capsys, w_trace=extra)
+        assert code == 2
+        assert "w_trace.csv" in err and "'w_x' where its writer puts no column" in err
 
     def test_unedited_copy_summarizes(self, pipeline, tmp_path, capsys):
         code, _ = self._summarize(pipeline, tmp_path, capsys, trace=lambda rows: rows)

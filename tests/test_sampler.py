@@ -25,6 +25,7 @@ from msfactor.sampler import (
     HmcConfig,
     InitializationError,
     SampleLog,
+    _Step,
     exchange_update,
     hmc_update,
     initial_state,
@@ -213,14 +214,12 @@ class TestPotentialPipeline:
         calls = self._spied(monkeypatch)
         data = _toy_data(6, 2, 49)
         state = _generic_state(50, n=6)
-        u = potential(state, data)
+        cur = _Step(state, potential(state, data), None, "start")
         rng = np.random.default_rng(51)
         outcomes = set()
         for _ in range(30):
-            state, accepted, _, u = msfactor.sampler._exchange_step(
-                state, data, ExchangeConfig(), rng, 0.5, u
-            )
-            outcomes.add(accepted)
+            cur = msfactor.sampler._exchange_step(cur, data, ExchangeConfig(), rng, 0.5)
+            outcomes.add(cur.outcome == "accepted")
         assert outcomes == {True, False}
         assert calls
         assert set(calls) == {("likelihood", True, False)}
@@ -471,14 +470,14 @@ class TestUpdates:
 
         monkeypatch.setattr(msfactor.sampler, "whiten_backward", spy)
         omega = np.ones(_flatten(state).size)
-        new, accepted, alpha, u, _, _ = msfactor.sampler._hmc_step(
-            state, data, np.random.default_rng(0), 0.8073, 1, omega, u_cur=1.5, grad_cur=None
+        out = msfactor.sampler._hmc_step(
+            _Step(state, 1.5, None, "start"), data, np.random.default_rng(0), 0.8073, 1, omega
         )
         assert (True, False) in backward
-        assert new is state
-        assert not accepted
-        assert alpha == 0.0
-        assert u == 1.5
+        assert out.state is state
+        assert out.outcome != "accepted"
+        assert out.alpha == 0.0
+        assert out.u == 1.5
 
     def test_trajectory_end_reuses_last_gradient_pass(self, monkeypatch):
         state = _generic_state(32)
@@ -495,12 +494,12 @@ class TestUpdates:
         omega = np.ones(_flatten(state).size)
         u_cur = potential(state, data)
         values.clear()
-        new, accepted, _, u, _, _ = msfactor.sampler._hmc_step(
-            state, data, np.random.default_rng(5), 0.05, 4, omega, u_cur=u_cur, grad_cur=None
+        out = msfactor.sampler._hmc_step(
+            _Step(state, u_cur, None, "start"), data, np.random.default_rng(5), 0.05, 4, omega
         )
         assert values == []
-        assert accepted
-        assert u == potential(new, data)
+        assert out.outcome == "accepted"
+        assert out.u == potential(out.state, data)
 
 
 class TestCarriedGradient:
@@ -525,15 +524,15 @@ class TestCarriedGradient:
                 return refuse
             return evaluator(state, data)
 
-        def recording_hmc(state, data, rng, step, n_steps, omega, u_cur, grad_cur):
-            carried = None if grad_cur is None else grad_cur.copy()
-            out = hmc_step(state, data, rng, step, n_steps, omega, u_cur, grad_cur)
-            steps.append((state, carried, out[1]))
+        def recording_hmc(cur, data, rng, step, n_steps, omega):
+            carried = None if cur.grad is None else cur.grad.copy()
+            out = hmc_step(cur, data, rng, step, n_steps, omega)
+            steps.append((cur.state, carried, out.outcome == "accepted"))
             return out
 
         def recording_exchange(*args):
             out = exchange_step(*args)
-            exchanges.append(out[1])
+            exchanges.append(out.outcome == "accepted")
             return out
 
         def counting_leapfrog(position, velocity, grad_fn, *args):
@@ -592,18 +591,20 @@ class TestCarriedGradient:
         omega = np.ones(_flatten(state).size)
         u_cur = potential(state, data)
         fresh = np.concatenate([g.ravel() for g in potential_grad(state, data)])
-        new, accepted, alpha, u, grad, evals = msfactor.sampler._hmc_step(
-            state, data, np.random.default_rng(42), 1000.0, 5, omega, u_cur, None
+        out = msfactor.sampler._hmc_step(
+            _Step(state, u_cur, None, "start"), data, np.random.default_rng(42), 1000.0, 5, omega
         )
-        assert new is state and not accepted and alpha == 0.0 and u == u_cur
-        assert 1 <= evals < 6
-        assert grad.tobytes() == fresh.tobytes()
+        assert out.state is state and out.outcome != "accepted"
+        assert out.alpha == 0.0 and out.u == u_cur
+        assert 1 <= out.evals < 6
+        assert out.grad.tobytes() == fresh.tobytes()
         # the same trajectory from the carried gradient computes one pass fewer
         again = msfactor.sampler._hmc_step(
-            state, data, np.random.default_rng(42), 1000.0, 5, omega, u_cur, grad
+            _Step(state, u_cur, out.grad, "start"), data, np.random.default_rng(42), 1000.0, 5,
+            omega,
         )
-        assert again[0] is state and again[4] is grad
-        assert again[5] == evals - 1
+        assert again.state is state and again.grad is out.grad
+        assert again.evals == out.evals - 1
 
     def test_gradient_counts_match_leapfrog_requests(self, monkeypatch):
         log, steps, _, requested = self._fit(monkeypatch, _toy_data(6, 2, 35), seed=36)
@@ -628,6 +629,136 @@ class TestCarriedGradient:
             u, grad = evaluate(v, with_potential=True)
             assert u == potential(state, data)
             assert grad.tobytes() == expected.tobytes()
+
+
+class _MetropolisDraw:
+    """A Generator whose scalar uniform, the Metropolis draw of both moves,
+    is u; sizes lists the shapes of its array uniforms."""
+
+    def __init__(self, u, seed):
+        self._rng, self._u, self.sizes = np.random.default_rng(seed), u, []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None):
+        if size is None:
+            return self._u
+        self.sizes.append(size)
+        return self._rng.random(size)
+
+
+class TestOutcomes:
+    """Each move names its outcome; every cause of rejection is forced once."""
+
+    @staticmethod
+    def _start(seed):
+        state, data = _generic_state(seed), _toy_data(4, 2, seed + 1)
+        return _Step(state, potential(state, data), None, "start"), data
+
+    @staticmethod
+    def _hmc(cur, data, rng, step=0.05):
+        omega = np.ones(_flatten(cur.state).size)
+        return msfactor.sampler._hmc_step(cur, data, rng, step, 4, omega)
+
+    @staticmethod
+    def _exchange(cur, data, rng, cfg=ExchangeConfig(), window=0.25):
+        return msfactor.sampler._exchange_step(cur, data, cfg, rng, window)
+
+    @staticmethod
+    def _assert_kept(cur, out):
+        assert out.state is cur.state and out.u == cur.u and out.grad is cur.grad
+
+    def test_hmc_accepted(self):
+        cur, data = self._start(60)
+        out = self._hmc(cur, data, _MetropolisDraw(0.0, 62))
+        assert out.outcome == "accepted" and 0.0 < out.alpha <= 1.0
+        assert out.state is not cur.state and out.u == potential(out.state, data)
+
+    def test_hmc_mh(self):
+        cur, data = self._start(60)
+        out = self._hmc(cur, data, _MetropolisDraw(1.0, 62))
+        assert out.outcome == "mh" and 0.0 < out.alpha <= 1.0
+        assert out.state is cur.state and out.u == cur.u and out.evals == 5
+
+    def test_hmc_divergence(self):
+        cur, data = self._start(60)
+        out = self._hmc(cur, data, np.random.default_rng(63), step=1000.0)
+        assert out.outcome == "divergence" and out.alpha == 0.0
+        assert out.state is cur.state and out.u == cur.u
+
+    def test_hmc_rank(self, monkeypatch):
+        # the whitening fails at the trajectory's second gradient pass
+        cur, data = self._start(60)
+        fresh = np.concatenate([g.ravel() for g in potential_grad(cur.state, data)])
+        whitened, passes = msfactor.sampler._whitened, []
+
+        def failing_after_one_pass(x):
+            passes.append(x)
+            if len(passes) > 1:
+                raise NotPositiveDefiniteError(1)
+            return whitened(x)
+
+        monkeypatch.setattr(msfactor.sampler, "_whitened", failing_after_one_pass)
+        out = self._hmc(cur, data, np.random.default_rng(63))
+        assert out.outcome == "rank" and out.alpha == 0.0 and len(passes) == 2
+        assert out.state is cur.state and out.u == cur.u
+        assert out.grad.tobytes() == fresh.tobytes()
+
+    def test_exchange_accepted(self):
+        cur, data = self._start(64)
+        cur = cur._replace(grad=np.zeros(_flatten(cur.state).size))
+        out = self._exchange(cur, data, _MetropolisDraw(0.0, 66))
+        assert out.outcome == "accepted" and out.grad is None
+        assert not np.array_equal(out.state.values.a, cur.state.values.a)
+        assert out.u == potential(out.state, data)
+
+    def test_exchange_mh(self):
+        cur, data = self._start(64)
+        out = self._exchange(cur, data, _MetropolisDraw(1.0, 66))
+        assert out.outcome == "mh"
+        self._assert_kept(cur, out)
+
+    def test_exchange_aux_exhausted(self):
+        # a_j - b_j of 1e-9 leaves every pattern's matrix below the pivot
+        # floor, and the zero window keeps those values in the proposal
+        state, data = _generic_state(64), _toy_data(4, 2, 65)
+        state = dataclasses.replace(
+            state, values=ColumnValues(a=np.array([1.0, 2.0]), b=np.array([1.0, 2.0]) + 1e-9)
+        )
+        assert not rank_ok(build_x(state.hard_weights(), state.values))
+        cur = _Step(state, 0.0, None, "start")
+        rng = _MetropolisDraw(0.0, 66)
+        out = self._exchange(cur, data, rng, cfg=ExchangeConfig(max_rejection_attempts=1),
+                             window=0.0)
+        assert out.outcome == "aux_exhausted"
+        assert rng.sizes == [(4, 2)]     # one auxiliary pattern drawn
+        self._assert_kept(cur, out)
+
+    def test_exchange_reverse_rank(self, monkeypatch):
+        cur, data = self._start(64)
+        monkeypatch.setattr(msfactor.sampler, "rank_ok", lambda x: False)
+        out = self._exchange(cur, data, _MetropolisDraw(0.0, 66))
+        assert out.outcome == "reverse_rank"
+        self._assert_kept(cur, out)
+
+    def test_exchange_rank(self, monkeypatch):
+        cur, data = self._start(64)
+
+        def unwhitenable(state, data):
+            raise NotPositiveDefiniteError(1)
+
+        monkeypatch.setattr(msfactor.sampler, "potential", unwhitenable)
+        out = self._exchange(cur, data, _MetropolisDraw(0.0, 66))
+        assert out.outcome == "rank"
+        self._assert_kept(cur, out)
+
+    def test_exchange_divergence(self, monkeypatch):
+        cur, data = self._start(64)
+        monkeypatch.setattr(msfactor.sampler, "potential", lambda state, data: np.nan)
+        out = self._exchange(cur, data, _MetropolisDraw(0.0, 66))
+        assert out.outcome == "divergence"
+        self._assert_kept(cur, out)
 
 
 class TestExchangeTargets:
@@ -935,9 +1066,9 @@ class TestRunChain:
     def test_exchange_window_adapts_after_each_50_warmup_iterations(self, monkeypatch):
         windows = []
 
-        def refusing_exchange(state, data, cfg, rng, window, u_cur):
+        def refusing_exchange(cur, data, cfg, rng, window):
             windows.append(window)
-            return state, False, False, u_cur
+            return _Step(cur.state, cur.u, cur.grad, "mh")
 
         monkeypatch.setattr(msfactor.sampler, "_exchange_step", refusing_exchange)
         data = _toy_data(4, 2, 25)
