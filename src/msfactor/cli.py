@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -68,43 +69,57 @@ def _load_config(path):
     return cfg
 
 
-def _require(cfg, name, kind):
-    if name not in cfg:
-        raise ConfigError(f"missing config field: {name}")
-    value = cfg[name]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"config field {name} must be {kind.__name__}")
-    return value
-
-def _optional(cfg, name, kind, default):
-    if name not in cfg or cfg[name] is None:
-        return default
-    return _require(cfg, name, kind)
+_REQUIRED = object()  # the default of a field a config must give
 
 
-def _reject_unknown_fields(cfg, names):
+def _fields(cfg, table):
+    """Each field of table, {name: (kind, default)}, read from cfg.
+
+    A field that is absent or null takes its default; a callable default
+    is computed from the fields before it.  A float field takes an int.
+    """
     # "out" is read by main, and written back into effective_config.json
-    unknown = sorted(set(cfg) - set(names) - {"out"})
+    unknown = sorted(set(cfg) - set(table) - {"out"})
     if unknown:
         raise ConfigError(f"unknown config field: {unknown[0]}")
+    got = {}
+    for name, (kind, default) in table.items():
+        value = cfg.get(name)
+        if value is None and default is not _REQUIRED:
+            got[name] = default(got) if callable(default) else default
+            continue
+        if name not in cfg:
+            raise ConfigError(f"missing config field: {name}")
+        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"config field {name} must be {kind.__name__}")
+        # json reads NaN and Infinity, which no field can use; every int field
+        # is a size, a count or a seed, and a list holds numbers (a bool is not)
+        if (kind is int and value < 0 or kind is float and not math.isfinite(value)
+                or kind is list and not all(type(v) in (int, float) and math.isfinite(v)
+                                            for v in value)):
+            raise ConfigError(f"config field {name} cannot be {json.dumps(value)}")
+        got[name] = value
+    return got
 
 
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+_SIMULATE_FIELDS = {
+    "n": (int, _REQUIRED), "k": (int, _REQUIRED), "subjects": (int, _REQUIRED),
+    "seed": (int, _REQUIRED), "loading_min": (float, 20.0), "loading_max": (float, 40.0),
+    "offset": (float, float(_logit(0.1))),
+    "a": (list, lambda got: [1.0] * got["k"]), "b": (list, lambda got: [-1.0] * got["k"]),
+}
+
+
 def cmd_simulate(cfg, out_dir):
-    _reject_unknown_fields(cfg, ("n", "k", "subjects", "seed", "loading_min", "loading_max",
-                                 "offset", "a", "b"))
-    n = _require(cfg, "n", int)
-    k = _require(cfg, "k", int)
-    n_subjects = _require(cfg, "subjects", int)
-    seed = _require(cfg, "seed", int)
-    lo = _optional(cfg, "loading_min", float, 20.0)
-    hi = _optional(cfg, "loading_max", float, 40.0)
-    offset = _optional(cfg, "offset", float, float(_logit(0.1)))
+    got = _fields(cfg, _SIMULATE_FIELDS)
+    n, k, n_subjects, seed = got["n"], got["k"], got["subjects"], got["seed"]
+    lo, hi, offset = got["loading_min"], got["loading_max"], got["offset"]
     if n < 2 or k < 1 or k > n:
         raise ConfigError("config fields n, k must satisfy n >= 2 and 1 <= k <= n")
     if n_subjects < 1:
@@ -113,8 +128,8 @@ def cmd_simulate(cfg, out_dir):
         raise ConfigError("config fields loading_min, loading_max must satisfy 0 < min <= max")
 
     rng = np.random.default_rng(seed)
-    a = np.asarray(_optional(cfg, "a", list, [1.0] * k), dtype=np.float64)
-    b = np.asarray(_optional(cfg, "b", list, [-1.0] * k), dtype=np.float64)
+    a = np.asarray(got["a"], dtype=np.float64)
+    b = np.asarray(got["b"], dtype=np.float64)
     if a.size != k or b.size != k:
         raise ConfigError("config fields a, b must hold k values")
     values = ColumnValues(a=a, b=b)
@@ -142,26 +157,26 @@ def cmd_simulate(cfg, out_dir):
         "offsets": sp.offsets.tolist(),
         "seed": seed,
     })
-    _write_json(out / "effective_config.json", {**cfg, "seed": seed, "out": str(out)})
+    _write_json(out / "effective_config.json", {**cfg, **got, "out": str(out)})
     print(f"wrote {out / 'dataset.json'} (edge density {data.edge_density():.4f})")
     return 0
 
 
 def _fit_single_chain(args):
-    (chain_id, data, cfg, hmc_cfg, exch_cfg, seed_words, out_dir) = args
+    (chain_id, data, got, hmc_cfg, exch_cfg, seed_words, out_dir) = args
     try:
         rng = np.random.default_rng(seed_words)
-        state = initial_state(data, cfg["k"], cfg["tau"], rng)
+        state = initial_state(data, got["k"], got["tau"], rng)
         start = time.perf_counter()
         log = run_chain(
             data,
             state,
             hmc_cfg,
             exch_cfg,
-            cfg["iterations"],
+            got["iterations"],
             rng,
-            thin=cfg["thin"],
-            anneal_from=cfg["anneal_from"],
+            thin=got["thin"],
+            anneal_from=got["anneal_from"],
         )
         elapsed = time.perf_counter() - start
         chain_dir = Path(out_dir) / f"chain_{chain_id:02d}"
@@ -171,57 +186,39 @@ def _fit_single_chain(args):
         # the traceback goes to stderr here, since a pool worker's would be lost
         traceback.print_exc()
         raise ChainError(f"chain_{chain_id:02d}: {type(err).__name__}: {err}") from err
-    return chain_id, {**log.meta, "wall_seconds": elapsed, "n_draws": log.n_draws}
+    return {**log.meta, "wall_seconds": elapsed, "n_draws": log.n_draws}
+
+
+_FIT_FIELDS = {
+    "data": (str, _REQUIRED), "k": (int, _REQUIRED), "seed": (int, _REQUIRED), "chains": (int, 1),
+    "iterations": (int, _REQUIRED), "warmup": (int, lambda got: got["iterations"] // 2),
+    "thin": (int, 1), "tau": (float, 0.2), "anneal_from": (float, None),
+    "step_size": (float, HmcConfig.step_size), "leapfrog_steps": (int, HmcConfig.leapfrog_steps),
+    "target_accept": (float, HmcConfig.target_accept), "window": (float, ExchangeConfig.window),
+    "max_rejection_attempts": (int, ExchangeConfig.max_rejection_attempts),
+}
 
 
 def cmd_fit(cfg, out_dir):
-    _reject_unknown_fields(cfg, ("data", "k", "seed", "chains", "iterations", "warmup", "thin",
-                                 "tau", "anneal_from", "step_size", "leapfrog_steps",
-                                 "target_accept", "window", "max_rejection_attempts"))
-    data_path = _require(cfg, "data", str)
-    k = _require(cfg, "k", int)
-    seed = _require(cfg, "seed", int)
-    chains = _optional(cfg, "chains", int, 1)
-    run_cfg = {
-        "k": k,
-        "iterations": _require(cfg, "iterations", int),
-        "warmup": _optional(cfg, "warmup", int, _require(cfg, "iterations", int) // 2),
-        "thin": _optional(cfg, "thin", int, 1),
-        "tau": _optional(cfg, "tau", float, 0.2),
-        "anneal_from": _optional(cfg, "anneal_from", float, None),
-        "step_size": _optional(cfg, "step_size", float, HmcConfig.step_size),
-        "leapfrog_steps": _optional(cfg, "leapfrog_steps", int, HmcConfig.leapfrog_steps),
-        "target_accept": _optional(cfg, "target_accept", float, HmcConfig.target_accept),
-        "window": _optional(cfg, "window", float, ExchangeConfig.window),
-        "max_rejection_attempts": _optional(
-            cfg, "max_rejection_attempts", int, ExchangeConfig.max_rejection_attempts
-        ),
-    }
+    got = _fields(cfg, _FIT_FIELDS)
+    data_path, k, chains = got["data"], got["k"], got["chains"]
     if chains < 1:
         raise ConfigError("config field chains must be >= 1")
-    if run_cfg["iterations"] < 1:
+    if got["iterations"] < 1:
         raise ConfigError("config field iterations must be >= 1")
-    if run_cfg["warmup"] > run_cfg["iterations"]:
+    if got["warmup"] > got["iterations"]:
         raise ConfigError("config field warmup cannot exceed iterations")
     if k < 1:
         raise ConfigError("config field k must be >= 1")
-    if run_cfg["thin"] < 1:
+    if got["thin"] < 1:
         raise ConfigError("config field thin must be >= 1")
-    if not run_cfg["tau"] > 0.0:
+    if not got["tau"] > 0.0:
         raise ConfigError("config field tau must be positive")
-    if run_cfg["anneal_from"] is not None and not run_cfg["anneal_from"] > 0.0:
+    if got["anneal_from"] is not None and not got["anneal_from"] > 0.0:
         raise ConfigError("config field anneal_from must be positive")
     # built here so a bad sampler setting exits 2 before any chain starts
-    hmc_cfg = HmcConfig(
-        step_size=run_cfg["step_size"],
-        leapfrog_steps=run_cfg["leapfrog_steps"],
-        target_accept=run_cfg["target_accept"],
-        warmup=run_cfg["warmup"],
-    )
-    exch_cfg = ExchangeConfig(
-        window=run_cfg["window"],
-        max_rejection_attempts=run_cfg["max_rejection_attempts"],
-    )
+    hmc_cfg, exch_cfg = (cls(**{f.name: got[f.name] for f in dataclasses.fields(cls)})
+                         for cls in (HmcConfig, ExchangeConfig))
 
     # parsed and validated once, here, so bad data fails with exit 2; pool
     # workers receive the parsed dataset
@@ -233,10 +230,10 @@ def cmd_fit(cfg, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    root_seq = np.random.SeedSequence(seed)
+    root_seq = np.random.SeedSequence(got["seed"])
     children = root_seq.spawn(chains)
     jobs = [
-        (c, data, run_cfg, hmc_cfg, exch_cfg, children[c].generate_state(4).tolist(), str(out))
+        (c, data, got, hmc_cfg, exch_cfg, children[c].generate_state(4).tolist(), str(out))
         for c in range(chains)
     ]
     start = time.perf_counter()
@@ -249,8 +246,8 @@ def cmd_fit(cfg, out_dir):
         with pool_type(max_workers=min(chains, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_fit_single_chain, jobs))
     elapsed = time.perf_counter() - start
-    per_chain = {f"chain_{cid:02d}": meta for cid, meta in sorted(results)}
-    effective = {**cfg, "seed": seed, "chains": chains, **run_cfg, "out": str(out)}
+    per_chain = {f"chain_{c:02d}": meta for c, meta in enumerate(results)}
+    effective = {**cfg, **got, "out": str(out)}
     _write_json(out / "effective_config.json", effective)
     _write_json(out / "run_meta.json", {
         "config": effective,
@@ -270,10 +267,12 @@ def _parse_truth(text):
     return rp, frame
 
 
+_SUMMARIZE_FIELDS = {"fit_dir": (str, _REQUIRED), "burn_in": (float, 0.5)}
+
+
 def cmd_summarize(cfg, out_dir, truth_path=None):
-    _reject_unknown_fields(cfg, ("fit_dir", "burn_in"))
-    fit_dir = Path(_require(cfg, "fit_dir", str))
-    burn_in = _optional(cfg, "burn_in", float, 0.5)
+    got = _fields(cfg, _SUMMARIZE_FIELDS)
+    fit_dir, burn_in = Path(got["fit_dir"]), got["burn_in"]
     # checked before any trace is read
     truth = None if truth_path is None else _read(truth_path, "truth file", _parse_truth)
     if not fit_dir.is_dir():
@@ -336,7 +335,7 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     for j, mat in enumerate(summary.factors, start=1):
         _write_symmetric_csv(factors_dir / f"factor_{j}.csv", mat)
     _write_json(out / "summary.json", payload)
-    _write_json(out / "effective_config.json", {**cfg, "out": str(out)})
+    _write_json(out / "effective_config.json", {**cfg, **got, "out": str(out)})
     print(f"wrote {out / 'summary.json'}")
     return 0
 

@@ -323,7 +323,8 @@ def _hmc_step(cur, data, rng, step, n_steps, omega):
             pos1, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
             kin1 = _kinetic(vel1, omega)
     except NotPositiveDefiniteError:
-        return _Step(state, cur.u, first, "rank", 0.0, evals)
+        # the last pass failed at the whitening and computed no gradient
+        return _Step(state, cur.u, first, "rank", 0.0, evals - 1)
     except _DivergenceError:
         return _Step(state, cur.u, first, "divergence", 0.0, evals)
     log_alpha = (cur.u - u_prop) + (kin0 - kin1)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import msfactor.cli
 from msfactor.cli import main
 from msfactor.diagnostics import summarize
-from msfactor.model import NetworkDataset
+from msfactor.model import NetworkDataset, _logit
 from msfactor.sampler import SampleLog
 from msfactor.whitening import NotPositiveDefiniteError
 
@@ -477,19 +478,59 @@ class TestFailureModes:
         assert f"unknown config field: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("simulate", "loading_max", math.inf),
+        ("simulate", "offset", math.nan),
+        ("simulate", "loading_min", -math.inf),
+        ("simulate", "a", [True, 1]),
+        ("simulate", "b", ["x", 1]),
+        ("simulate", "seed", -1),
+        ("fit", "tau", math.inf),
+        ("fit", "anneal_from", math.inf),
+        ("fit", "window", math.inf),
+        ("fit", "step_size", math.inf),
+        ("fit", "target_accept", -math.inf),
+        ("fit", "seed", -1),
+    ])
+    def test_unusable_value_exits_2_naming_the_field(
+        self, pipeline, tmp_path, capsys, command, field, value
+    ):
+        _, sim_dir, _, _ = pipeline
+        cfg = {
+            "simulate": {"n": 6, "k": 2, "subjects": 1, "seed": 0},
+            "fit": {"data": str(sim_dir / "dataset.json"), "k": 2, "seed": 1, "iterations": 4},
+        }[command]
+        # json writes nan and inf as NaN and Infinity, which json reads back
+        path = _write(tmp_path / "cfg.json", {**cfg, field: value})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"config field {field} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_effective_configs_load_as_configs(self, pipeline, tmp_path):
-        # every field a command writes back, "out" included, is one it reads
-        _, sim_dir, fit_dir, sum_dir = pipeline
-        for command, source, output in (
-            ("simulate", sim_dir, "dataset.json"),
-            ("fit", fit_dir, "chain_00/trace.csv"),
-            ("summarize", sum_dir, "summary.json"),
+        # each command, given only its required fields, records every field
+        # it reads with the value it used, and "out"; run again from that
+        # record, it writes the same bytes
+        _, sim_dir, fit_dir, _ = pipeline
+        fit_data = str(sim_dir / "dataset.json")
+        for command, given, defaults, output in (
+            ("simulate", {"n": 12, "k": 2, "subjects": 3, "seed": 101}, {
+                "loading_min": 20.0, "loading_max": 40.0, "offset": float(_logit(0.1)),
+                "a": [1.0, 1.0], "b": [-1.0, -1.0],
+            }, "dataset.json"),
+            ("fit", {"data": fit_data, "k": 2, "seed": 11, "iterations": 4}, {
+                "chains": 1, "warmup": 2, "thin": 1, "tau": 0.2, "anneal_from": None,
+                "step_size": 0.05, "leapfrog_steps": 10, "target_accept": 0.7,
+                "window": 0.25, "max_rejection_attempts": 100,
+            }, "chain_00/trace.csv"),
+            ("summarize", {"fit_dir": str(fit_dir)}, {"burn_in": 0.5}, "summary.json"),
         ):
-            out = tmp_path / command
-            cfg = str(source / "effective_config.json")
-            assert main([command, "--config", cfg, "--out", str(out)]) == 0
-            if command != "summarize":  # the pipeline's summary was taken with --truth
-                assert (out / output).read_bytes() == (source / output).read_bytes()
+            first, again = tmp_path / command, tmp_path / f"{command}_again"
+            cfg = _write(tmp_path / f"{command}.json", given)
+            assert main([command, "--config", cfg, "--out", str(first)]) == 0
+            effective = first / "effective_config.json"
+            assert json.loads(effective.read_text()) == {**given, **defaults, "out": str(first)}
+            assert main([command, "--config", str(effective), "--out", str(again)]) == 0
+            assert (again / output).read_bytes() == (first / output).read_bytes()
 
     def test_unorthonormalizable_mean_frame_gives_null_subspace_error(
         self, pipeline, tmp_path, monkeypatch

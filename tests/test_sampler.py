@@ -702,6 +702,7 @@ class TestOutcomes:
         monkeypatch.setattr(msfactor.sampler, "_whitened", failing_after_one_pass)
         out = self._hmc(cur, data, np.random.default_rng(63))
         assert out.outcome == "rank" and out.alpha == 0.0 and len(passes) == 2
+        assert out.evals == 1
         assert out.state is cur.state and out.u == cur.u
         assert out.grad.tobytes() == fresh.tobytes()
 
