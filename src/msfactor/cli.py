@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -70,6 +69,7 @@ def _load_config(path):
 
 
 _REQUIRED = object()  # the default of a field a config must give
+_FLOAT_MAX = sys.float_info.max
 
 
 def _fields(cfg, table):
@@ -90,17 +90,17 @@ def _fields(cfg, table):
             continue
         if name not in cfg:
             raise ConfigError(f"missing config field: {name}")
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(f"config field {name} must be {kind.__name__}")
-        # json reads NaN and Infinity, which no field can use; every int field
-        # is a size, a count or a seed, and a list holds numbers (a bool is not)
-        if (kind is int and value < 0 or kind is float and not math.isfinite(value)
-                or kind is list and not all(type(v) in (int, float) and math.isfinite(v)
+        # json reads NaN, Infinity and ints beyond the largest float, which no
+        # field can use; every int field is a size, a count or a seed, and a
+        # list holds numbers (a bool is not)
+        if (kind is int and value < 0 or kind is float and not abs(value) <= _FLOAT_MAX
+                or kind is list and not all(type(v) in (int, float) and abs(v) <= _FLOAT_MAX
                                             for v in value)):
             raise ConfigError(f"config field {name} cannot be {json.dumps(value)}")
-        got[name] = value
+        got[name] = float(value) if kind is float else value
     return got
 
 

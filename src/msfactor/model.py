@@ -10,7 +10,6 @@ Diagonals are excluded throughout.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import weakref
 from dataclasses import dataclass
@@ -19,10 +18,6 @@ import numpy as np
 
 from .prior import build_x
 from .whitening import whiten
-
-LOADING_SHAPE = 0.1   # inverse-gamma shape for each loading
-LOADING_RATE = 0.1    # inverse-gamma rate
-OFFSET_SD = 10.0      # normal prior sd for each offset
 
 
 def _expit(x):
@@ -235,21 +230,6 @@ def _likelihood_pass(data, q, d, z, value, grads):
         np.log1p(half, out=half)
         ll = float(2.0 * on_edges - total - total_abs - half.sum())
     return ll, g
-
-
-def log_prior_theta(sp):
-    """Log prior of the subject parameters.
-
-    Loadings are inverse-gamma(0.1, 0.1), expressed on the log scale
-    (the log d Jacobian is included); offsets carry a normal(0, 10^2)
-    kernel without its constant.
-    """
-    ld = sp.log_loadings
-    d = np.exp(ld)
-    shape, rate = LOADING_SHAPE, LOADING_RATE
-    per = shape * np.log(rate) - math.lgamma(shape) - shape * ld - rate / d
-    kern = -0.5 * (sp.offsets / OFFSET_SD) @ (sp.offsets / OFFSET_SD)
-    return float(per.sum() + kern)
 
 
 def simulate_dataset(rp, values, probs, sp, rng):

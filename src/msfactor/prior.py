@@ -5,7 +5,9 @@ x[i, j] = a[j] if node i is assigned to side1 at level j, else b[j].
 The prior draws a, b standard normal, assignment rates p uniform, the
 binary assignment matrix Bernoulli(p) columnwise, and rejects draws
 whose structured matrix is column-rank-deficient.  This module holds
-the prior's log-densities and full_rank_pattern, its rejection loop.
+the structured matrix and full_rank_pattern, its rejection loop; the
+prior's log-density and its gradient are terms of the sampler's
+potential, in sampler._evaluator.
 """
 
 from __future__ import annotations
@@ -80,24 +82,3 @@ def random_full_rank_partition(n, k, values, rng):
         lambda: random_partition(n, k, rng).membership_matrix().astype(np.float64), values, 1000
     )
     return None if w is None else RecursivePartition(w)
-
-
-def log_bernoulli_mass(w, probs):
-    """Columnwise Bernoulli log-mass of assignment weights.
-
-    Accepts binary or relaxed weights; relaxed weights are plugged in
-    as-is (no density correction for the relaxation).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    p = probs.p
-    if w.ndim != 2 or w.shape[1] != p.size:
-        raise ValueError(f"w must be n x {p.size}, got shape {w.shape}")
-    if np.any((w < 0.0) | (w > 1.0)):
-        raise ValueError("assignment weights must lie in [0, 1]")
-    return float(np.sum(w * np.log(p) + (1.0 - w) * np.log1p(-p)))
-
-
-def log_gaussian_ab(values):
-    """Standard normal log-kernel of the column values, -sum(a^2 + b^2)/2."""
-    return float(-0.5 * (values.a @ values.a + values.b @ values.b))
-

@@ -8,17 +8,17 @@ The chain alternates two moves:
        normalizing constant of the rank-constrained assignment prior
        by rejection-sampling an auxiliary assignment pattern.
 
-The shared potential is
-  U = -log-likelihood - log_prior_theta - log_bernoulli_mass
-      - ((n - k - 1)/2) log det X'X + sum(a^2 + b^2)/2,
-the log-likelihood from model._likelihood_pass and the log-det from
-the whitening, and a Cholesky failure anywhere (the rank test)
-invalidates the proposal that produced it.
+The shared potential, each term's value beside its gradient in _evaluator, is
+  U = -log-likelihood - log prior(log-loadings, offsets) - log Bernoulli(p)
+      mass(relaxed weights) - ((n - k - 1)/2) log det X'X + sum(a^2 + b^2)/2,
+and a Cholesky failure anywhere (the rank test) invalidates the proposal
+that produced it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -26,23 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvtext import csv_rows, g17_slots
-from .model import (
-    LOADING_RATE,
-    LOADING_SHAPE,
-    OFFSET_SD,
-    SubjectParams,
-    _expit,
-    _likelihood_pass,
-    _logit,
-    log_prior_theta,
-)
+from .model import SubjectParams, _expit, _likelihood_pass, _logit
 from .prior import (
     ColumnValues,
     MixtureProbs,
     build_x,
     full_rank_pattern,
-    log_bernoulli_mass,
-    log_gaussian_ab,
     random_full_rank_partition,
 )
 from .whitening import (
@@ -52,6 +41,11 @@ from .whitening import (
     whiten_backward,
 )
 
+LOADING_SHAPE = 0.1   # inverse-gamma shape for each loading
+LOADING_RATE = 0.1    # inverse-gamma rate
+OFFSET_SD = 10.0      # normal prior sd for each offset
+# the inverse-gamma log-density's constant, shape log(rate) - log Gamma(shape)
+_LOADING_LOG_NORM = LOADING_SHAPE * np.log(LOADING_RATE) - math.lgamma(LOADING_SHAPE)
 PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
 # |logit / tau| beyond which a relaxed weight is within e^-30 of 0 or 1,
 # so its HMC gradient has all but vanished; run_meta.json reports the
@@ -151,16 +145,6 @@ class ExchangeConfig:
             )
 
 
-def _potential_from(sp, probs, values, w, log_det, ll):
-    # log_det = log det(X'X) / 2, from the whitening
-    n, k = w.shape
-    lp = log_prior_theta(sp)
-    lg = log_bernoulli_mass(w, probs)
-    gram = (n - k - 1) * log_det
-    lab = log_gaussian_ab(values)
-    return -(ll + lp + lg + gram + lab)
-
-
 def potential(state, data):
     """Joint potential U; raises NotPositiveDefiniteError on rank failure.
 
@@ -192,30 +176,34 @@ def _evaluator(state, data):
     """
     values, probs, tau = state.values, state.probs, state.tau
     b_minus_a = values.b - values.a
+    # the p and a, b parts of U and its gradient, fixed along a trajectory
     logit_p = _logit(probs.p)
+    log_p, log_1m_p = np.log(probs.p), np.log1p(-probs.p)
+    lab = float(-0.5 * (values.a @ values.a + values.b @ values.b))
     s_n, k = state.subject_params.log_loadings.shape
     gram_weight = state.n_nodes - k - 1
     grad = np.empty(s_n * k + s_n + state.logits.size)
     grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
 
     def evaluate(v, with_potential=False, with_grad=True):
-        ld, z, lg = _blocks(v, s_n, k)
-        w = _expit(lg / tau)
+        ld, z, logits = _blocks(v, s_n, k)
+        w = _expit(logits / tau)
         q, log_det, passes = _whitened(build_x(w, values))
         d = np.exp(ld)
+        rate_d = LOADING_RATE / d
         ll = 0.0
         if data is not None:
             ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad)
         if with_grad:
             if data is None:
                 g_q = None
-                np.subtract(LOADING_SHAPE, LOADING_RATE / d, out=grad_ld)
+                np.subtract(LOADING_SHAPE, rate_d, out=grad_ld)
                 np.divide(z, OFFSET_SD**2, out=grad_z)
             else:
                 g_q, g_ld, g_z = g
                 if not np.isfinite(g_q).all():
                     raise _DivergenceError("non-finite frame gradient")
-                np.subtract(LOADING_SHAPE - g_ld, LOADING_RATE / d, out=grad_ld)
+                np.subtract(LOADING_SHAPE - g_ld, rate_d, out=grad_ld)
                 np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
             # -dU/dX: the likelihood's part through the frame plus the
             # gram term's, (n - k - 1) times d(log det(X'X) / 2)/dX
@@ -224,8 +212,13 @@ def _evaluator(state, data):
             np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
             if not with_potential:
                 return grad
-        sp = SubjectParams(log_loadings=ld, offsets=z)
-        u = _potential_from(sp, probs, values, w, log_det, ll)
+        # inverse-gamma loadings on the log scale, normal offsets
+        lp = float((_LOADING_LOG_NORM - LOADING_SHAPE * ld - rate_d).sum()
+                   - 0.5 * (z / OFFSET_SD) @ (z / OFFSET_SD))
+        # the relaxed weights plugged into the Bernoulli(p) mass as they are
+        lg = float(np.sum(w * log_p + (1.0 - w) * log_1m_p))
+        gram = gram_weight * log_det    # log_det = log det(X'X) / 2
+        u = -(ll + lp + lg + gram + lab)
         return (u, grad) if with_grad else u
 
     return evaluate

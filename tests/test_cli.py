@@ -491,6 +491,10 @@ class TestFailureModes:
         ("fit", "step_size", math.inf),
         ("fit", "target_accept", -math.inf),
         ("fit", "seed", -1),
+        # an int beyond the largest float, which json reads exactly
+        pytest.param("simulate", "offset", 10**400, id="simulate-offset-int_beyond_float"),
+        pytest.param("simulate", "a", [1, 10**400], id="simulate-a-int_beyond_float"),
+        pytest.param("fit", "tau", 10**400, id="fit-tau-int_beyond_float"),
     ])
     def test_unusable_value_exits_2_naming_the_field(
         self, pipeline, tmp_path, capsys, command, field, value
@@ -505,6 +509,11 @@ class TestFailureModes:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"config field {field} " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_seed_beyond_float_is_accepted(self, tmp_path):
+        # a seed is never a float, and numpy seeds from an int of any size
+        path = _write(tmp_path / "cfg.json", {"n": 6, "k": 2, "subjects": 1, "seed": 10**400})
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
     def test_effective_configs_load_as_configs(self, pipeline, tmp_path):
         # each command, given only its required fields, records every field
@@ -876,48 +885,64 @@ _UNCALLED_ALLOWED = {
 
 
 def _definitions_and_names():
-    """The package's module-level functions, classes and their methods,
-    as "module.name" / "module.Class.name", and every name the package
-    or the benchmark mentions."""
+    """The package's definitions, {"module.name" or "module.Class.name":
+    the key that mentions it}, and every key the package or the benchmark
+    mentions.  A module-level function, class or method is mentioned by
+    its name; a module-level assigned name by "module.name": read in its
+    module, imported from it, or read as an attribute of it."""
     package = Path(msfactor.cli.__file__).parent
     benchmark = [
         path for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
         if not path.name.startswith("test_")
     ]
-    defined, named = [], set()
+    defined, named = {}, set()
     for path in sorted(package.glob("*.py")) + benchmark:
         tree = ast.parse(path.read_text())
-        # a name, an attribute or an import mentions a function; a
-        # string such as a trace label does not call it
+        # a name read, an attribute or an import mentions a definition; an
+        # assignment does not read what it assigns, and a string such as a
+        # trace label does not call it
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named |= {node.id, f"{path.stem}.{node.id}"}
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    named.add(f"{node.value.id}.{node.attr}")
             elif isinstance(node, ast.alias):
                 named.add(node.name.split(".")[-1])
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.split(".")[-1]
+                named |= {f"{module}.{alias.name}" for alias in node.names}
         if path.parent != package:
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(f"{path.stem}.{node.name}")
+                defined[f"{path.stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
-                defined += [
-                    f"{path.stem}.{node.name}.{item.name}"
+                defined.update({
+                    f"{path.stem}.{node.name}.{item.name}": item.name
                     for item in node.body if isinstance(item, ast.FunctionDef)
-                ]
+                })
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update({
+                    f"{path.stem}.{target.id}": f"{path.stem}.{target.id}"
+                    for target in targets if isinstance(target, ast.Name)
+                })
     assert defined
     return defined, named
 
 
 class TestNoUncalledCode:
-    """Every function, class and method is named by the program or the benchmark."""
+    """Every function, class, method and module-level name is mentioned by
+    the program or the benchmark."""
 
     def test_public_functions_are_named_outside_their_definition(self):
         defined, named = _definitions_and_names()
+        assert defined["sampler.OFFSET_SD"] == "sampler.OFFSET_SD"
         uncalled = {
-            name for name in defined
-            if not name.rsplit(".", 1)[1].startswith("_") and name.rsplit(".", 1)[1] not in named
+            name for name, key in defined.items()
+            if not name.rsplit(".", 1)[1].startswith("_") and key not in named
         }
         assert uncalled == _UNCALLED_ALLOWED
 
@@ -931,8 +956,8 @@ class TestNoUncalledCode:
             if last[name].startswith("_") and not (last[name].startswith("__") and name.endswith("__"))
         ]
         assert "sampler._evaluator" in private and "sampler.SampleLog.to_csv" not in private
-        assert "sampler.ChainState.__post_init__" not in private
-        assert [name for name in private if last[name] not in named] == []
+        assert "sampler.ChainState.__post_init__" not in private and "cli._REQUIRED" in private
+        assert [name for name in private if defined[name] not in named] == []
 
 
 def _reference_matrix_csv(path, mat):

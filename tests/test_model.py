@@ -1,4 +1,4 @@
-"""Network likelihood, subject-parameter prior, and data simulation."""
+"""Network likelihood, subject-parameter prior via the potential, and data simulation."""
 
 import json
 import math
@@ -16,11 +16,11 @@ from msfactor.model import (
     _expit,
     _likelihood_pass,
     _logit,
-    log_prior_theta,
     simulate_dataset,
 )
 from msfactor.partition import random_partition
 from msfactor.prior import ColumnValues, MixtureProbs
+from msfactor.sampler import ChainState, potential
 
 
 def _empty_data(n, s):
@@ -46,13 +46,26 @@ def _identity_frame(n, k):
     return np.eye(n)[:, :k]
 
 
+def _log_prior_theta(sp):
+    """The subject parameters' log prior, read from the potential of a
+    prior-only state whose other terms are known: n = k + 1 nodes, so the
+    gram term is 0, weights exactly 0 or 1 at p = 1/2, and a = 1, b = -1."""
+    k = sp.depth
+    w = np.triu(np.ones((k + 1, k)))
+    state = ChainState(
+        logits=400.0 * (2.0 * w - 1.0), values=ColumnValues(a=np.ones(k), b=-np.ones(k)),
+        probs=MixtureProbs(p=np.full(k, 0.5)), subject_params=sp, tau=0.5,
+    )
+    return -potential(state, None) - (k + 1) * k * math.log(0.5) + k
+
+
 class TestLogPriorTheta:
     def test_unit_loading_zero_offset(self):
         # inverse-gamma(0.1, 0.1) at d = 1, log-scale Jacobian log d = 0
         sp = SubjectParams(log_loadings=np.zeros((1, 1)), offsets=np.zeros(1))
         expect = 0.1 * math.log(0.1) - math.lgamma(0.1) - 0.1
-        assert log_prior_theta(sp) == pytest.approx(expect, abs=1e-13)
-        assert log_prior_theta(sp) == pytest.approx(-2.58297116103361, abs=1e-13)
+        assert _log_prior_theta(sp) == pytest.approx(expect, abs=1e-13)
+        assert _log_prior_theta(sp) == pytest.approx(-2.58297116103361, abs=1e-13)
 
     def test_additive_over_subjects(self):
         one = SubjectParams(log_loadings=np.array([[0.3, -0.2]]), offsets=np.array([1.5]))
@@ -60,12 +73,12 @@ class TestLogPriorTheta:
             log_loadings=np.array([[0.3, -0.2], [0.3, -0.2]]),
             offsets=np.array([1.5, 1.5]),
         )
-        assert log_prior_theta(two) == pytest.approx(2 * log_prior_theta(one), abs=1e-12)
+        assert _log_prior_theta(two) == pytest.approx(2 * _log_prior_theta(one), abs=1e-12)
 
     def test_offset_kernel(self):
         base = SubjectParams(log_loadings=np.zeros((1, 1)), offsets=np.zeros(1))
         moved = SubjectParams(log_loadings=np.zeros((1, 1)), offsets=np.array([10.0]))
-        assert log_prior_theta(moved) - log_prior_theta(base) == pytest.approx(-0.5, abs=1e-13)
+        assert _log_prior_theta(moved) - _log_prior_theta(base) == pytest.approx(-0.5, abs=1e-13)
 
     def test_log_scale_density(self):
         # direct inverse-gamma density times the change-of-variable factor d
@@ -73,7 +86,7 @@ class TestLogPriorTheta:
         d = math.exp(ld)
         sp = SubjectParams(log_loadings=np.array([[ld]]), offsets=np.zeros(1))
         dens = 0.1 * math.log(0.1) - math.lgamma(0.1) - 1.1 * math.log(d) - 0.1 / d
-        assert log_prior_theta(sp) == pytest.approx(dens + math.log(d), abs=1e-12)
+        assert _log_prior_theta(sp) == pytest.approx(dens + math.log(d), abs=1e-12)
 
 
 class TestLogLikelihood:

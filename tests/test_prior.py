@@ -1,20 +1,15 @@
-"""Structured-matrix prior: construction, sampling, and log-density terms."""
+"""Structured-matrix prior: construction, sampling, and its terms of the potential."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logit
+from scipy.stats import invgamma
 
-from msfactor.prior import (
-    ColumnValues,
-    MixtureProbs,
-    build_x,
-    full_rank_pattern,
-    log_bernoulli_mass,
-    log_gaussian_ab,
-)
+from msfactor.prior import ColumnValues, MixtureProbs, build_x, full_rank_pattern
 from msfactor.model import SubjectParams
-from msfactor.sampler import _potential_from
+from msfactor.sampler import ChainState, potential
 from msfactor.whitening import NotPositiveDefiniteError, _whitened, rank_ok, whiten
 
 
@@ -53,14 +48,6 @@ class TestLabelSwap:
         np.testing.assert_array_equal(swapped, x)
         if rank_ok(x):
             np.testing.assert_array_equal(whiten(swapped), whiten(x))
-
-    def test_mass_consistent_under_complement(self):
-        rng = np.random.default_rng(5)
-        w = (rng.random((7, 2)) < 0.4).astype(np.float64)
-        p = np.array([0.3, 0.8])
-        direct = log_bernoulli_mass(w, MixtureProbs(p=p))
-        flipped = log_bernoulli_mass(1.0 - w, MixtureProbs(p=1.0 - p))
-        assert direct == pytest.approx(flipped, abs=1e-12)
 
 
 def _sample_prior(n, k, rng):
@@ -118,37 +105,55 @@ class TestFullRankPattern:
         assert len(calls) == 7
 
 
+# inverse-gamma(0.1, 0.1) log prior of a unit loading, on the log scale
+_UNIT_LOADING = float(invgamma.logpdf(1.0, 0.1, scale=0.1))
+
+
+def _potential_at(w, p, a, b):
+    """U of a prior-only state with one subject, unit loadings and a zero
+    offset, whose relaxed weights are w: exactly, where w is 0 or 1."""
+    tau = 0.5
+    k = w.shape[1]
+    state = ChainState(
+        logits=tau * np.clip(logit(w), -800.0, 800.0),
+        values=ColumnValues(a=a, b=b),
+        probs=MixtureProbs(p=p),
+        subject_params=SubjectParams(log_loadings=np.zeros((1, k)), offsets=np.zeros(1)),
+        tau=tau,
+    )
+    return potential(state, None)
+
+
+def _mass_term(w, p, a, b):
+    """U's Bernoulli(p) mass at w, with U's other terms taken out in closed form."""
+    n, k = w.shape
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    x = build_x(w, ColumnValues(a=a, b=b))
+    gram = (n - k - 1) / 2 * np.linalg.slogdet(x.T @ x)[1]
+    return -_potential_at(w, p, a, b) - k * _UNIT_LOADING - gram + 0.5 * (a @ a + b @ b)
+
+
 class TestLogBernoulliMass:
     def test_single_entry(self):
-        got = log_bernoulli_mass(np.array([[1.0]]), MixtureProbs(p=np.array([0.5])))
-        assert got == pytest.approx(math.log(0.5), abs=1e-15)
+        got = _mass_term(np.array([[1.0]]), np.array([0.5]), [1.0], [-1.0])
+        assert got == pytest.approx(math.log(0.5), abs=1e-13)
 
     def test_all_ones_half(self):
-        w = np.ones((5, 3))
-        got = log_bernoulli_mass(w, MixtureProbs(p=np.full(3, 0.5)))
-        assert got == pytest.approx(15 * math.log(0.5), abs=1e-12)
+        got = _mass_term(np.ones((5, 1)), np.array([0.5]), [1.0], [-1.0])
+        assert got == pytest.approx(5 * math.log(0.5), abs=1e-12)
 
     def test_cross_pattern(self):
         # log 0.2 + log 0.3 + log 0.8 + log 0.7, summed exactly
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = log_bernoulli_mass(w, MixtureProbs(p=np.array([0.2, 0.7])))
-        assert got == pytest.approx(-3.3932292120129786, abs=1e-14)
+        got = _mass_term(w, np.array([0.2, 0.7]), [1.0, 2.0], [0.0, 0.0])
+        assert got == pytest.approx(-3.3932292120129786, abs=1e-13)
 
     def test_relaxed_weights_accepted(self):
-        w = np.array([[0.25, 0.75]])
-        p = np.array([0.4, 0.6])
-        got = log_bernoulli_mass(w, MixtureProbs(p=p))
-        expect = (
-            0.25 * math.log(0.4)
-            + 0.75 * math.log(0.6)
-            + 0.75 * math.log(0.6)
-            + 0.25 * math.log(0.4)
-        )
-        assert got == pytest.approx(expect, abs=1e-12)
-
-    def test_out_of_range_weight_rejected(self):
-        with pytest.raises(ValueError):
-            log_bernoulli_mass(np.array([[1.2]]), MixtureProbs(p=np.array([0.5])))
+        # plugged in as they are; each column holds 1/4 and 3/4, so it
+        # weighs log p + log(1 - p) once
+        w = np.array([[0.25, 0.75], [0.75, 0.25]])
+        got = _mass_term(w, np.array([0.4, 0.6]), [1.0, 1.0], [0.0, 0.0])
+        assert got == pytest.approx(2 * (math.log(0.4) + math.log(0.6)), abs=1e-12)
 
     def test_boundary_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -157,42 +162,25 @@ class TestLogBernoulliMass:
             MixtureProbs(p=np.array([1.0]))
 
 
-class TestLogGaussianAb:
-    def test_mode(self):
-        assert log_gaussian_ab(ColumnValues(a=np.zeros(3), b=np.zeros(3))) == 0.0
-
-    def test_two_halves(self):
-        got = log_gaussian_ab(ColumnValues(a=np.array([1.0]), b=np.array([-1.0])))
-        assert got == pytest.approx(-1.0, abs=1e-15)
-
-    def test_mixed(self):
-        got = log_gaussian_ab(ColumnValues(a=np.array([1.0, 2.0]), b=np.zeros(2)))
-        assert got == pytest.approx(-2.5, abs=1e-15)
-
-
 def _gram_term(x):
-    """The prior's Jacobian weight ((n - k - 1)/2) log det(X'X), as the
-    potential takes it: the whitening's log-det through _potential_from."""
+    """U's gram term ((n - k - 1)/2) log det(X'X) at a two-valued x, with
+    U's other terms taken out in closed form."""
     n, k = x.shape
-    sp = SubjectParams(log_loadings=np.zeros((1, k)), offsets=np.zeros(1))
-    w = np.zeros((n, k))
-    probs = MixtureProbs(p=np.full(k, 0.5))
-    values = ColumnValues(a=np.zeros(k), b=np.zeros(k))
-    log_det = _whitened(x)[1]
-    return _potential_from(sp, probs, values, w, 0.0, 0.0) - _potential_from(
-        sp, probs, values, w, log_det, 0.0
-    )
+    a, b = x.max(axis=0), x.min(axis=0)
+    u = _potential_at((x == a).astype(np.float64), np.full(k, 0.5), a, b)
+    return -u - k * _UNIT_LOADING - n * k * math.log(0.5) + 0.5 * (a @ a + b @ b)
 
 
 class TestLogDetGram:
     def test_identity_columns(self):
         assert _whitened(np.eye(5)[:, :2])[1] == 0.0
-        assert _gram_term(np.eye(5)[:, :2]) == 0.0
+        assert _gram_term(np.eye(5)[:, :2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_vanishes_at_critical_dimension(self):
         # n = k + 1 makes the exponent zero regardless of the gram matrix
-        assert _gram_term(np.array([[1.0], [-1.0]])) == 0.0
-        assert _gram_term(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])) == 0.0
+        assert _gram_term(np.array([[1.0], [-1.0]])) == pytest.approx(0.0, abs=1e-12)
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert _gram_term(x) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_gram(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])

@@ -8,17 +8,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import expit, logit
+from scipy.stats import invgamma
 
 import msfactor.sampler
 from msfactor.diagnostics import ess_batch_means
-from msfactor.model import NetworkDataset, SubjectParams, _likelihood_pass, log_prior_theta
-from msfactor.prior import (
-    ColumnValues,
-    MixtureProbs,
-    build_x,
-    log_bernoulli_mass,
-    log_gaussian_ab,
-)
+from msfactor.model import NetworkDataset, SubjectParams
+from msfactor.prior import ColumnValues, MixtureProbs, build_x
 from msfactor.sampler import (
     ChainState,
     ExchangeConfig,
@@ -84,22 +79,38 @@ def _flatten(state):
     return np.concatenate([sp.log_loadings.ravel(), sp.offsets, state.logits.ravel()])
 
 
+def _reference_potential(state, data):
+    """U built term by term, apart from the program: scipy's inverse-gamma
+    density of each loading times its log-scale Jacobian d, the N(0, 10^2)
+    kernel of each offset, the Bernoulli(p) mass at the relaxed weights
+    (scipy's expit), the standard-normal kernel of a and b, the gram term
+    ((n - k - 1)/2) log det X'X, and with data the likelihood."""
+    sp, values, p = state.subject_params, state.values, state.probs.p
+    w = expit(state.logits / state.tau)
+    x = build_x(w, values)
+    n, k = x.shape
+    terms = [
+        np.sum(invgamma.logpdf(np.exp(sp.log_loadings), 0.1, scale=0.1) + sp.log_loadings),
+        np.sum(-sp.offsets**2 / 200.0),
+        np.sum(w * np.log(p) + (1.0 - w) * np.log1p(-p)),
+        -(values.a @ values.a + values.b @ values.b) / 2.0,
+        (n - k - 1) / 2.0 * np.linalg.slogdet(x.T @ x)[1],
+    ]
+    if data is not None:
+        q = x @ np.linalg.inv(np.linalg.cholesky(x.T @ x)).T
+        terms.append(_log_likelihood(data, q, sp))
+    return -math.fsum(terms)
+
+
 class TestPotential:
     def test_term_decomposition(self):
-        state = _generic_state(8)
-        data = _toy_data(4, 2, 9)
-        w = state.relaxed_weights()
-        x = build_x(w, state.values)
-        q = x @ np.linalg.inv(np.linalg.cholesky(x.T @ x)).T
-        n, k = x.shape
-        expect = -(
-            _log_likelihood(data, q, state.subject_params)
-            + log_prior_theta(state.subject_params)
-            + log_bernoulli_mass(w, state.probs)
-            + (n - k - 1) / 2 * np.linalg.slogdet(x.T @ x)[1]
-            + log_gaussian_ab(state.values)
-        )
-        assert potential(state, data) == pytest.approx(expect, abs=1e-10)
+        # with data and without, at n = k + 1, where the gram term is 0,
+        # and at n > k + 1
+        for seed, n, k in ((8, 4, 2), (9, 3, 2), (10, 7, 3), (11, 4, 3)):
+            state = _generic_state(seed, n=n, k=k)
+            for data in (_toy_data(n, 2, seed + 100), None):
+                expect = _reference_potential(state, data)
+                assert potential(state, data) == pytest.approx(expect, rel=1e-12)
 
     def test_hand_value_two_nodes(self):
         tau = 0.5
@@ -142,20 +153,6 @@ class TestPotential:
         )
 
 
-def _assembled_potential(state, data):
-    """Reference: U assembled stage by stage, apart from the evaluator."""
-    from msfactor.sampler import _potential_from
-    from msfactor.whitening import _whitened
-
-    w = state.relaxed_weights()
-    q, log_det, _ = _whitened(build_x(w, state.values))
-    sp = state.subject_params
-    ll = 0.0
-    if data is not None:
-        ll = _likelihood_pass(data, q, np.exp(sp.log_loadings), sp.offsets, True, False)[0]
-    return _potential_from(sp, state.probs, state.values, w, log_det, ll)
-
-
 def _saturated(state):
     return dataclasses.replace(state, logits=800.0 * state.tau * np.sign(state.logits))
 
@@ -167,12 +164,18 @@ class TestPotentialPipeline:
     @pytest.mark.parametrize("with_data", [True, False])
     @pytest.mark.parametrize("saturate", [False, True])
     def test_equals_stagewise_assembly_bit_for_bit(self, seed, with_data, saturate):
+        # U matches the reference assembled term by term, and the value-only
+        # pass gives the paired pass's U bit for bit
         state = _generic_state(200 + seed, n=7, k=3, s=3)
         if saturate:
             state = _saturated(state)
             assert set(np.unique(state.relaxed_weights())) == {0.0, 1.0}
         data = _toy_data(7, 3, 300 + seed) if with_data else None
-        assert potential(state, data).hex() == _assembled_potential(state, data).hex()
+        u = potential(state, data)
+        assert u == pytest.approx(_reference_potential(state, data), rel=1e-12)
+        pos = msfactor.sampler._pack(state.subject_params, state.logits)
+        paired, _ = msfactor.sampler._evaluator(state, data)(pos, with_potential=True)
+        assert u.hex() == paired.hex()
 
     def test_rank_deficient_state_raises(self):
         # every node on side1 of both levels: two equal constant columns
@@ -182,8 +185,6 @@ class TestPotentialPipeline:
         for data in (_toy_data(5, 2, 45), None):
             with pytest.raises(NotPositiveDefiniteError):
                 potential(state, data)
-            with pytest.raises(NotPositiveDefiniteError):
-                _assembled_potential(state, data)
 
     def _spied(self, monkeypatch):
         sampler = msfactor.sampler
@@ -343,15 +344,23 @@ class TestPotentialGrad:
 
 class TestCanonicalize:
     def test_potential_invariant_on_orbit(self):
-        state = _generic_state(16)
-        data = _toy_data(4, 2, 17)
-        twin = dataclasses.replace(
-            state,
-            logits=-state.logits,
-            values=ColumnValues(a=state.values.b, b=state.values.a),
-            probs=MixtureProbs(p=1.0 - state.probs.p),
-        )
-        assert potential(twin, data) == pytest.approx(potential(state, data), abs=1e-10)
+        # relabelling every level's sides leaves U unchanged, with data and
+        # without; the logits' gradient negates and the other blocks agree
+        for seed in range(20):
+            state = _generic_state(16 + seed)
+            twin = dataclasses.replace(
+                state,
+                logits=-state.logits,
+                values=ColumnValues(a=state.values.b, b=state.values.a),
+                probs=MixtureProbs(p=1.0 - state.probs.p),
+            )
+            for data in (_toy_data(4, 2, 17 + seed), None):
+                assert potential(twin, data) == pytest.approx(potential(state, data), rel=1e-12)
+                g_ld, g_z, g_lg = potential_grad(state, data)
+                t_ld, t_z, t_lg = potential_grad(twin, data)
+                np.testing.assert_allclose(t_ld, g_ld, rtol=0.0, atol=1e-11)
+                np.testing.assert_allclose(t_z, g_z, rtol=0.0, atol=1e-11)
+                np.testing.assert_allclose(t_lg, -g_lg, rtol=0.0, atol=1e-11)
 
 
 class TestLeapfrog:
