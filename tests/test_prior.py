@@ -49,6 +49,15 @@ class TestLabelSwap:
         if rank_ok(x):
             np.testing.assert_array_equal(whiten(swapped), whiten(x))
 
+    def test_mass_consistent_under_complement(self):
+        rng = np.random.default_rng(5)
+        w = (rng.random((7, 2)) < 0.4).astype(np.float64)
+        p = np.array([0.3, 0.8])
+        a, b = [1.0, 2.0], [-1.0, 0.5]
+        direct = _mass_term(w, p, a, b)
+        flipped = _mass_term(1.0 - w, 1.0 - p, b, a)
+        assert direct == pytest.approx(flipped, abs=1e-12)
+
 
 def _sample_prior(n, k, rng):
     """The prior's draw: a, b standard normal, p uniform, then Bernoulli(p) patterns."""
@@ -160,6 +169,34 @@ class TestLogBernoulliMass:
             MixtureProbs(p=np.array([0.0]))
         with pytest.raises(ValueError):
             MixtureProbs(p=np.array([1.0]))
+
+
+def _gaussian_term(a, b):
+    """U's standard-normal a, b term, -sum(a^2 + b^2)/2, at n = k + 1, where
+    the gram term vanishes, with U's other terms taken out in closed form.
+    Column j of x is a_j on row j and b_j elsewhere, so a != b gives full rank."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    k = a.size
+    w = np.eye(k + 1, k)
+    u = _potential_at(w, np.full(k, 0.5), a, b)
+    return -u - k * _UNIT_LOADING - (k + 1) * k * math.log(0.5)
+
+
+class TestLogGaussianAb:
+    def test_mode(self):
+        # a = b = 0 makes X zero, so the mode is approached: the term is
+        # -3 eps^2 / 2, which reads 0 at eps = 1e-100
+        for eps in (1e-3, 1e-100):
+            got = _gaussian_term(np.full(3, eps), np.zeros(3))
+            assert got == pytest.approx(-1.5 * eps**2, abs=1e-12)
+
+    def test_two_halves(self):
+        got = _gaussian_term(np.array([1.0]), np.array([-1.0]))
+        assert got == pytest.approx(-1.0, abs=1e-12)
+
+    def test_mixed(self):
+        got = _gaussian_term(np.array([1.0, 2.0]), np.zeros(2))
+        assert got == pytest.approx(-2.5, abs=1e-12)
 
 
 def _gram_term(x):
