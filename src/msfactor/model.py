@@ -235,8 +235,7 @@ def _likelihood_pass(data, q, d, z, value, grads):
 def simulate_dataset(rp, values, probs, sp, rng):
     """Generate networks whose shared frame whitens a partition-structured matrix.
 
-    Returns (dataset, truth) where truth records the frame, partition,
-    values, probs, and subject parameters that produced the data.
+    Returns (dataset, {"frame": q}), q the frame that produced the data.
     """
     w = rp.membership_matrix().astype(np.float64)
     q = whiten(build_x(w, values))
@@ -247,12 +246,4 @@ def simulate_dataset(rp, values, probs, sp, rng):
     adj = np.triu(upper, k=1)
     adj = adj + np.swapaxes(adj, 1, 2)
     data = NetworkDataset(n=rp.n, adjacency=adj.astype(np.float64))
-    truth = {
-        "frame": q,
-        "partition": rp,
-        "values": values,
-        "probs": probs,
-        "subject_params": sp,
-        "membership": w,
-    }
-    return data, truth
+    return data, {"frame": q}

@@ -438,14 +438,16 @@ class SampleLog:
     Draws are stored raw, exactly as the chain visited them; label
     resolution is a summary-time concern (see diagnostics.summarize).
     Assignments are kept as the hard patterns the summaries consume.
+    The fields up to log_loadings are trace.csv's blocks, laid out by
+    _layout; w_hard is w_trace.csv.
     """
 
     iterations: np.ndarray
     u: np.ndarray
     hmc_accept: np.ndarray
     exch_accept: np.ndarray
-    exch_skipped: np.ndarray
     step_sizes: np.ndarray
+    exch_skipped: np.ndarray
     a: np.ndarray               # T x k
     b: np.ndarray
     p: np.ndarray
@@ -458,19 +460,22 @@ class SampleLog:
     def n_draws(self):
         return self.iterations.size
 
+    @classmethod
+    def _empty(cls, t_n, n, k, s):
+        """A log of t_n unfilled draws for n nodes, depth k and S subjects."""
+        blocks = {name: np.empty((t_n, *shape), dtype) for name, _, dtype, shape in _layout(k, s)}
+        return cls(**blocks, w_hard=np.empty((t_n, n, k)))
+
     def to_csv(self, trace_path, w_trace_path):
-        s, k = self.log_loadings.shape[1:]
-        # the integer columns ride in the float table: below 1e17, '%.17g'
-        # of an integer-valued float is the text '%d' prints
-        table = np.column_stack([
-            self.iterations, self.u, self.hmc_accept, self.exch_accept,
-            self.step_sizes, self.exch_skipped, self.a, self.b, self.p,
-            self.offsets, self.log_loadings.reshape(self.n_draws, s * k),
-        ])
+        t_n, n, k = self.w_hard.shape
+        layout = _layout(k, self.offsets.shape[1])
+        # the integer and flag columns ride in the float table: below 1e17,
+        # '%.17g' of an integer-valued float is the text '%d' prints
+        table = np.column_stack([getattr(self, name).reshape(t_n, len(names))
+                                 for name, names, _, _ in layout])
         with open(trace_path, "wb") as fh:
-            fh.write((",".join(_trace_header(k, s)) + "\n").encode())
+            fh.write((",".join(_columns(layout)) + "\n").encode())
             fh.write(csv_rows(g17_slots(table)))
-        n = self.w_hard.shape[1]
         # every row after its iteration number is ",c,c,...,c\n" with
         # 0/1 cells, built for all rows at once as bytes
         cells = self.w_hard.reshape(self.n_draws, n * k)
@@ -489,46 +494,54 @@ class SampleLog:
         header, raw = _read_csv(trace_path)
         k = sum(1 for name in header if name.startswith("a_"))
         s = sum(1 for name in header if name.startswith("z_"))
-        _check_header(header, _trace_header(k, s), trace_path)
-        for i in (2, 3, 5):     # the flags
-            if not np.isin(raw[:, i], (0.0, 1.0)).all():
-                raise ValueError(f"{trace_path}: {header[i]} must be 0 or 1")
-        t_n = raw.shape[0]
-        # C-order copies, so reductions over the blocks sum in the same
-        # order as on the arrays run_chain builds
-        cuts = np.cumsum([k, k, k, s])
-        a, b, p, z, ld = map(np.ascontiguousarray, np.split(raw[:, 6:], cuts, axis=1))
+        layout = _layout(k, s)
+        _check_header(header, _columns(layout), trace_path)
+        t_n, start, blocks = raw.shape[0], 0, {}
+        for name, names, dtype, _ in layout:
+            blocks[name] = raw[:, start:start + len(names)]
+            start += len(names)
+            if dtype is bool and not np.isin(blocks[name], (0.0, 1.0)).all():
+                raise ValueError(f"{trace_path}: {names[0]} must be 0 or 1")
 
         w_header, w_it, cells = _read_w_trace(w_trace_path)
         n = (len(w_header) - 1) // max(k, 1)
         _check_header(w_header, _w_header(n, k), f"{w_trace_path}, covering nodes 0..{n - 1},")
         if w_it.size != t_n:
             raise ValueError(f"{w_trace_path} holds {w_it.size} draws, {trace_path} {t_n}")
-        if not np.array_equal(w_it, raw[:, 0]):
+        # the parsed floats, so a non-integer iteration in trace.csv differs too
+        if not np.array_equal(w_it, blocks["iterations"].ravel()):
             raise ValueError(f"{w_trace_path} iteration numbers differ from {trace_path}'s")
 
-        return cls(
-            iterations=raw[:, 0].astype(np.int64),
-            u=raw[:, 1],
-            hmc_accept=raw[:, 2].astype(bool),
-            exch_accept=raw[:, 3].astype(bool),
-            exch_skipped=raw[:, 5].astype(bool),
-            step_sizes=raw[:, 4],
-            a=a,
-            b=b,
-            p=p,
-            offsets=z,
-            log_loadings=ld.reshape(t_n, s, k),
-            w_hard=cells.astype(np.float64).reshape(t_n, n, k),
-        )
+        # cast into fresh C-order arrays, so reductions over the blocks sum
+        # in the same order as on the arrays run_chain builds
+        log = cls._empty(t_n, n, k, s)
+        for name, block in blocks.items():
+            column = getattr(log, name)
+            column[:] = block.reshape(column.shape)
+        log.w_hard[:] = cells.reshape(t_n, n, k)
+        return log
 
 
-def _trace_header(k, s):
-    """trace.csv's column names for depth k and S subjects."""
-    return (["iteration", "U", "hmc_accept", "exch_accept", "h", "exch_skipped"]
-            + [f"{v}_{j + 1}" for v in "abp" for j in range(k)]
-            + [f"z_{i + 1}" for i in range(s)]
-            + [f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)])
+def _layout(k, s):
+    """trace.csv's blocks in file order, for depth k and S subjects: each
+    block's SampleLog field, column names, dtype and per-draw shape."""
+    return (
+        ("iterations", ["iteration"], np.int64, ()),
+        ("u", ["U"], np.float64, ()),
+        ("hmc_accept", ["hmc_accept"], bool, ()),
+        ("exch_accept", ["exch_accept"], bool, ()),
+        ("step_sizes", ["h"], np.float64, ()),
+        ("exch_skipped", ["exch_skipped"], bool, ()),
+        *((v, [f"{v}_{j + 1}" for j in range(k)], np.float64, (k,)) for v in "abp"),
+        ("offsets", [f"z_{i + 1}" for i in range(s)], np.float64, (s,)),
+        ("log_loadings", [f"logd_{i + 1}_{j + 1}" for i in range(s) for j in range(k)],
+         np.float64, (s, k)),
+    )
+
+
+def _columns(layout):
+    """trace.csv's header: every block's column names in file order."""
+    return [column for _, names, _, _ in layout for column in names]
 
 
 def _w_header(n, k):
@@ -679,35 +692,20 @@ class _Recording:
 
     def __init__(self, init, warmup, iterations, thin):
         self.recorded = range(warmup, iterations, thin)
-        k, s_n, n = init.depth, init.subject_params.n_subjects, init.n_nodes
-        t_n = len(self.recorded)
-        self.log = log = SampleLog(
-            iterations=np.asarray(self.recorded, dtype=np.int64),
-            u=np.empty(t_n),
-            hmc_accept=np.empty(t_n, dtype=bool),
-            exch_accept=np.empty(t_n, dtype=bool),
-            exch_skipped=np.empty(t_n, dtype=bool),
-            step_sizes=np.empty(t_n),
-            a=np.empty((t_n, k)),
-            b=np.empty((t_n, k)),
-            p=np.empty((t_n, k)),
-            offsets=np.empty((t_n, s_n)),
-            log_loadings=np.empty((t_n, s_n, k)),
-            w_hard=np.empty((t_n, n, k)),
-        )
-        # the arrays a row fills, in the order record() builds the row
-        self.columns = (log.u, log.hmc_accept, log.exch_accept, log.exch_skipped, log.step_sizes,
-                        log.a, log.b, log.p, log.offsets, log.log_loadings, log.w_hard)
+        self.log = SampleLog._empty(len(self.recorded), init.n_nodes, init.depth,
+                                    init.subject_params.n_subjects)
 
     def record(self, t, hmc, exch, step):
         """Row t, if recorded: exch's state and potential, both moves' flags, the step."""
         if t in self.recorded:
             state, sp, r = exch.state, exch.state.subject_params, self.recorded.index(t)
-            row = (exch.u, hmc.outcome == "accepted", exch.outcome == "accepted",
-                   exch.outcome == "aux_exhausted", step, state.values.a, state.values.b,
-                   state.probs.p, sp.offsets, sp.log_loadings, state.hard_weights())
-            for column, value in zip(self.columns, row):
-                column[r] = value
+            row = {"iterations": t, "u": exch.u, "hmc_accept": hmc.outcome == "accepted",
+                   "exch_accept": exch.outcome == "accepted", "step_sizes": step,
+                   "exch_skipped": exch.outcome == "aux_exhausted", "a": state.values.a,
+                   "b": state.values.b, "p": state.probs.p, "offsets": sp.offsets,
+                   "log_loadings": sp.log_loadings, "w_hard": state.hard_weights()}
+            for name, value in row.items():
+                getattr(self.log, name)[r] = value
 
 
 def run_chain(

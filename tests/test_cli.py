@@ -677,6 +677,15 @@ class TestTraceValidation:
         assert code == 2
         assert "w_trace.csv" in err
 
+    def test_non_integer_trace_iteration(self, pipeline, tmp_path, capsys):
+        def add_half(rows):
+            rows[1][0] += ".5"
+            return rows
+
+        code, err = self._summarize(pipeline, tmp_path, capsys, trace=add_half)
+        assert code == 2
+        assert "w_trace.csv iteration numbers differ" in err
+
     def test_reordered_trace_columns(self, pipeline, tmp_path, capsys):
         def swap(rows):     # U and a_1 trade places, names and cells alike
             i, j = rows[0].index("U"), rows[0].index("a_1")

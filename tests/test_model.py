@@ -411,7 +411,6 @@ class TestSimulate:
         data.validate()
         q = truth["frame"]
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
-        np.testing.assert_array_equal(truth["membership"], rp.membership_matrix())
 
 
 class TestSpecialFunctions:
