@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvtext import csv_rows, g17_slots
-from .diagnostics import _retained_start, chain_ess, partition_recovery, subspace_error, summarize
+from .diagnostics import partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition
 from .prior import ColumnValues, MixtureProbs, random_full_rank_partition
@@ -78,8 +78,7 @@ def _fields(cfg, table):
     A field that is absent or null takes its default; a callable default
     is computed from the fields before it.  A float field takes an int.
     """
-    # "out" is read by main, and written back into effective_config.json
-    unknown = sorted(set(cfg) - set(table) - {"out"})
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
         raise ConfigError(f"unknown config field: {unknown[0]}")
     got = {}
@@ -104,6 +103,12 @@ def _fields(cfg, table):
     return got
 
 
+def _effective(cfg, got, out):
+    """The config a run used: the given fields in their order, then the
+    defaulted ones, and out, which is last in every field table."""
+    return {**{name: v for name, v in cfg.items() if name != "out"}, **got, "out": str(out)}
+
+
 def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -113,10 +118,11 @@ _SIMULATE_FIELDS = {
     "seed": (int, _REQUIRED), "loading_min": (float, 20.0), "loading_max": (float, 40.0),
     "offset": (float, float(_logit(0.1))),
     "a": (list, lambda got: [1.0] * got["k"]), "b": (list, lambda got: [-1.0] * got["k"]),
+    "out": (str, "."),
 }
 
 
-def cmd_simulate(cfg, out_dir):
+def cmd_simulate(cfg):
     got = _fields(cfg, _SIMULATE_FIELDS)
     n, k, n_subjects, seed = got["n"], got["k"], got["subjects"], got["seed"]
     lo, hi, offset = got["loading_min"], got["loading_max"], got["offset"]
@@ -144,7 +150,7 @@ def cmd_simulate(cfg, out_dir):
         raise InitializationError(f"no full-rank partition found for n={n}, k={k}")
 
     data, truth = simulate_dataset(rp, values, probs, sp, rng)
-    out = Path(out_dir)
+    out = Path(got["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "dataset.json").write_text(data.to_json())
     _write_json(out / "truth.json", {
@@ -157,7 +163,7 @@ def cmd_simulate(cfg, out_dir):
         "offsets": sp.offsets.tolist(),
         "seed": seed,
     })
-    _write_json(out / "effective_config.json", {**cfg, **got, "out": str(out)})
+    _write_json(out / "effective_config.json", _effective(cfg, got, out))
     print(f"wrote {out / 'dataset.json'} (edge density {data.edge_density():.4f})")
     return 0
 
@@ -196,10 +202,11 @@ _FIT_FIELDS = {
     "step_size": (float, HmcConfig.step_size), "leapfrog_steps": (int, HmcConfig.leapfrog_steps),
     "target_accept": (float, HmcConfig.target_accept), "window": (float, ExchangeConfig.window),
     "max_rejection_attempts": (int, ExchangeConfig.max_rejection_attempts),
+    "out": (str, "."),
 }
 
 
-def cmd_fit(cfg, out_dir):
+def cmd_fit(cfg):
     got = _fields(cfg, _FIT_FIELDS)
     data_path, k, chains = got["data"], got["k"], got["chains"]
     if chains < 1:
@@ -228,7 +235,7 @@ def cmd_fit(cfg, out_dir):
     if k > data.n:
         raise ConfigError(f"config field k must be at most the dataset's n = {data.n}")
 
-    out = Path(out_dir)
+    out = Path(got["out"])
     out.mkdir(parents=True, exist_ok=True)
     root_seq = np.random.SeedSequence(got["seed"])
     children = root_seq.spawn(chains)
@@ -247,7 +254,7 @@ def cmd_fit(cfg, out_dir):
             results = list(pool.map(_fit_single_chain, jobs))
     elapsed = time.perf_counter() - start
     per_chain = {f"chain_{c:02d}": meta for c, meta in enumerate(results)}
-    effective = {**cfg, **got, "out": str(out)}
+    effective = _effective(cfg, got, out)
     _write_json(out / "effective_config.json", effective)
     _write_json(out / "run_meta.json", {
         "config": effective,
@@ -267,26 +274,23 @@ def _parse_truth(text):
     return rp, frame
 
 
-_SUMMARIZE_FIELDS = {"fit_dir": (str, _REQUIRED), "burn_in": (float, 0.5)}
+_SUMMARIZE_FIELDS = {"fit_dir": (str, _REQUIRED), "burn_in": (float, 0.5), "out": (str, ".")}
 
 
-def cmd_summarize(cfg, out_dir, truth_path=None):
+def cmd_summarize(cfg, truth_path=None):
     got = _fields(cfg, _SUMMARIZE_FIELDS)
-    fit_dir, burn_in = Path(got["fit_dir"]), got["burn_in"]
+    fit_dir = Path(got["fit_dir"])
     # checked before any trace is read
     truth = None if truth_path is None else _read(truth_path, "truth file", _parse_truth)
     if not fit_dir.is_dir():
         raise ConfigError(f"config field fit_dir does not name a directory: {fit_dir}")
-    chain_dirs = sorted(d for d in fit_dir.glob("chain_*") if d.is_dir())
-    if not chain_dirs:
-        raise ConfigError(f"no chain_* directories under {fit_dir}")
-
     try:
         meta = json.loads((fit_dir / "run_meta.json").read_text())
-        fit_dims = {d.name: (meta["chains"][d.name]["n"], meta["chains"][d.name]["k"])
-                    for d in chain_dirs}
-    except (ValueError, KeyError, TypeError) as err:
+        fit_dims = {name: (chain["n"], chain["k"]) for name, chain in meta["chains"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise ConfigError(f"cannot read the fit's sizes from {fit_dir / 'run_meta.json'}: {err}") from err
+    if not fit_dims:
+        raise ConfigError(f"no chains listed in {fit_dir / 'run_meta.json'}")
     if truth is not None:
         rp = truth[0]
         for name, (n, k) in fit_dims.items():
@@ -295,27 +299,20 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
                     f"truth file {truth_path} has n = {rp.n} and depth {rp.depth}, "
                     f"but {name} was fit with n = {n} and k = {k}"
                 )
-    logs = []
-    for d in chain_dirs:
-        log = SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv")
-        n = fit_dims[d.name][0]
+    logs = {}
+    for name, (n, _) in fit_dims.items():
+        log = SampleLog.from_csv(fit_dir / name / "trace.csv", fit_dir / name / "w_trace.csv")
         if log.w_hard.shape[1] != n:
             raise ConfigError(
-                f"{d.name}: w_trace covers {log.w_hard.shape[1]} of the fit's "
+                f"{name}: w_trace covers {log.w_hard.shape[1]} of the fit's "
                 f"{n} nodes; summarize needs them all"
             )
-        logs.append(log)
-    per_chain_ess = {d.name: chain_ess(log, burn_in) for d, log in zip(chain_dirs, logs)}
+        logs[name] = log
+    summary = summarize(logs, got["burn_in"])
 
-    pooled = _pool_logs(logs, burn_in)
-    summary = summarize(pooled, burn_in=0.0)
-
-    out = Path(out_dir)
+    out = Path(got["out"])
     out.mkdir(parents=True, exist_ok=True)
     payload = summary.to_dict()
-    payload["ess"] = per_chain_ess
-    payload["meta"]["chains"] = [d.name for d in chain_dirs]
-    payload["meta"]["burn_in"] = burn_in
 
     if truth is not None:
         rp, frame = truth
@@ -335,7 +332,7 @@ def cmd_summarize(cfg, out_dir, truth_path=None):
     for j, mat in enumerate(summary.factors, start=1):
         _write_symmetric_csv(factors_dir / f"factor_{j}.csv", mat)
     _write_json(out / "summary.json", payload)
-    _write_json(out / "effective_config.json", {**cfg, **got, "out": str(out)})
+    _write_json(out / "effective_config.json", _effective(cfg, got, out))
     print(f"wrote {out / 'summary.json'}")
     return 0
 
@@ -352,17 +349,6 @@ def _write_symmetric_csv(path, mat):
     slot = np.empty((n, n), dtype=np.intp)
     slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
     Path(path).write_bytes(csv_rows(g17_slots(mat[rows, cols]).take(slot, axis=0)))
-
-
-def _pool_logs(logs, burn_in):
-    """Concatenate per-chain retained draws into one log for pooling."""
-    starts = [_retained_start(log, burn_in) for log in logs]
-
-    def cat(name):
-        return np.concatenate([getattr(log, name)[start:] for log, start in zip(logs, starts)])
-
-    arrays = {f.name: cat(f.name) for f in dataclasses.fields(SampleLog) if f.name != "meta"}
-    return dataclasses.replace(logs[0], **arrays)
 
 
 def build_parser():
@@ -391,15 +377,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        for name in ("seed", "chains"):  # the one place a flag enters the config
+        for name in ("seed", "chains", "out"):  # the one place a flag enters the config
             if getattr(args, name, None) is not None:
                 cfg[name] = getattr(args, name)
-        out_dir = args.out if args.out is not None else cfg.get("out", ".")
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
+            return cmd_simulate(cfg)
         if args.command == "fit":
-            return cmd_fit(cfg, out_dir)
-        return cmd_summarize(cfg, out_dir, truth_path=args.truth)
+            return cmd_fit(cfg)
+        return cmd_summarize(cfg, truth_path=args.truth)
     except (ChainError, InitializationError, NotPositiveDefiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

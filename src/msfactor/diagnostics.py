@@ -3,9 +3,9 @@
 Summaries are computed from hard assignment patterns plus the level
 values: every retained draw's frame is rebuilt by whitening the
 structured matrix implied by (W, a, b), which makes the results
-reproducible from the trace files alone.  chain_ess is the ESS part
-of summarize on its own: it canonicalises labels but whitens nothing,
-so per-chain diagnostics cost no frame work.
+reproducible from the trace files alone.  Each chain is cut after
+burn-in and put under the label convention once; its ESS and the
+pooled summaries both read that one result.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class PosteriorSummary:
     q_mean: np.ndarray        # n x k, sign-aligned mean, re-orthonormalized
     d_mean: np.ndarray        # S x k, loadings on the natural scale
     factors: list             # k dense n x n log-odds contributions
-    ess: dict
+    ess: dict                 # chain name -> series name -> ESS, None below 100 draws
     meta: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -99,35 +99,32 @@ class PosteriorSummary:
         }
 
 
-def _retained_start(log, burn_in):
-    if not 0.0 <= burn_in < 1.0:
-        raise ValueError(f"burn_in must be in [0, 1), got {burn_in}")
-    if log.n_draws == 0:
-        raise ValueError("empty sample log")
-    return int(math.floor(log.n_draws * burn_in))
+def _retained(name, log, burn_in):
+    """One chain's draws after burn-in, under the a_j >= b_j convention.
 
-
-def _canonical_values(log, start):
-    """Retained a, b, p under the a_j >= b_j convention, and the swap mask."""
-    a, b, p = log.a[start:], log.b[start:], log.p[start:]
-    swap = a < b
-    return np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - p, p), swap
-
-
-def chain_ess(log, burn_in=0.5):
-    """Batch-means ESS of the canonical a, b, p, the offsets and U.
-
-    This is summarize(log, burn_in).ess without whitening any frame.
+    Where a draw has a_j < b_j its level values swap, p_j becomes
+    1 - p_j and assignment column j is complemented.
     """
-    start = _retained_start(log, burn_in)
-    a, b, p, _ = _canonical_values(log, start)
-    k = a.shape[1]
-    offsets = log.offsets[start:]
-    series = {f"a_{j + 1}": a[:, j] for j in range(k)}
-    series.update({f"b_{j + 1}": b[:, j] for j in range(k)})
-    series.update({f"p_{j + 1}": p[:, j] for j in range(k)})
-    series.update({f"z_{i + 1}": offsets[:, i] for i in range(offsets.shape[1])})
-    series["U"] = log.u[start:]
+    if log.n_draws == 0:
+        raise ValueError(f"{name}: empty sample log")
+    start = int(math.floor(log.n_draws * burn_in))
+    a, b, p, w = log.a[start:], log.b[start:], log.p[start:], log.w_hard[start:]
+    swap = a < b
+    if swap.any():
+        w = np.where(swap[:, None, :], 1.0 - w, w)
+    return {
+        "a": np.where(swap, b, a), "b": np.where(swap, a, b), "p": np.where(swap, 1.0 - p, p),
+        "w": w, "loadings": np.exp(log.log_loadings[start:]),
+        "offsets": log.offsets[start:], "u": log.u[start:],
+    }
+
+
+def _ess(draws):
+    """Batch-means ESS of one chain's retained a, b, p, offsets and U."""
+    k, s = draws["a"].shape[1], draws["offsets"].shape[1]
+    series = {f"{name}_{j + 1}": draws[name][:, j] for name in "abp" for j in range(k)}
+    series.update({f"z_{i + 1}": draws["offsets"][:, i] for i in range(s)})
+    series["U"] = draws["u"]
     ess = {}
     for name, values in series.items():
         try:
@@ -137,20 +134,24 @@ def chain_ess(log, burn_in=0.5):
     return ess
 
 
-def summarize(log, burn_in=0.5):
-    """Reduce a sample log to posterior point summaries and ESS values.
+def summarize(chains, burn_in=0.5):
+    """Reduce chains' sample logs to posterior point summaries and ESS values.
 
-    burn_in is the fraction of recorded draws discarded from the front.
-    Logs hold raw draws; the label convention (a_j > b_j) is imposed
-    here, so file-loaded and in-memory logs behave identically.
+    chains maps each chain's name to its SampleLog, in chain order, and
+    burn_in is the fraction of each chain's draws discarded from its
+    front. ESS is per chain; every other summary pools the chains'
+    retained draws in chain order. Logs hold raw draws; the label
+    convention (a_j > b_j) is imposed here, so file-loaded and
+    in-memory logs behave identically.
     """
-    start = _retained_start(log, burn_in)
-    a, b, _, swap = _canonical_values(log, start)
-    w = log.w_hard[start:]
-    if swap.any():
-        w = np.where(swap[:, None, :], 1.0 - w, w)
-    kept = log.n_draws - start
-    loadings = np.exp(log.log_loadings[start:])
+    if not 0.0 <= burn_in < 1.0:
+        raise ValueError(f"burn_in must be in [0, 1), got {burn_in}")
+    if not chains:
+        raise ValueError("no chains to summarize")
+    retained = {name: _retained(name, log, burn_in) for name, log in chains.items()}
+    a, b, w, loadings = (np.concatenate([r[key] for r in retained.values()])
+                         for key in ("a", "b", "w", "loadings"))
+    kept = a.shape[0]
 
     w_prob = w.mean(axis=0)
     d_mean = loadings.mean(axis=0)
@@ -192,12 +193,13 @@ def summarize(log, burn_in=0.5):
         q_mean=q_mean,
         d_mean=d_mean,
         factors=factors,
-        ess=chain_ess(log, burn_in),
+        ess={name: _ess(r) for name, r in retained.items()},
         meta={
             "n_retained": kept,
             "n_frame_draws": used,
             "n_rank_skipped": kept - used,
             "burn_in": burn_in,
             "q_mean_orthonormalized": orthonormalized,
+            "chains": list(chains),
         },
     )

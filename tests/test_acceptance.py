@@ -323,14 +323,14 @@ def _recovery_run(n_subjects):
         rng,
         anneal_from=0.5,
     )
-    summ = summarize(log, burn_in=0.0)
+    summ = summarize({"chain_00": log}, burn_in=0.0)
     result = {
         "err": subspace_error(truth["frame"], summ.q_mean),
         "rec1": partition_recovery(summ.w_prob, rp, 1),
     }
     if n_subjects == 10:
         result.update(
-            ess=summ.ess,
+            ess=summ.ess["chain_00"],
             n_draws=log.n_draws,
             w_prob=summ.w_prob,
             w_hard=log.w_hard,

@@ -98,12 +98,12 @@ class TestPipeline:
         log = SampleLog.from_csv(
             fit_dir / "chain_00" / "trace.csv", fit_dir / "chain_00" / "w_trace.csv"
         )
-        direct = summarize(log, burn_in=0.5)
+        direct = summarize({"chain_00": log}, burn_in=0.5)
         payload = json.loads((sum_dir / "summary.json").read_text())
         np.testing.assert_array_equal(np.asarray(payload["w_prob"]), direct.w_prob)
         np.testing.assert_array_equal(np.asarray(payload["q_mean"]), direct.q_mean)
         np.testing.assert_array_equal(np.asarray(payload["d_mean"]), direct.d_mean)
-        assert payload["ess"]["chain_00"] == direct.ess
+        assert payload["ess"] == direct.ess
 
 
 class TestOutcomes:
@@ -180,7 +180,8 @@ class TestDeterminism:
 
 
 class TestMultiChain:
-    def test_two_chains_fit_and_pool(self, tmp_path):
+    @staticmethod
+    def _fit_args(tmp_path):
         sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
         fit = _write(tmp_path / "fit.json", {
@@ -188,9 +189,10 @@ class TestMultiChain:
             "k": 1, "seed": 17, "iterations": 30, "warmup": 10,
             "tau": 0.3, "leapfrog_steps": 2,
         })
-        assert main([
-            "fit", "--config", fit, "--out", str(tmp_path / "fit"), "--chains", "2",
-        ]) == 0
+        return ["fit", "--config", fit, "--out", str(tmp_path / "fit")]
+
+    def test_two_chains_fit_and_pool(self, tmp_path):
+        assert main([*self._fit_args(tmp_path), "--chains", "2"]) == 0
         assert (tmp_path / "fit" / "chain_00" / "trace.csv").exists()
         assert (tmp_path / "fit" / "chain_01" / "trace.csv").exists()
         meta = json.loads((tmp_path / "fit" / "run_meta.json").read_text())
@@ -201,6 +203,31 @@ class TestMultiChain:
         payload = json.loads((tmp_path / "sum" / "summary.json").read_text())
         assert payload["meta"]["chains"] == ["chain_00", "chain_01"]
         assert set(payload["ess"]) == {"chain_00", "chain_01"}
+
+    def test_summarize_reads_the_chains_run_meta_lists(self, tmp_path):
+        # a 1-chain fit into the directory of a 2-chain fit leaves chain_01
+        # behind; the summary is the 1-chain fit's alone
+        fit_args = self._fit_args(tmp_path)
+        assert main([*fit_args, "--chains", "2"]) == 0
+        assert main([*fit_args, "--chains", "1"]) == 0
+        assert (tmp_path / "fit" / "chain_01" / "trace.csv").exists()
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 0
+        payload = json.loads((tmp_path / "sum" / "summary.json").read_text())
+        assert payload["meta"]["chains"] == ["chain_00"]
+        assert list(payload["ess"]) == ["chain_00"]
+        assert payload["meta"]["n_retained"] == 10
+
+    def test_run_meta_listing_no_chains_exits_2(self, pipeline, tmp_path, capsys):
+        _, _, fit_dir, _ = pipeline
+        copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, copy)
+        meta = json.loads((copy / "run_meta.json").read_text())
+        _write(copy / "run_meta.json", {**meta, "chains": {}})
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(copy)})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
+        assert "no chains listed in" in capsys.readouterr().err
+        assert not (tmp_path / "sum").exists()
 
 
 class _SerialPool:
@@ -370,7 +397,8 @@ class TestFailureModes:
         empty.mkdir()
         cfg = _write(tmp_path / "sum.json", {"fit_dir": str(empty)})
         assert main(["summarize", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "chain" in capsys.readouterr().err
+        # the chains are those run_meta.json lists, and there is none
+        assert "run_meta.json" in capsys.readouterr().err
 
     def test_warmup_exceeding_iterations(self, tmp_path, capsys):
         data = tmp_path / "d.json"
@@ -509,6 +537,26 @@ class TestFailureModes:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"config field {field} " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "summarize"])
+    def test_out_field_follows_the_field_rules(self, pipeline, tmp_path, monkeypatch, capsys,
+                                               command):
+        _, sim_dir, fit_dir, _ = pipeline
+        cfg = {
+            "simulate": {"n": 6, "k": 2, "subjects": 1, "seed": 0},
+            "fit": {"data": str(sim_dir / "dataset.json"), "k": 2, "seed": 1, "iterations": 4},
+            "summarize": {"fit_dir": str(fit_dir)},
+        }[command]
+        monkeypatch.chdir(tmp_path)
+        bad = _write(tmp_path / "bad.json", {**cfg, "out": 5})
+        assert main([command, "--config", bad]) == 2
+        assert "config field out must be str" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+        # null takes the default, the working directory
+        unset = _write(tmp_path / "unset.json", {**cfg, "out": None})
+        assert main([command, "--config", unset]) == 0
+        effective = json.loads((tmp_path / "effective_config.json").read_text())
+        assert effective["out"] == "."
 
     def test_seed_beyond_float_is_accepted(self, tmp_path):
         # a seed is never a float, and numpy seeds from an int of any size
@@ -991,9 +1039,9 @@ class TestFactorWriter:
 
     def test_summary_factors_match_per_value_writer(self, pipeline, tmp_path):
         _, _, fit_dir, sum_dir = pipeline
-        logs = [SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv")
-                for d in sorted(fit_dir.glob("chain_*"))]
-        summary = summarize(msfactor.cli._pool_logs(logs, 0.5), burn_in=0.0)
+        logs = {d.name: SampleLog.from_csv(d / "trace.csv", d / "w_trace.csv")
+                for d in sorted(fit_dir.glob("chain_*"))}
+        summary = summarize(logs, burn_in=0.5)
         for j, mat in enumerate(summary.factors, start=1):
             _reference_matrix_csv(tmp_path / "reference.csv", mat)
             written = (sum_dir / "factors" / f"factor_{j}.csv").read_bytes()

@@ -8,7 +8,6 @@ import pytest
 import msfactor.diagnostics
 import msfactor.whitening
 from msfactor.diagnostics import (
-    chain_ess,
     ess_batch_means,
     partition_recovery,
     subspace_error,
@@ -43,6 +42,42 @@ def _make_log(a, b, p, w, offsets=None, log_loadings=None, u=None):
         ),
         w_hard=np.asarray(w, dtype=np.float64),
     )
+
+
+def _random_log(t_n, seed):
+    rng = np.random.default_rng(seed)
+    k, s, n = 3, 2, 6
+    a = rng.standard_normal((t_n, k))
+    b = rng.standard_normal((t_n, k))
+    # a mix of raw draws on either side of the a > b convention, and
+    # one column of b constant (its ESS is 0)
+    b[:, 2] = -5.0
+    return _make_log(
+        a, b, rng.random((t_n, k)), (rng.random((t_n, n, k)) < 0.5).astype(float),
+        offsets=rng.standard_normal((t_n, s)),
+        log_loadings=rng.standard_normal((t_n, s, k)),
+        u=rng.standard_normal(t_n),
+    )
+
+
+def _two_chains():
+    """Chains of unequal length, each with draws on both sides of a > b."""
+    chains = {"chain_00": _random_log(300, seed=1), "chain_01": _random_log(150, seed=2)}
+    for log in chains.values():
+        assert (log.a < log.b).any() and (log.a > log.b).any()
+    return chains
+
+
+def _canonical(log, burn_in):
+    """A chain's retained draws under the a_j > b_j convention."""
+    start = math.floor(log.n_draws * burn_in)
+    a, b, p, w = log.a[start:], log.b[start:], log.p[start:], log.w_hard[start:]
+    swap = a < b
+    return {
+        "a": np.maximum(a, b), "b": np.minimum(a, b), "p": np.where(swap, 1.0 - p, p),
+        "w": np.where(swap[:, None, :], 1.0 - w, w), "z": log.offsets[start:],
+        "U": log.u[start:], "loadings": np.exp(log.log_loadings[start:]),
+    }
 
 
 class TestEssBatchMeans:
@@ -150,13 +185,13 @@ class TestSummarize:
         b = np.array([[-1.0, -0.6]])
         log = _make_log(a, b, np.array([[0.6, 0.7]]), w,
                         log_loadings=np.array([[[0.5, -0.2]]]))
-        out = summarize(log, burn_in=0.0)
+        out = summarize({"chain_00": log}, burn_in=0.0)
         np.testing.assert_array_equal(out.w_prob, w[0])
         x = build_x(w[0], ColumnValues(a=a[0], b=b[0]))
         np.testing.assert_allclose(out.q_mean, whiten(x), atol=1e-12)
         np.testing.assert_allclose(out.d_mean, np.exp([[0.5, -0.2]]), atol=1e-14)
         assert out.meta["n_frame_draws"] == 1
-        assert out.ess["a_1"] is None
+        assert out.ess["chain_00"]["a_1"] is None
 
     def test_label_swapped_draws_agree(self):
         # two raw draws on the same orbit collapse to one canonical answer
@@ -167,7 +202,7 @@ class TestSummarize:
             p=np.array([[0.6, 0.7], [0.4, 0.7]]),
             w=np.stack([w0, np.column_stack([1.0 - w0[:, 0], w0[:, 1]])]),
         )
-        out = summarize(log, burn_in=0.0)
+        out = summarize({"chain_00": log}, burn_in=0.0)
         np.testing.assert_array_equal(out.w_prob, w0)
         assert out.meta["n_frame_draws"] == 2
 
@@ -177,7 +212,7 @@ class TestSummarize:
         w = np.stack([w_a] * 5 + [w_b] * 5)
         ones = np.ones((10, 1))
         log = _make_log(ones, -ones, 0.5 * ones, w)
-        out = summarize(log, burn_in=0.5)
+        out = summarize({"chain_00": log}, burn_in=0.5)
         np.testing.assert_array_equal(out.w_prob, w_b)
         assert out.meta["n_retained"] == 5
 
@@ -188,7 +223,7 @@ class TestSummarize:
         a = np.zeros((2, 1))
         b = -np.ones((2, 1))
         log = _make_log(a, b, 0.5 * np.ones((2, 1)), np.stack([good, bad]))
-        out = summarize(log, burn_in=0.0)
+        out = summarize({"chain_00": log}, burn_in=0.0)
         assert out.meta["n_frame_draws"] == 1
         assert out.meta["n_rank_skipped"] == 1
         x = build_x(good, ColumnValues(a=a[0], b=b[0]))
@@ -199,19 +234,51 @@ class TestSummarize:
             np.zeros((1, 1)), -np.ones((1, 1)), 0.5 * np.ones((1, 1)), np.ones((1, 3, 1))
         )
         with pytest.raises(ValueError, match="full-rank"):
-            summarize(log, burn_in=0.0)
+            summarize({"chain_00": log}, burn_in=0.0)
 
     def test_empty_log_rejected(self):
         log = _make_log(np.empty((0, 1)), np.empty((0, 1)), np.empty((0, 1)),
                         np.empty((0, 3, 1)))
         with pytest.raises(ValueError, match="empty"):
-            summarize(log)
+            summarize({"chain_00": log})
 
     def test_burn_in_validated(self):
         ones = np.ones((1, 1))
         log = _make_log(ones, -ones, 0.5 * ones, np.ones((1, 3, 1)))
-        with pytest.raises(ValueError, match="burn_in"):
-            summarize(log, burn_in=1.0)
+        for burn_in in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="burn_in"):
+                summarize({"chain_00": log}, burn_in=burn_in)
+
+    def test_empty_chain_rejected(self):
+        chains = {"chain_00": _random_log(10, seed=6), "chain_01": _random_log(0, seed=7)}
+        with pytest.raises(ValueError, match="chain_01: empty"):
+            summarize(chains, 0.5)
+
+    def test_no_chains_rejected(self):
+        with pytest.raises(ValueError, match="no chains"):
+            summarize({}, 0.5)
+
+    def test_each_chain_is_cut_on_its_own_then_pooled(self):
+        chains = _two_chains()
+        out = summarize(chains, burn_in=0.3)
+        kept = [_canonical(log, 0.3) for log in chains.values()]
+        pooled = {key: np.concatenate([c[key] for c in kept]) for key in ("a", "b", "w", "loadings")}
+        assert out.meta["n_retained"] == 210 + 105
+        assert out.meta["chains"] == ["chain_00", "chain_01"] and out.meta["burn_in"] == 0.3
+        np.testing.assert_array_equal(out.w_prob, pooled["w"].mean(axis=0))
+        np.testing.assert_array_equal(out.d_mean, pooled["loadings"].mean(axis=0))
+        frames = []
+        for w, a, b in zip(pooled["w"], pooled["a"], pooled["b"]):
+            try:
+                frames.append(whiten(build_x(w, ColumnValues(a=a, b=b))))
+            except NotPositiveDefiniteError:
+                pass
+        frames = np.array(frames)
+        signs = np.sign(np.einsum("tik,ik->tk", frames, frames[0]))
+        signs[signs == 0.0] = 1.0
+        assert out.meta["n_frame_draws"] == len(frames)
+        np.testing.assert_allclose(
+            out.q_mean, whiten((frames * signs[:, None, :]).mean(axis=0)), atol=1e-12)
 
     @staticmethod
     def _fail_on_mean_frame(monkeypatch, error):
@@ -231,12 +298,12 @@ class TestSummarize:
 
     def test_rank_failure_of_mean_frame_is_reported(self, monkeypatch):
         log = self._fail_on_mean_frame(monkeypatch, NotPositiveDefiniteError(1))
-        assert summarize(log, burn_in=0.0).meta["q_mean_orthonormalized"] is False
+        assert summarize({"chain_00": log}, burn_in=0.0).meta["q_mean_orthonormalized"] is False
 
     def test_other_error_in_mean_frame_propagates(self, monkeypatch):
         log = self._fail_on_mean_frame(monkeypatch, RuntimeError("whitening bug"))
         with pytest.raises(RuntimeError, match="whitening bug"):
-            summarize(log, burn_in=0.0)
+            summarize({"chain_00": log}, burn_in=0.0)
 
     def test_each_frame_is_factored_once_per_pass(self, monkeypatch):
         # whitening is the rank test: a full-rank draw costs its two
@@ -253,7 +320,7 @@ class TestSummarize:
         w1 = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
         ones = np.ones((3, 2))
         log = _make_log(ones, -ones, 0.5 * ones, np.stack([w0, w1, w0]))
-        out = summarize(log, burn_in=0.0)
+        out = summarize({"chain_00": log}, burn_in=0.0)
         assert out.meta["n_frame_draws"] == 3
         assert len(factored) == 2 * 3 + 2
 
@@ -263,7 +330,7 @@ class TestSummarize:
         b = np.array([[-1.0, -0.6]])
         log = _make_log(a, b, np.array([[0.6, 0.7]]), w,
                         log_loadings=np.array([[[0.5, -0.2]]]))
-        out = summarize(log, burn_in=0.0)
+        out = summarize({"chain_00": log}, burn_in=0.0)
         assert len(out.factors) == 2
         for j, factor in enumerate(out.factors):
             scale = out.d_mean[:, j].mean()
@@ -273,53 +340,33 @@ class TestSummarize:
 
 
 class TestChainEss:
-    def _random_log(self, t_n, seed):
-        rng = np.random.default_rng(seed)
-        k, s, n = 3, 2, 6
-        a = rng.standard_normal((t_n, k))
-        b = rng.standard_normal((t_n, k))
-        # a mix of raw draws on either side of the a > b convention, and
-        # one column of b constant (its ESS is 0)
-        b[:, 2] = -5.0
-        return _make_log(
-            a, b, rng.random((t_n, k)), (rng.random((t_n, n, k)) < 0.5).astype(float),
-            offsets=rng.standard_normal((t_n, s)),
-            log_loadings=rng.standard_normal((t_n, s, k)),
-            u=rng.standard_normal(t_n),
-        )
+    """summarize's ESS is per chain, from that chain's retained draws alone."""
 
     @pytest.mark.parametrize("t_n, burn_in", [(400, 0.5), (400, 0.0), (250, 0.3), (150, 0.2)])
     def test_equals_summarize_ess(self, t_n, burn_in):
-        log = self._random_log(t_n, seed=t_n)
+        # a chain's ESS does not depend on the chains pooled with it
+        log = _random_log(t_n, seed=t_n)
         assert (log.a < log.b).any() and (log.a > log.b).any()
-        assert chain_ess(log, burn_in) == summarize(log, burn_in).ess
+        alone = summarize({"chain_00": log}, burn_in).ess
+        pooled = summarize({"chain_00": log, "chain_01": _random_log(120, seed=3)}, burn_in).ess
+        assert pooled["chain_00"] == alone["chain_00"]
+        assert list(pooled) == ["chain_00", "chain_01"]
 
     def test_series_are_canonical(self):
         # under the a_j > b_j convention a is the larger level value and p
         # is flipped wherever a draw had them the other way round
-        log = self._random_log(300, seed=4)
-        swap = log.a[150:] < log.b[150:]
-        expected = {
-            "a_1": np.maximum(log.a, log.b)[150:, 0],
-            "b_2": np.minimum(log.a, log.b)[150:, 1],
-            "p_1": np.where(swap, 1.0 - log.p[150:], log.p[150:])[:, 0],
-            "z_2": log.offsets[150:, 1],
-            "U": log.u[150:],
-        }
-        ess = chain_ess(log, 0.5)
-        assert len(ess) == 3 * 3 + 2 + 1
-        for name, series in expected.items():
-            assert ess[name] == ess_batch_means(series), name
+        chains = _two_chains()
+        out = summarize(chains, burn_in=0.3)
+        for name, log in chains.items():
+            kept = _canonical(log, 0.3)
+            expected = {f"{key}_{j + 1}": kept[key][:, j] for key in "abp" for j in range(3)}
+            expected.update({f"z_{i + 1}": kept["z"][:, i] for i in range(2)})
+            expected["U"] = kept["U"]
+            assert list(out.ess[name]) == list(expected)
+            for series, values in expected.items():
+                assert out.ess[name][series] == ess_batch_means(values), (name, series)
 
     def test_short_log_gives_none(self):
-        log = self._random_log(120, seed=5)
-        ess = chain_ess(log, 0.5)
-        assert ess == summarize(log, 0.5).ess
-        assert all(value is None for value in ess.values())
-
-    def test_validates_like_summarize(self):
-        log = self._random_log(10, seed=6)
-        with pytest.raises(ValueError, match="burn_in"):
-            chain_ess(log, 1.0)
-        with pytest.raises(ValueError, match="empty"):
-            chain_ess(self._random_log(0, seed=7), 0.5)
+        out = summarize({"chain_00": _random_log(120, seed=5)}, burn_in=0.5)
+        assert len(out.ess["chain_00"]) == 3 * 3 + 2 + 1
+        assert all(value is None for value in out.ess["chain_00"].values())
