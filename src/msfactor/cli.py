@@ -271,6 +271,8 @@ def _parse_truth(text):
     frame = np.asarray(truth["frame"], dtype=np.float64)
     if frame.shape != (rp.n, rp.depth):
         raise ValueError(f"frame must be {rp.n} x {rp.depth}, got shape {frame.shape}")
+    if not np.isfinite(frame).all():
+        raise ValueError("frame must hold finite numbers")
     return rp, frame
 
 
@@ -300,12 +302,12 @@ def cmd_summarize(cfg, truth_path=None):
                     f"but {name} was fit with n = {n} and k = {k}"
                 )
     logs = {}
-    for name, (n, _) in fit_dims.items():
+    for name, dims in fit_dims.items():
         log = SampleLog.from_csv(fit_dir / name / "trace.csv", fit_dir / name / "w_trace.csv")
-        if log.w_hard.shape[1] != n:
+        if log.w_hard.shape[1:] != dims:
             raise ConfigError(
-                f"{name}: w_trace covers {log.w_hard.shape[1]} of the fit's "
-                f"{n} nodes; summarize needs them all"
+                f"{name}: w_trace covers (n, k) = {log.w_hard.shape[1:]}, "
+                f"but run_meta.json gives {dims}"
             )
         logs[name] = log
     summary = summarize(logs, got["burn_in"])

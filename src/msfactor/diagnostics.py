@@ -57,7 +57,7 @@ def subspace_error(q_hat, q_ref):
     k = q_ref.shape[1]
     for name, q in (("estimate", q_hat), ("reference", q_ref)):
         gram = q.T @ q
-        if np.abs(gram - np.eye(k)).max() > 1e-6:
+        if not np.abs(gram - np.eye(k)).max() <= 1e-6:   # NaN fails too
             raise ValueError(f"{name} frame is not orthonormal within 1e-6")
     p_hat = q_hat @ q_hat.T
     p_ref = q_ref @ q_ref.T

@@ -9,9 +9,9 @@ Diagonals are excluded throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +31,13 @@ def _logit(p):
     return np.log(p / (1.0 - p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkDataset:
     """S binary undirected networks on a common node set.
 
-    The adjacency is a read-only copy, so what the likelihood derives
-    from it once per dataset stays valid.
+    Checked when built.  The adjacency is a read-only copy, so what the
+    likelihood derives from it once per dataset stays valid; datasets
+    compare and hash by identity, which keys that derived state.
     """
 
     n: int
@@ -51,6 +52,7 @@ class NetworkDataset:
         a = a.astype(np.float64)
         a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
+        self.validate()
 
     @property
     def n_subjects(self):
@@ -86,9 +88,7 @@ class NetworkDataset:
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text)
-        data = cls(n=payload["n"], adjacency=np.asarray(payload["subjects"], dtype=np.float64))
-        data.validate()
-        return data
+        return cls(n=payload["n"], adjacency=np.asarray(payload["subjects"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -117,37 +117,32 @@ class SubjectParams:
         return self.log_loadings.shape[1]
 
 
-# Work arrays of the likelihood pass, held for one dataset and frame
-# width w = k + 1 at a time: (weak reference to the dataset, w, 2A - 1,
-# two S x n x n scratch arrays, the flat indices of the pairs i < j
-# within one n x n slice, the positions of the edges among all
-# subjects' packed pairs, room for the log-odds at the edges, [q | 1]
-# (n x w) and its transpose, the halved loadings and offsets (S x w),
-# and one S x n x w array for [q | 1] scaled per subject and then for
-# R [q | 1]).  Reusing them spares a page-faulting allocation per call;
-# they live here rather than on the dataset, so pickling a dataset
-# never copies them.  Not thread-safe: chains run in separate processes.
-_workspace = None
-
-
+@functools.lru_cache(maxsize=1)
 def _work_arrays(data, width):
-    global _workspace
-    if _workspace is None or _workspace[0]() is not data or _workspace[1] != width:
-        _workspace = None  # free the previous arrays first
-        adj = data.adjacency
-        s, n, _ = adj.shape
-        rows, cols = np.triu_indices(n, k=1)
-        pairs = rows * n + cols
-        work = np.empty(adj.shape)
-        # the edges are read once, through the scratch array's packed view
-        edges = np.flatnonzero(_packed(adj, pairs, work))
-        # the ones column of [q | 1] (row of its transpose) is written once, here
-        _workspace = (
-            weakref.ref(data), width, 2.0 * adj - 1.0, np.empty(adj.shape), work,
-            pairs, edges, np.empty(edges.size), np.ones((n, width)), np.ones((width, n)),
-            np.empty((s, width)), np.empty((s, n, width)),
-        )
-    return _workspace[2:]
+    """Work arrays of the likelihood pass for one dataset and frame width
+    w = k + 1, kept for the last pair asked for; the cache holds that
+    dataset, so no other can take its identity meanwhile.  They are 2A - 1,
+    two S x n x n scratch arrays, the flat indices of the pairs i < j
+    within one n x n slice, the positions of the edges among all subjects'
+    packed pairs, room for the log-odds at the edges, [q | 1] (n x w) and
+    its transpose, the halved loadings and offsets (S x w), and one
+    S x n x w array for [q | 1] scaled per subject and then for R [q | 1].
+    Reusing them spares a page-faulting allocation per call; they live
+    here rather than on the dataset, so pickling a dataset never copies
+    them.  Not thread-safe: chains run in separate processes.
+    """
+    adj = data.adjacency
+    s, n, _ = adj.shape
+    rows, cols = np.triu_indices(n, k=1)
+    pairs = rows * n + cols
+    work = np.empty(adj.shape)
+    # the edges are read once, through the scratch array's packed view
+    edges = np.flatnonzero(_packed(adj, pairs, work))
+    # the ones column of [q | 1] (row of its transpose) is written once, here
+    return (
+        2.0 * adj - 1.0, np.empty(adj.shape), work, pairs, edges, np.empty(edges.size),
+        np.ones((n, width)), np.ones((width, n)), np.empty((s, width)), np.empty((s, n, width)),
+    )
 
 
 def _packed(a, pairs, out):

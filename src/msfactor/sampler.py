@@ -191,20 +191,18 @@ def _evaluator(state, data):
         q, log_det, passes = _whitened(build_x(w, values))
         d = np.exp(ld)
         rate_d = LOADING_RATE / d
-        ll = 0.0
+        # a prior-only chain's likelihood terms are zero, and x - 0.0 is x for
+        # every float, so both cases share one assembly; its frame gradient
+        # stays None, as adding a zero one could turn a -0.0 into 0.0
+        ll, g = 0.0, (None, 0.0, 0.0)
         if data is not None:
             ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad)
         if with_grad:
-            if data is None:
-                g_q = None
-                np.subtract(LOADING_SHAPE, rate_d, out=grad_ld)
-                np.divide(z, OFFSET_SD**2, out=grad_z)
-            else:
-                g_q, g_ld, g_z = g
-                if not np.isfinite(g_q).all():
-                    raise _DivergenceError("non-finite frame gradient")
-                np.subtract(LOADING_SHAPE - g_ld, rate_d, out=grad_ld)
-                np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
+            g_q, g_ld, g_z = g
+            if g_q is not None and not np.isfinite(g_q).all():
+                raise _DivergenceError("non-finite frame gradient")
+            np.subtract(LOADING_SHAPE - g_ld, rate_d, out=grad_ld)
+            np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
             # -dU/dX: the likelihood's part through the frame plus the
             # gram term's, (n - k - 1) times d(log det(X'X) / 2)/dX
             gx = whiten_backward(passes, g_q, gram_weight)

@@ -229,6 +229,28 @@ class TestMultiChain:
         assert "no chains listed in" in capsys.readouterr().err
         assert not (tmp_path / "sum").exists()
 
+    @pytest.mark.parametrize("with_truth", [False, True], ids=["no-truth", "truth-of-3-levels"])
+    def test_run_meta_k_other_than_the_trace_s_exits_2(self, pipeline, tmp_path, capsys,
+                                                       with_truth):
+        # the pipeline's fit has n = 12 and k = 2; its run_meta.json now says k = 3
+        _, _, fit_dir, _ = pipeline
+        copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, copy)
+        meta = json.loads((copy / "run_meta.json").read_text())
+        meta["chains"]["chain_00"]["k"] = 3
+        _write(copy / "run_meta.json", meta)
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(copy)})
+        args = ["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]
+        if with_truth:
+            sim = _write(tmp_path / "sim.json", {"n": 12, "k": 3, "subjects": 1, "seed": 5})
+            assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+            args += ["--truth", str(tmp_path / "sim" / "truth.json")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "chain_00" in err and "(12, 2)" in err and "(12, 3)" in err
+        assert not (tmp_path / "sum").exists()
+
 
 class _SerialPool:
     """In-process stand-in for the chain pool, built from max_workers only."""
@@ -431,20 +453,40 @@ class TestFailureModes:
         assert str(data) in err and "n must be an integer" in err
         assert not (tmp_path / "fit" / "chain_00").exists()
 
-    def test_truth_file_is_checked_before_any_trace(self, pipeline, tmp_path, capsys,
-                                                    monkeypatch):
+    def _summarize_with_edited_truth(self, pipeline, tmp_path, monkeypatch, edit):
+        """Exit code of summarize given the pipeline's truth after edit,
+        and the trace pairs it read."""
         _, sim_dir, fit_dir, _ = pipeline
         truth = json.loads((sim_dir / "truth.json").read_text())
-        del truth["partition"]
+        edit(truth)
         bad = _write(tmp_path / "truth.json", truth)
         loads = []
         monkeypatch.setattr(msfactor.cli.SampleLog, "from_csv",
                             classmethod(lambda cls, *paths: loads.append(paths)))
         cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir)})
         args = ["summarize", "--config", cfg, "--out", str(tmp_path / "sum"), "--truth", bad]
-        assert main(args) == 2
+        return main(args), loads
+
+    def test_truth_file_is_checked_before_any_trace(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        code, loads = self._summarize_with_edited_truth(
+            pipeline, tmp_path, monkeypatch, lambda truth: truth.pop("partition")
+        )
+        assert code == 2
         assert "truth file" in capsys.readouterr().err
         assert loads == []
+
+    def test_non_finite_truth_frame_exits_2_before_any_trace(self, pipeline, tmp_path, capsys,
+                                                            monkeypatch):
+        def nan_frame(truth):
+            truth["frame"][3][1] = math.nan     # json.dumps writes a bare NaN
+
+        code, loads = self._summarize_with_edited_truth(pipeline, tmp_path, monkeypatch, nan_frame)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"truth file {tmp_path / 'truth.json'}" in err and "finite" in err
+        assert loads == []
+        assert not (tmp_path / "sum").exists()
 
     def test_missing_truth_file(self, pipeline, tmp_path, capsys):
         _, _, fit_dir, _ = pipeline

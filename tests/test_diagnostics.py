@@ -142,6 +142,15 @@ class TestSubspaceError:
         with pytest.raises(ValueError, match="orthonormal"):
             subspace_error(2.0 * q, q)
 
+    @pytest.mark.parametrize("side", ["estimate", "reference"])
+    def test_nan_frame_rejected(self, side):
+        q = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 2)))[0]
+        bad = q.copy()
+        bad[3, 1] = math.nan
+        frames = (bad, q) if side == "estimate" else (q, bad)
+        with pytest.raises(ValueError, match=f"{side} frame is not orthonormal"):
+            subspace_error(*frames)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             subspace_error(np.eye(4)[:, :2], np.eye(5)[:, :2])

@@ -293,6 +293,23 @@ class TestFusedKernel:
             for got, ref in zip(out[1:], grads):
                 _assert_close(got, ref)
 
+    def test_dataset_built_after_the_last_is_dropped(self):
+        # del frees a dataset at once (no cycle holds one), and CPython
+        # commonly gives its address to the next one built, which a cache
+        # keyed by address alone would take for the dropped one
+        problems = [_random_problem(seed, 6, 2, 2) for seed in (7, 8, 9)]
+        cases = [(data.adjacency, q, sp) for data, q, sp in problems]
+        del problems
+        data = None
+        for adj, q, sp in cases:
+            del data
+            data = NetworkDataset(n=6, adjacency=adj)
+            value, grads, _ = _textbook(data, q, sp)
+            got = _grads(data, q, sp, with_value=True)
+            assert got[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+            for part, ref in zip(got[1:], grads):
+                _assert_close(part, ref)
+
     @pytest.mark.parametrize("value, grads", [(True, False), (False, True), (True, True)])
     def test_warm_pass_allocates_less_than_one_frame_product(self, value, grads):
         # every S x n x (k + 1) product and the edge gather write into
@@ -336,24 +353,24 @@ class TestNetworkDataset:
         adj[1, 0, 2] = 0.5
         adj[1, 2, 0] = 0.5
         with pytest.raises(ValueError, match=r"subject 1, \(0, 2\)"):
-            NetworkDataset(n=3, adjacency=adj).validate()
+            NetworkDataset(n=3, adjacency=adj)
 
     def test_asymmetry_detected(self):
         adj = self._sym(3)
         adj[0, 0, 1] = 1.0
         with pytest.raises(ValueError, match="asymmetric"):
-            NetworkDataset(n=3, adjacency=adj).validate()
+            NetworkDataset(n=3, adjacency=adj)
 
     def test_diagonal_detected(self):
         adj = self._sym(3)
         adj[0, 2, 2] = 1.0
         with pytest.raises(ValueError, match="node 2"):
-            NetworkDataset(n=3, adjacency=adj).validate()
+            NetworkDataset(n=3, adjacency=adj)
 
     def test_valid_passes(self):
         adj = self._sym(3)
         adj[0, 0, 1] = adj[0, 1, 0] = 1.0
-        NetworkDataset(n=3, adjacency=adj).validate()
+        NetworkDataset(n=3, adjacency=adj)
 
     def test_edge_density(self):
         adj = self._sym(3, s=2)
@@ -407,8 +424,8 @@ class TestSimulate:
 
     def test_output_is_valid_and_truth_consistent(self):
         rp, values, probs, sp, rng = self._setup(12, 3, 2, 31, 0.0, ld=0.5)
-        data, truth = simulate_dataset(rp, values, probs, sp, rng)
-        data.validate()
+        # construction checks the adjacency
+        _, truth = simulate_dataset(rp, values, probs, sp, rng)
         q = truth["frame"]
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
 

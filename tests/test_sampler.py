@@ -264,6 +264,22 @@ class TestPotentialGrad:
             )
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
+    def test_prior_only_subject_blocks_are_exact(self):
+        # signed zeros included: offsets of -0.0 and 0.0 keep their signs
+        state = _generic_state(21, s=4)
+        sp = state.subject_params
+        offsets = np.concatenate([sp.offsets[:2], [-0.0, 0.0]])
+        state = dataclasses.replace(
+            state, subject_params=SubjectParams(log_loadings=sp.log_loadings, offsets=offsets)
+        )
+        g_ld, g_z, _ = potential_grad(state, None)
+        loading = msfactor.sampler.LOADING_SHAPE - msfactor.sampler.LOADING_RATE / np.exp(
+            sp.log_loadings
+        )
+        assert np.array_equal(g_ld, loading)
+        assert np.array_equal(g_z, offsets / msfactor.sampler.OFFSET_SD**2)
+        assert np.array_equal(np.signbit(g_z), np.signbit(offsets))
+
     def test_saturated_logits_have_zero_gradient(self):
         # at weights exactly 0/1 the relaxation slope vanishes, freezing them
         w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
