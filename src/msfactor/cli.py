@@ -23,7 +23,7 @@ from .csvtext import csv_rows, g17_slots
 from .diagnostics import partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition
-from .prior import ColumnValues, MixtureProbs, random_full_rank_partition
+from .prior import ColumnValues, random_full_rank_partition
 from .sampler import (
     ExchangeConfig,
     HmcConfig,
@@ -139,25 +139,24 @@ def cmd_simulate(cfg):
     if a.size != k or b.size != k:
         raise ConfigError("config fields a, b must hold k values")
     values = ColumnValues(a=a, b=b)
-    probs = MixtureProbs(p=np.full(k, 0.5))
     sp = SubjectParams(
         log_loadings=np.log(rng.uniform(lo, hi, size=(n_subjects, k))),
         offsets=np.full(n_subjects, offset),
     )
 
-    rp = random_full_rank_partition(n, k, values, rng)
-    if rp is None:
+    w = random_full_rank_partition(n, k, values, rng)
+    if w is None:
         raise InitializationError(f"no full-rank partition found for n={n}, k={k}")
 
-    data, truth = simulate_dataset(rp, values, probs, sp, rng)
+    data, truth = simulate_dataset(w, values, sp, rng)
     out = Path(got["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "dataset.json").write_text(data.to_json())
     _write_json(out / "truth.json", {
-        "partition": json.loads(rp.to_json()),
+        "partition": json.loads(RecursivePartition(w).to_json()),
         "a": a.tolist(),
         "b": b.tolist(),
-        "p": probs.p.tolist(),
+        "p": [0.5] * k,
         "frame": truth["frame"].tolist(),
         "log_loadings": sp.log_loadings.tolist(),
         "offsets": sp.offsets.tolist(),
@@ -227,8 +226,8 @@ def cmd_fit(cfg):
     hmc_cfg, exch_cfg = (cls(**{f.name: got[f.name] for f in dataclasses.fields(cls)})
                          for cls in (HmcConfig, ExchangeConfig))
 
-    # parsed and validated once, here, so bad data fails with exit 2; pool
-    # workers receive the parsed dataset
+    # parsed and checked here, so bad data fails with exit 2 before any
+    # chain starts; pool workers receive the parsed dataset
     data = _read(data_path, "data file", NetworkDataset.from_json)
     if data.n < 2:
         raise ConfigError(f"data file {data_path} must hold at least 2 nodes")
@@ -267,13 +266,13 @@ def cmd_fit(cfg):
 
 def _parse_truth(text):
     truth = json.loads(text)
-    rp = RecursivePartition.from_json(json.dumps(truth["partition"]))
+    w = RecursivePartition.from_json(json.dumps(truth["partition"])).membership_matrix()
     frame = np.asarray(truth["frame"], dtype=np.float64)
-    if frame.shape != (rp.n, rp.depth):
-        raise ValueError(f"frame must be {rp.n} x {rp.depth}, got shape {frame.shape}")
+    if frame.shape != w.shape:
+        raise ValueError(f"frame must be {w.shape[0]} x {w.shape[1]}, got shape {frame.shape}")
     if not np.isfinite(frame).all():
         raise ValueError("frame must hold finite numbers")
-    return rp, frame
+    return w, frame
 
 
 _SUMMARIZE_FIELDS = {"fit_dir": (str, _REQUIRED), "burn_in": (float, 0.5), "out": (str, ".")}
@@ -294,12 +293,12 @@ def cmd_summarize(cfg, truth_path=None):
     if not fit_dims:
         raise ConfigError(f"no chains listed in {fit_dir / 'run_meta.json'}")
     if truth is not None:
-        rp = truth[0]
-        for name, (n, k) in fit_dims.items():
-            if (n, k) != (rp.n, rp.depth):
+        w_truth = truth[0]
+        for name, dims in fit_dims.items():
+            if dims != w_truth.shape:
                 raise ConfigError(
-                    f"truth file {truth_path} has n = {rp.n} and depth {rp.depth}, "
-                    f"but {name} was fit with n = {n} and k = {k}"
+                    f"truth file {truth_path} has n = {w_truth.shape[0]} and depth "
+                    f"{w_truth.shape[1]}, but {name} was fit with n = {dims[0]} and k = {dims[1]}"
                 )
     logs = {}
     for name, dims in fit_dims.items():
@@ -317,20 +316,25 @@ def cmd_summarize(cfg, truth_path=None):
     payload = summary.to_dict()
 
     if truth is not None:
-        rp, frame = truth
+        w_truth, frame = truth
         payload["recovery"] = {
             # a mean frame that could not be re-orthonormalised has no
             # projector to compare
             "subspace_error": subspace_error(summary.q_mean, frame)
             if summary.meta["q_mean_orthonormalized"] else None,
             "level_recovery": [
-                partition_recovery(summary.w_prob, rp, j)
-                for j in range(1, rp.depth + 1)
+                partition_recovery(summary.w_prob, w_truth, j)
+                for j in range(1, w_truth.shape[1] + 1)
             ],
         }
 
     factors_dir = out / "factors"
     factors_dir.mkdir(exist_ok=True)
+    # a deeper fit summarized here before leaves factors past this one's k
+    for path in factors_dir.glob("factor_*.csv"):
+        j = path.stem[len("factor_"):]
+        if j.isdecimal() and int(j) > len(summary.factors):
+            path.unlink()
     for j, mat in enumerate(summary.factors, start=1):
         _write_symmetric_csv(factors_dir / f"factor_{j}.csv", mat)
     _write_json(out / "summary.json", payload)

@@ -64,20 +64,21 @@ def subspace_error(q_hat, q_ref):
     return float(np.linalg.norm(p_hat - p_ref) / np.linalg.norm(p_ref))
 
 
-def partition_recovery(w_prob, rp, level):
+def partition_recovery(w_prob, w_truth, level):
     """Agreement between thresholded posterior assignments and a split.
 
     Hard-assigns node i to side1 when w_prob[i, level-1] > 0.5 and
-    scores 1 - partition_distance against the reference level.
+    scores 1 - partition_distance against column level-1 of the
+    reference membership matrix w_truth (n x k, 0/1).
     """
     w_prob = np.asarray(w_prob, dtype=np.float64)
-    if not 1 <= level <= rp.depth:
-        raise ValueError(f"level {level} out of range 1..{rp.depth}")
-    if w_prob.shape[0] != rp.n:
-        raise ValueError(f"w_prob has {w_prob.shape[0]} rows, partition has {rp.n} nodes")
+    n, k = w_truth.shape
+    if not 1 <= level <= k:
+        raise ValueError(f"level {level} out of range 1..{k}")
+    if w_prob.shape[0] != n:
+        raise ValueError(f"w_prob has {w_prob.shape[0]} rows, partition has {n} nodes")
     est = (w_prob[:, level - 1] > 0.5).astype(np.int64)
-    ref = rp.membership_matrix()[:, level - 1]
-    return 1.0 - partition_distance(est, ref)
+    return 1.0 - partition_distance(est, w_truth[:, level - 1])
 
 
 @dataclass

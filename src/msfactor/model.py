@@ -54,6 +54,11 @@ class NetworkDataset:
         object.__setattr__(self, "adjacency", a)
         self.validate()
 
+    def __reduce__(self):
+        # unpickled through the constructor, so a chain worker's copy is
+        # checked and read-only like every other dataset
+        return type(self), (self.n, self.adjacency)
+
     @property
     def n_subjects(self):
         return self.adjacency.shape[0]
@@ -227,12 +232,12 @@ def _likelihood_pass(data, q, d, z, value, grads):
     return ll, g
 
 
-def simulate_dataset(rp, values, probs, sp, rng):
-    """Generate networks whose shared frame whitens a partition-structured matrix.
+def simulate_dataset(w, values, sp, rng):
+    """Generate networks whose shared frame whitens the structured matrix of
+    membership matrix w (n x k, 0/1).
 
     Returns (dataset, {"frame": q}), q the frame that produced the data.
     """
-    w = rp.membership_matrix().astype(np.float64)
     q = whiten(build_x(w, values))
     d = np.exp(sp.log_loadings)
     psi = np.matmul(q * d[:, None, :], q.T) + sp.offsets[:, None, None]
@@ -240,5 +245,5 @@ def simulate_dataset(rp, values, probs, sp, rng):
     upper = rng.random(prob.shape) < prob
     adj = np.triu(upper, k=1)
     adj = adj + np.swapaxes(adj, 1, 2)
-    data = NetworkDataset(n=rp.n, adjacency=adj.astype(np.float64))
+    data = NetworkDataset(n=w.shape[0], adjacency=adj.astype(np.float64))
     return data, {"frame": q}

@@ -1,11 +1,11 @@
-"""Recursive binary partitions of a node set.
+"""Recursive binary partitions of a node set, held as membership matrices.
 
 A depth-k recursive partition is a stack of k two-way splits of
-{0, ..., n-1}, held as its n x k membership matrix W: W[i, j] is 1 iff
-node i is on side1 of split j+1.  No tree is stored; the level-j cells
-are the groups of nodes that agree on the first j columns of W, labeled
-by the bit string of side choices, one bit per level ('0' = side1,
-'1' = side2).
+{0, ..., n-1}.  The program holds it as its n x k membership matrix W:
+W[i, j] is 1 iff node i is on side1 of split j+1.  No tree is stored;
+the level-j cells are the groups of nodes that agree on the first j
+columns of W.  RecursivePartition is the codec of truth.json's
+"partition" entry, which lists each split's two sides.
 
 partition_distance scores two binary labelings by their best agreement
 under relabeling, which is the identity or the swap.
@@ -19,7 +19,7 @@ import numpy as np
 
 
 class RecursivePartition:
-    """Stack of two-way splits, held as its read-only membership matrix."""
+    """A membership matrix as truth.json lists it: each split's two sides."""
 
     def __init__(self, w):
         w = np.asarray(w)
@@ -31,32 +31,6 @@ class RecursivePartition:
         w.flags.writeable = False
         self._w = w
 
-    @property
-    def n(self):
-        return self._w.shape[0]
-
-    @property
-    def depth(self):
-        return self._w.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, RecursivePartition):
-            return NotImplemented
-        return np.array_equal(self._w, other._w)
-
-    def cells_at_level(self, j):
-        """Nonempty intersections of the first j splits.
-
-        Returns a dict mapping bit-string labels ('0' = side1 at that
-        level) to frozensets of node indices, in label order.
-        """
-        if not 1 <= j <= self.depth:
-            raise ValueError(f"level {j} out of range 1..{self.depth}")
-        cells = {}
-        for node, bits in enumerate((1 - self._w[:, :j]).tolist()):
-            cells.setdefault("".join(map(str, bits)), []).append(node)
-        return {label: frozenset(cells[label]) for label in sorted(cells)}
-
     def membership_matrix(self):
         """A copy of W: n x k, entry (i, j) is 1 iff node i is on side1 of level j+1."""
         return self._w.copy()
@@ -66,7 +40,7 @@ class RecursivePartition:
             [np.flatnonzero(col).tolist(), np.flatnonzero(col == 0).tolist()]
             for col in self._w.T
         ]
-        return json.dumps({"n": self.n, "levels": levels})
+        return json.dumps({"n": self._w.shape[0], "levels": levels})
 
     @classmethod
     def from_json(cls, text):
@@ -85,21 +59,22 @@ class RecursivePartition:
 
 
 def random_partition(n, k, rng):
-    """Draw k independent fair two-way splits, each with both sides nonempty."""
+    """W (n x k, 0/1 float64) of k independent fair two-way splits, each
+    with both sides nonempty."""
     if n < 2:
         raise ValueError(f"need n >= 2 to split, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1 levels, got {k}")
     if n < k:
         raise ValueError(f"need n >= k for a full-rank frame, got n={n}, k={k}")
-    w = np.empty((n, k), dtype=np.int64)
+    w = np.empty((n, k))
     for j in range(k):
         while True:
             mask = rng.random(n) < 0.5
             if 0 < mask.sum() < n:
                 break
         w[:, j] = mask
-    return RecursivePartition(w)
+    return w
 
 
 def partition_distance(labels_a, labels_b):

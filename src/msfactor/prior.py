@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import RecursivePartition, random_partition
+from .partition import random_partition
 from .whitening import rank_ok
 
 
@@ -77,8 +77,5 @@ def full_rank_pattern(draw, values, max_attempts):
 
 
 def random_full_rank_partition(n, k, values, rng):
-    """The first of 1000 random_partition draws that is full rank under values, or None."""
-    w = full_rank_pattern(
-        lambda: random_partition(n, k, rng).membership_matrix().astype(np.float64), values, 1000
-    )
-    return None if w is None else RecursivePartition(w)
+    """W of the first of 1000 random_partition draws that is full rank under values, or None."""
+    return full_rank_pattern(lambda: random_partition(n, k, rng), values, 1000)

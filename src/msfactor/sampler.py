@@ -412,10 +412,10 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None):
             raise InitializationError("without data, n and n_subjects are required")
         z0 = 0.0
     values = ColumnValues(a=np.ones(k), b=-np.ones(k))
-    rp = random_full_rank_partition(n, k, values, rng)
-    if rp is None:
+    w = random_full_rank_partition(n, k, values, rng)
+    if w is None:
         raise InitializationError(f"no full-rank starting pattern in 1000 attempts (n={n}, k={k})")
-    relaxed = 0.05 + 0.9 * rp.membership_matrix()
+    relaxed = 0.05 + 0.9 * w
     logits = tau * _logit(relaxed)
     sp = SubjectParams(
         log_loadings=np.zeros((n_subjects, k)), offsets=np.full(n_subjects, z0)

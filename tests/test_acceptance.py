@@ -43,6 +43,7 @@ from msfactor.sampler import (
     run_chain,
 )
 from msfactor.whitening import rank_ok, whiten
+from test_partition import cells_at_level
 
 
 def _random_instance(rng, n_low=4, n_high=64, k_cap=8):
@@ -50,11 +51,11 @@ def _random_instance(rng, n_low=4, n_high=64, k_cap=8):
     n = int(rng.integers(n_low, n_high + 1))
     k = int(rng.integers(1, min(k_cap, n) + 1))
     while True:
-        rp = random_partition(n, k, rng)
+        w = random_partition(n, k, rng)
         values = ColumnValues(a=rng.standard_normal(k), b=rng.standard_normal(k))
-        x = build_x(rp.membership_matrix(), values)
+        x = build_x(w, values)
         if rank_ok(x):
-            return rp, values, x
+            return w, values, x
 
 
 def test_whitened_columns_follow_partition_cells():
@@ -63,11 +64,11 @@ def test_whitened_columns_follow_partition_cells():
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
     for _ in range(200):
-        rp, _, x = _random_instance(rng)
+        w, _, x = _random_instance(rng)
         q = whiten(x)
-        for j in range(1, rp.depth + 1):
+        for j in range(1, w.shape[1] + 1):
             col = q[:, j - 1]
-            for members in rp.cells_at_level(j).values():
+            for members in cells_at_level(w, j).values():
                 idx = sorted(members)
                 assert np.all(col[idx] == col[idx[0]])
             ordered = np.sort(col)
@@ -82,8 +83,8 @@ def test_frames_orthonormal_and_invariant():
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
     for _ in range(100):
-        rp, values, x = _random_instance(rng)
-        k = rp.depth
+        w, values, x = _random_instance(rng)
+        k = w.shape[1]
         q = whiten(x)
         gram = q.T @ q
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
@@ -91,7 +92,6 @@ def test_frames_orthonormal_and_invariant():
         scale = rng.uniform(0.2, 5.0, size=k)
         assert np.max(np.abs(whiten(x * scale) - q)) <= 1e-10
 
-        w = rp.membership_matrix().astype(np.float64)
         j = int(rng.integers(k))
         a_sw, b_sw = values.a.copy(), values.b.copy()
         a_sw[j], b_sw[j] = values.b[j], values.a[j]
@@ -302,15 +302,14 @@ def _recovery_run(n_subjects):
     """Simulate at a pinned seed, fit, and summarize one recovery chain."""
     data_rng = np.random.default_rng(7)
     n, k = 32, 3
-    rp = random_partition(n, k, data_rng)
+    w = random_partition(n, k, data_rng)
     values = ColumnValues(a=np.full(k, 1.0), b=np.full(k, -1.0))
-    probs = MixtureProbs(p=np.full(k, 0.5))
     loadings = data_rng.uniform(20.0, 40.0, size=(n_subjects, k))
     sp = SubjectParams(
         log_loadings=np.log(loadings),
         offsets=np.full(n_subjects, logit(0.1)),
     )
-    data, truth = simulate_dataset(rp, values, probs, sp, data_rng)
+    data, truth = simulate_dataset(w, values, sp, data_rng)
 
     rng = np.random.default_rng(7)
     init = initial_state(data, k, tau=0.1, rng=rng)
@@ -326,7 +325,7 @@ def _recovery_run(n_subjects):
     summ = summarize({"chain_00": log}, burn_in=0.0)
     result = {
         "err": subspace_error(truth["frame"], summ.q_mean),
-        "rec1": partition_recovery(summ.w_prob, rp, 1),
+        "rec1": partition_recovery(summ.w_prob, w, 1),
     }
     if n_subjects == 10:
         result.update(

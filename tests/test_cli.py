@@ -977,10 +977,7 @@ class TestRuntimeDependencies:
 
 # test-only code left in the package on purpose, each with the ROADMAP
 # item that moves it out
-_UNCALLED_ALLOWED = {
-    # ROADMAP: "RecursivePartition.cells_at_level is test-only code in src/"
-    "partition.RecursivePartition.cells_at_level",
-}
+_UNCALLED_ALLOWED = set()
 
 
 def _definitions_and_names():
@@ -1059,6 +1056,34 @@ class TestNoUncalledCode:
         assert [name for name in private if defined[name] not in named] == []
 
 
+class TestNoUnreadParameters:
+    def test_every_parameter_is_read_in_its_body(self):
+        # a parameter a refactor leaves behind fails here; self and cls are
+        # the language's
+        package = Path(msfactor.cli.__file__).parent
+        unread = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                params = [
+                    arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+                    + [args.vararg, args.kwarg] if arg is not None
+                ]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {
+                    name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+                }
+                where = f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
+                unread += [
+                    f"{where}({param})" for param in params
+                    if param not in ("self", "cls") and param not in read
+                ]
+        assert unread == []
+
+
 def _reference_matrix_csv(path, mat):
     """Per-value writer the factor writer must match byte for byte."""
     with open(path, "w") as fh:
@@ -1078,6 +1103,23 @@ class TestFactorWriter:
         msfactor.cli._write_symmetric_csv(tmp_path / "fast.csv", mat)
         _reference_matrix_csv(tmp_path / "reference.csv", mat)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_summary_removes_factors_past_its_depth(self, pipeline, tmp_path):
+        # a 3-level summary written where a deeper one was leaves no factor_4
+        _, sim_dir, _, _ = pipeline
+        fit_cfg = _write(tmp_path / "fit.json", {
+            "data": str(sim_dir / "dataset.json"), "k": 3, "seed": 5, "iterations": 10,
+        })
+        assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
+        factors = tmp_path / "sum" / "factors"
+        factors.mkdir(parents=True)
+        (factors / "factor_4.csv").write_text("0\n")
+        (factors / "notes.txt").write_text("kept\n")
+        sum_cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
+        assert main(["summarize", "--config", sum_cfg, "--out", str(tmp_path / "sum")]) == 0
+        assert sorted(path.name for path in factors.iterdir()) == [
+            "factor_1.csv", "factor_2.csv", "factor_3.csv", "notes.txt",
+        ]
 
     def test_summary_factors_match_per_value_writer(self, pipeline, tmp_path):
         _, _, fit_dir, sum_dir = pipeline

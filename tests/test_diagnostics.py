@@ -13,7 +13,6 @@ from msfactor.diagnostics import (
     subspace_error,
     summarize,
 )
-from msfactor.partition import RecursivePartition
 from msfactor.prior import ColumnValues, build_x
 from msfactor.sampler import SampleLog
 from msfactor.whitening import NotPositiveDefiniteError, whiten
@@ -157,34 +156,28 @@ class TestSubspaceError:
 
 
 class TestPartitionRecovery:
-    def _partition(self):
-        return RecursivePartition(np.array([[1], [1], [1], [0]]))
+    W = np.array([[1.0], [1.0], [1.0], [0.0]])
 
     def test_exact_membership(self):
-        rp = self._partition()
-        w_prob = rp.membership_matrix().astype(np.float64)
-        assert partition_recovery(w_prob, rp, 1) == 1.0
+        assert partition_recovery(self.W, self.W, 1) == 1.0
 
     def test_complemented_membership(self):
         # side labels carry no meaning; the split is what is scored
-        rp = self._partition()
-        w_prob = 1.0 - rp.membership_matrix().astype(np.float64)
-        assert partition_recovery(w_prob, rp, 1) == 1.0
+        assert partition_recovery(1.0 - self.W, self.W, 1) == 1.0
 
     def test_uninformative_probabilities(self):
-        rp = self._partition()
         w_prob = np.full((4, 1), 0.5)
-        assert partition_recovery(w_prob, rp, 1) == pytest.approx(0.75)
+        assert partition_recovery(w_prob, self.W, 1) == pytest.approx(0.75)
 
     def test_level_out_of_range(self):
-        rp = self._partition()
         with pytest.raises(ValueError, match="level"):
-            partition_recovery(np.full((4, 1), 0.5), rp, 2)
+            partition_recovery(np.full((4, 1), 0.5), self.W, 2)
+        with pytest.raises(ValueError, match="level"):
+            partition_recovery(np.full((4, 1), 0.5), self.W, 0)
 
     def test_row_count_checked(self):
-        rp = self._partition()
         with pytest.raises(ValueError, match="rows"):
-            partition_recovery(np.full((5, 1), 0.5), rp, 1)
+            partition_recovery(np.full((5, 1), 0.5), self.W, 1)
 
 
 class TestSummarize:

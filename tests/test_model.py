@@ -339,6 +339,22 @@ class TestFusedKernel:
         with pytest.raises(ValueError):
             data.adjacency[0, 0, 1] = 1.0
 
+    def test_unpickled_dataset_is_read_only_and_equal(self):
+        data, _, _ = _random_problem(4, 5, 1, 2)
+        back = pickle.loads(pickle.dumps(data))
+        assert back.n == data.n
+        np.testing.assert_array_equal(back.adjacency, data.adjacency)
+        assert not back.adjacency.flags.writeable
+
+    def test_unpickling_checks_the_adjacency(self):
+        data, _, _ = _random_problem(4, 5, 1, 2)
+        bad = data.adjacency.copy()
+        bad[0, 0, 1] = bad[0, 1, 0] = 2.0
+        object.__setattr__(data, "adjacency", bad)   # past the constructor's checks
+        payload = pickle.dumps(data)
+        with pytest.raises(ValueError, match=r"non-binary entry at subject 0, \(0, 1\)"):
+            pickle.loads(payload)
+
 
 class TestNetworkDataset:
     def _sym(self, n, s=1):
@@ -396,14 +412,13 @@ class TestNetworkDataset:
 class TestSimulate:
     def _setup(self, n, k, s, seed, offset, ld=-40.0):
         rng = np.random.default_rng(seed)
-        rp = random_partition(n, k, rng)
+        w = random_partition(n, k, rng)
         values = ColumnValues(a=np.ones(k), b=-np.ones(k))
-        probs = MixtureProbs(p=np.full(k, 0.5))
         sp = SubjectParams(
             log_loadings=np.full((s, k), ld),
             offsets=np.full(s, offset),
         )
-        return rp, values, probs, sp, rng
+        return w, values, sp, rng
 
     def test_deterministic(self):
         args1 = self._setup(10, 2, 3, 21, 0.0, ld=0.0)
@@ -413,19 +428,16 @@ class TestSimulate:
         assert data1.to_json() == data2.to_json()
 
     def test_offset_controls_density(self):
-        rp, values, probs, sp, rng = self._setup(40, 2, 5, 23, 10.0)
-        data, _ = simulate_dataset(rp, values, probs, sp, rng)
+        data, _ = simulate_dataset(*self._setup(40, 2, 5, 23, 10.0))
         assert data.edge_density() == pytest.approx(expit(10.0), abs=0.005)
 
     def test_zero_odds_near_half(self):
-        rp, values, probs, sp, rng = self._setup(40, 2, 5, 29, 0.0)
-        data, _ = simulate_dataset(rp, values, probs, sp, rng)
+        data, _ = simulate_dataset(*self._setup(40, 2, 5, 29, 0.0))
         assert data.edge_density() == pytest.approx(0.5, abs=0.03)
 
     def test_output_is_valid_and_truth_consistent(self):
-        rp, values, probs, sp, rng = self._setup(12, 3, 2, 31, 0.0, ld=0.5)
         # construction checks the adjacency
-        _, truth = simulate_dataset(rp, values, probs, sp, rng)
+        _, truth = simulate_dataset(*self._setup(12, 3, 2, 31, 0.0, ld=0.5))
         q = truth["frame"]
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
 

@@ -1,4 +1,4 @@
-"""Recursive partition construction, cells, serialization, and distance."""
+"""Membership matrix draws, their cells, the truth-file codec, and distance."""
 
 import json
 
@@ -15,6 +15,25 @@ from msfactor.partition import (
 def _rp(n, splits):
     levels = [[sorted(s1), sorted(s2)] for s1, s2 in splits]
     return RecursivePartition.from_json(json.dumps({"n": n, "levels": levels}))
+
+
+def _w(n, splits):
+    return _rp(n, splits).membership_matrix()
+
+
+def cells_at_level(w, j):
+    """Nonempty intersections of the first j splits of membership matrix w.
+
+    Returns a dict mapping bit-string labels ('0' = side1 at that level)
+    to frozensets of node indices, in label order.  The whitening and
+    acceptance tests import it; TestCells checks it.
+    """
+    if not 1 <= j <= w.shape[1]:
+        raise ValueError(f"level {j} out of range 1..{w.shape[1]}")
+    cells = {}
+    for node, bits in enumerate((1 - w[:, :j]).astype(np.int64).tolist()):
+        cells.setdefault("".join(map(str, bits)), []).append(node)
+    return {label: frozenset(cells[label]) for label in sorted(cells)}
 
 
 def _set_based_draw(n, k, rng):
@@ -48,8 +67,7 @@ def _intersected_cells(n, splits, j):
 
 class TestCells:
     def test_two_crossing_splits_give_four_singletons(self):
-        rp = _rp(4, [({0, 1}, {2, 3}), ({0, 2}, {1, 3})])
-        cells = rp.cells_at_level(2)
+        cells = cells_at_level(_w(4, [({0, 1}, {2, 3}), ({0, 2}, {1, 3})]), 2)
         assert cells == {
             "00": frozenset({0}),
             "01": frozenset({1}),
@@ -58,32 +76,30 @@ class TestCells:
         }
 
     def test_repeated_split_drops_empty_intersections(self):
-        rp = _rp(4, [({0, 1}, {2, 3}), ({0, 1}, {2, 3})])
-        cells = rp.cells_at_level(2)
+        cells = cells_at_level(_w(4, [({0, 1}, {2, 3}), ({0, 1}, {2, 3})]), 2)
         assert cells == {"00": frozenset({0, 1}), "11": frozenset({2, 3})}
 
     def test_cells_partition_the_nodes(self):
         rng = np.random.default_rng(3)
-        rp = random_partition(128, 3, rng)
-        cells = rp.cells_at_level(3)
+        cells = cells_at_level(random_partition(128, 3, rng), 3)
         assert len(cells) <= 8
         assert sum(len(c) for c in cells.values()) == 128
         union = frozenset().union(*cells.values())
         assert union == frozenset(range(128))
 
     def test_level_out_of_range(self):
-        rp = _rp(4, [({0, 1}, {2, 3})])
+        w = _w(4, [({0, 1}, {2, 3})])
         with pytest.raises(ValueError):
-            rp.cells_at_level(0)
+            cells_at_level(w, 0)
         with pytest.raises(ValueError):
-            rp.cells_at_level(2)
+            cells_at_level(w, 2)
 
     def test_cells_refine_previous_level(self):
         rng = np.random.default_rng(17)
-        rp = random_partition(40, 5, rng)
+        w = random_partition(40, 5, rng)
         for j in range(2, 6):
-            coarse = list(rp.cells_at_level(j - 1).values())
-            for cell in rp.cells_at_level(j).values():
+            coarse = list(cells_at_level(w, j - 1).values())
+            for cell in cells_at_level(w, j).values():
                 assert any(cell <= parent for parent in coarse)
 
     def test_cells_match_set_intersection_at_every_level(self):
@@ -91,17 +107,17 @@ class TestCells:
             rng = np.random.default_rng(seed)
             n, k = int(rng.integers(2, 40)), int(rng.integers(1, 7))
             splits = _set_based_draw(n, min(k, n), rng)
-            rp = _rp(n, splits)
-            for j in range(1, rp.depth + 1):
-                got = rp.cells_at_level(j)
+            w = _w(n, splits)
+            for j in range(1, w.shape[1] + 1):
+                got = cells_at_level(w, j)
                 expected = _intersected_cells(n, splits, j)
                 assert got == expected
                 assert list(got) == list(expected)
 
     def test_cell_count_monotone_and_bounded(self):
         rng = np.random.default_rng(23)
-        rp = random_partition(30, 6, rng)
-        counts = [len(rp.cells_at_level(j)) for j in range(1, 7)]
+        w = random_partition(30, 6, rng)
+        counts = [len(cells_at_level(w, j)) for j in range(1, 7)]
         assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
         assert all(c <= min(30, 2 ** j) for j, c in enumerate(counts, start=1))
 
@@ -129,19 +145,18 @@ class TestValidation:
 class TestRandomPartition:
     def test_two_nodes_single_split(self):
         for seed in range(10):
-            rp = random_partition(2, 1, np.random.default_rng(seed))
-            sides = set(rp.cells_at_level(1).values())
+            w = random_partition(2, 1, np.random.default_rng(seed))
+            sides = set(cells_at_level(w, 1).values())
             assert sides == {frozenset({0}), frozenset({1})}
 
     def test_deterministic_given_seed(self):
         a = random_partition(16, 4, np.random.default_rng(99))
         b = random_partition(16, 4, np.random.default_rng(99))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_sides_always_nonempty(self):
         for seed in range(100):
-            rp = random_partition(64, 6, np.random.default_rng(seed))
-            side1_sizes = rp.membership_matrix().sum(axis=0)
+            side1_sizes = random_partition(64, 6, np.random.default_rng(seed)).sum(axis=0)
             assert ((0 < side1_sizes) & (side1_sizes < 64)).all()
 
     def test_membership_equals_set_based_draw(self):
@@ -152,8 +167,8 @@ class TestRandomPartition:
             state = rng.bit_generator.state
             splits = _set_based_draw(n, k, rng)
             rng.bit_generator.state = state
-            w = random_partition(n, k, rng).membership_matrix()
-            assert w.dtype == np.int64
+            w = random_partition(n, k, rng)
+            assert w.dtype == np.float64
             assert w.tolist() == [[int(i in s1) for s1, _ in splits] for i in range(n)]
 
     def test_dimension_errors(self):
@@ -168,13 +183,11 @@ class TestRandomPartition:
 
 class TestMembershipMatrix:
     def test_matches_side_assignment(self):
-        rp = _rp(4, [({0, 1}, {2, 3}), ({0, 2}, {1, 3})])
-        w = rp.membership_matrix()
+        w = _w(4, [({0, 1}, {2, 3}), ({0, 2}, {1, 3})])
         assert w.tolist() == [[1, 1], [1, 0], [0, 1], [0, 0]]
 
     def test_shape_and_binary(self):
-        rp = random_partition(20, 4, np.random.default_rng(5))
-        w = rp.membership_matrix()
+        w = RecursivePartition(random_partition(20, 4, np.random.default_rng(5))).membership_matrix()
         assert w.shape == (20, 4)
         assert set(np.unique(w)) <= {0, 1}
 
@@ -187,21 +200,22 @@ class TestMembershipMatrix:
         assert rp.membership_matrix().tolist() == [[1, 0], [0, 1], [1, 1]]
 
     def test_equality_compares_memberships(self):
-        rp = _rp(4, [({0, 1}, {2, 3})])
-        assert rp == RecursivePartition(np.array([[1], [1], [0], [0]]))
-        assert rp != _rp(4, [({2, 3}, {0, 1})])
-        assert rp != _rp(4, [({0, 1}, {2, 3}), ({0, 1}, {2, 3})])
+        # side order and depth are part of W
+        w = _w(4, [({0, 1}, {2, 3})])
+        assert np.array_equal(w, [[1], [1], [0], [0]])
+        assert not np.array_equal(w, _w(4, [({2, 3}, {0, 1})]))
+        assert w.shape != _w(4, [({0, 1}, {2, 3}), ({0, 1}, {2, 3})]).shape
 
 
 class TestJsonRoundTrip:
     def test_round_trip_identity(self):
-        rp = random_partition(12, 3, np.random.default_rng(7))
-        assert RecursivePartition.from_json(rp.to_json()) == rp
+        w = random_partition(12, 3, np.random.default_rng(7))
+        text = RecursivePartition(w).to_json()
+        assert np.array_equal(RecursivePartition.from_json(text).membership_matrix(), w)
 
     def test_text_round_trips_byte_for_byte(self):
         for seed in range(10):
-            rp = random_partition(30, 5, np.random.default_rng(seed))
-            text = rp.to_json()
+            text = RecursivePartition(random_partition(30, 5, np.random.default_rng(seed))).to_json()
             assert RecursivePartition.from_json(text).to_json() == text
 
     def test_payload_shape(self):

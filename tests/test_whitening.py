@@ -14,6 +14,7 @@ from msfactor.whitening import (
     whiten,
     whiten_backward,
 )
+from test_partition import cells_at_level
 
 
 def _factor(s):
@@ -46,13 +47,13 @@ def extract_column_partition(column, tol=1e-8):
 def _structured_frame(n, k, rng):
     """A full-rank structured matrix from a random partition, with its source."""
     for _ in range(100):
-        rp = random_partition(n, k, rng)
+        w = random_partition(n, k, rng)
         values = ColumnValues(
             a=rng.standard_normal(k), b=rng.standard_normal(k)
         )
-        x = build_x(rp.membership_matrix().astype(np.float64), values)
+        x = build_x(w, values)
         if rank_ok(x):
-            return rp, values, x
+            return w, values, x
     raise AssertionError("no full-rank structured draw")
 
 
@@ -143,13 +144,13 @@ class TestWhiten:
 class TestStructuredUniqueValues:
     def test_unique_value_counts_and_cell_equality(self):
         rng = np.random.default_rng(41)
-        rp, _, x = _structured_frame(8, 3, rng)
+        w, _, x = _structured_frame(8, 3, rng)
         q = whiten(x)
         for j in range(1, 4):
             col = q[:, j - 1]
             labels = extract_column_partition(col, tol=1e-8)
             assert labels.max() + 1 <= 2 ** j
-            for cell in rp.cells_at_level(j).values():
+            for cell in cells_at_level(w, j).values():
                 members = sorted(cell)
                 vals = col[members]
                 assert np.ptp(vals) <= 1e-8
@@ -157,7 +158,7 @@ class TestStructuredUniqueValues:
     def test_label_partition_matches_cells(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
-            rp, _, x = _structured_frame(16, 3, rng)
+            w, _, x = _structured_frame(16, 3, rng)
             q = whiten(x)
             for j in range(1, 4):
                 labels = extract_column_partition(q[:, j - 1], tol=1e-8)
@@ -165,7 +166,7 @@ class TestStructuredUniqueValues:
                 for node, lab in enumerate(labels):
                     groups.setdefault(lab, set()).add(node)
                 derived = {frozenset(g) for g in groups.values()}
-                true_cells = set(rp.cells_at_level(j).values())
+                true_cells = set(cells_at_level(w, j).values())
                 # grouping can only merge cells that share a value by chance;
                 # every derived group must be a union of true cells
                 for g in derived:
