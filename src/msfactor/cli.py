@@ -205,6 +205,14 @@ _FIT_FIELDS = {
 }
 
 
+def _usable_cores():
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, which taskset and cpusets narrow, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_fit(cfg):
     got = _fields(cfg, _FIT_FIELDS)
     data_path, k, chains = got["data"], got["k"], got["chains"]
@@ -249,7 +257,7 @@ def cmd_fit(cfg):
         # fork starts every worker at the first submit, so never more than the
         # cores; the pool is looked up on the module, where a replacement goes
         pool_type = sys.modules[__name__].ProcessPoolExecutor
-        with pool_type(max_workers=min(chains, os.cpu_count() or 1)) as pool:
+        with pool_type(max_workers=min(chains, _usable_cores())) as pool:
             results = list(pool.map(_fit_single_chain, jobs))
     elapsed = time.perf_counter() - start
     per_chain = {f"chain_{c:02d}": meta for c, meta in enumerate(results)}

@@ -123,39 +123,48 @@ class SubjectParams:
 
 
 @functools.lru_cache(maxsize=1)
-def _work_arrays(data, width):
-    """Work arrays of the likelihood pass for one dataset and frame width
-    w = k + 1, kept for the last pair asked for; the cache holds that
-    dataset, so no other can take its identity meanwhile.  They are 2A - 1,
-    two S x n x n scratch arrays, the flat indices of the pairs i < j
-    within one n x n slice, the positions of the edges among all subjects'
-    packed pairs, room for the log-odds at the edges, [q | 1] (n x w) and
-    its transpose, the halved loadings and offsets (S x w), and one
-    S x n x w array for [q | 1] scaled per subject and then for R [q | 1].
-    Reusing them spares a page-faulting allocation per call; they live
-    here rather than on the dataset, so pickling a dataset never copies
-    them.  Not thread-safe: chains run in separate processes.
+def _dataset_arrays(data):
+    """What the likelihood pass derives from one dataset, kept for the last
+    one asked for; the cache holds that dataset, so no other can take its
+    identity meanwhile.  They are 2A - 1 in float32 (its entries are +-1,
+    exact at either precision), the flat indices of the pairs i < j within
+    one n x n slice, an S x P buffer for every subject's packed pairs, the
+    positions of the edges among them, and room for the log-odds at the
+    edges.  Reusing them spares a page-faulting allocation per call; they
+    live here rather than on the dataset, so pickling a dataset never
+    copies them.  Not thread-safe: chains run in separate processes.
     """
     adj = data.adjacency
     s, n, _ = adj.shape
     rows, cols = np.triu_indices(n, k=1)
     pairs = rows * n + cols
-    work = np.empty(adj.shape)
-    # the edges are read once, through the scratch array's packed view
-    edges = np.flatnonzero(_packed(adj, pairs, work))
+    packed = np.empty((s, pairs.size))
+    # the edges are read once, through the packed buffer
+    edges = np.flatnonzero(_packed(adj, pairs, packed))
+    return (2.0 * adj - 1.0).astype(np.float32), pairs, packed, edges, np.empty(edges.size)
+
+
+@functools.lru_cache(maxsize=2)
+def _work_arrays(data, width, dtype):
+    """The product's buffers at one precision for one dataset and frame
+    width w = k + 1, kept for the last two asked for: the value stage's
+    float64 ones and the gradient stage's, float32 in a chain.  They are
+    [q | 1] (n x w) and its transpose, one S x n x w array for [q | 1]
+    scaled per subject and then R [q | 1], and one S x n x n array for
+    psi / 2 and then twice the residual.  Kept and not thread-safe, as
+    _dataset_arrays.
+    """
+    s, n, _ = data.adjacency.shape
     # the ones column of [q | 1] (row of its transpose) is written once, here
-    return (
-        2.0 * adj - 1.0, np.empty(adj.shape), work, pairs, edges, np.empty(edges.size),
-        np.ones((n, width)), np.ones((width, n)), np.empty((s, width)), np.empty((s, n, width)),
-    )
+    return (np.ones((n, width), dtype), np.ones((width, n), dtype),
+            np.empty((s, n, width), dtype), np.empty((s, n, n), dtype))
 
 
 def _packed(a, pairs, out):
-    """The pairs i < j of every S x n x n slice of a, as an S x P view of out."""
+    """The pairs i < j of every S x n x n slice of a, written into out (S x P)."""
     s, n, _ = a.shape
-    dest = out.reshape(-1)[: s * pairs.size].reshape(s, pairs.size)
     # in range by construction; "clip" spares take's buffered copy
-    return np.take(a.reshape(s, n * n), pairs, axis=1, out=dest, mode="clip")
+    return np.take(a.reshape(s, n * n), pairs, axis=1, out=out, mode="clip")
 
 
 def _diagonals(a):
@@ -164,7 +173,18 @@ def _diagonals(a):
     return a.reshape(s, n * n)[:, :: n + 1]
 
 
-def _likelihood_pass(data, q, d, z, value, grads):
+def _half_log_odds(work, q, half_dz):
+    """psi / 2 for every subject from the halved loadings and offsets, in
+    work's buffers at their precision."""
+    q1, q1t, wide, psi = work
+    k = q.shape[1]
+    q1[:, :k] = q
+    q1t[:k] = q.T
+    np.multiply(q1, half_dz[:, None, :], out=wide)
+    return np.matmul(wide, q1t, out=psi)
+
+
+def _likelihood_pass(data, q, d, z, value, grads, grad_dtype=np.float64):
     """One forward pass: (log-likelihood or None, gradients or None).
 
     Unchecked, on plain arrays: frame q (n x k), loadings d =
@@ -173,20 +193,25 @@ def _likelihood_pass(data, q, d, z, value, grads):
     from a single batched product psi_s = [q | 1] diag([d_s | z_s])
     [q | 1]', taken against a C-contiguous copy of [q | 1]' (numpy's
     batched product is slower with the transposed view).  Products,
-    scalings and gathers write into buffers kept per dataset and frame
-    width.  With grads, the symmetric zero-diagonal residual R_s = A_s -
-    sigmoid(psi_s) is formed in place through sigmoid(x) = (1 +
-    tanh(x/2)) / 2, as (A_s - 1/2) - tanh(psi_s/2) / 2, and RQ_s = R_s
-    [q | 1] is taken once; its last column holds R_s's row sums, and
-    the gradients (g_q, g_ld, g_z) w.r.t. (q, log_loadings, offsets)
-    all reduce from it:
+    scalings and gathers write into buffers kept per dataset, frame
+    width and precision.  The value stage runs in float64.  With grads,
+    the gradient stage forms its own product at grad_dtype, then the
+    symmetric zero-diagonal residual R_s = A_s - sigmoid(psi_s) in
+    place through sigmoid(x) = (1 + tanh(x/2)) / 2, as (A_s - 1/2) -
+    tanh(psi_s/2) / 2, and takes RQ_s = R_s [q | 1] once, all at
+    grad_dtype; these S x n x n steps are the pass's bulk, and float32
+    halves their time at n = 128.  RQ_s is then held in float64, its
+    last column R_s's row sums, and the gradients (g_q, g_ld, g_z)
+    w.r.t. (q, log_loadings, offsets) all reduce from it in float64:
       d/dq[i, m]          = sum_s d[s, m] * RQ_s[i, m]
       d/dlog_loadings[s,m]= d[s, m] * q[:, m]' RQ_s[:, m] / 2
       d/doffsets[s]       = sum of R_s above the diagonal
                           = sum_i RQ_s[i, k] / 2
     Every off-diagonal pair appears twice in R_s, so upper-triangle
-    sums are halves of full sums.  The value is summed over the packed
-    pairs i < j only, each counted once:
+    sums are halves of full sums.  The stage reads only q, d and z, so
+    its gradient is the same whether or not the value is asked for.
+    The value is summed over the packed pairs i < j only, each counted
+    once:
       sum over edges of psi - sum of softplus(psi),
     with softplus(t) = max(t, 0) + log1p(exp(-|t|)) and sum max(t, 0)
     = (sum t + sum |t|) / 2.  Scaling by a power of two is exact short
@@ -197,30 +222,15 @@ def _likelihood_pass(data, q, d, z, value, grads):
     would follow the thread count.
     """
     k = q.shape[1]
-    a2, psi, work, pairs, edges, at_edges, q1, q1t, half_dz, wide = _work_arrays(data, k + 1)
-    q1[:, :k] = q
-    q1t[:k] = q.T
+    a2, pairs, packed, edges, at_edges = _dataset_arrays(data)
+    exact = _work_arrays(data, k + 1, np.float64)
+    half_dz = np.empty((d.shape[0], k + 1))
     np.multiply(0.5, d, out=half_dz[:, :k])
     np.multiply(0.5, z, out=half_dz[:, k])
-    np.multiply(q1, half_dz[:, None, :], out=wide)
-    np.matmul(wide, q1t, out=psi)     # psi / 2
-
-    g = None
-    if grads:
-        # twice the residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
-        np.tanh(psi, out=work)
-        np.subtract(a2, work, out=work)
-        _diagonals(work)[:] = 0.0
-        rq = np.matmul(work, q1, out=wide)
-        g_q = np.einsum("sim,sm->im", rq[..., :k], half_dz[:, :k])
-        g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq[..., :k])
-        g_z = 0.25 * rq[..., k].sum(axis=1)
-        g = (g_q, g_ld, g_z)
 
     ll = None
     if value:
-        # work is free here in every mode; half holds psi / 2 over the pairs
-        half = _packed(psi, pairs, work).reshape(-1)
+        half = _packed(_half_log_odds(exact, q, half_dz), pairs, packed).reshape(-1)
         on_edges = np.take(half, edges, out=at_edges, mode="clip").sum()   # as in _packed
         total = half.sum()
         np.abs(half, out=half)
@@ -229,6 +239,26 @@ def _likelihood_pass(data, q, d, z, value, grads):
         np.exp(half, out=half)
         np.log1p(half, out=half)
         ll = float(2.0 * on_edges - total - total_abs - half.sum())
+
+    g = None
+    if grads:
+        stage = _work_arrays(data, k + 1, grad_dtype)
+        q1, _, wide, r = stage
+        # twice the residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
+        _half_log_odds(stage, q, half_dz.astype(grad_dtype, copy=False))
+        np.tanh(r, out=r)
+        np.subtract(a2, r, out=r)
+        _diagonals(r)[:] = 0.0
+        rq = np.matmul(r, q1, out=wide)
+        if stage is not exact:
+            # the reductions run in float64, from the float64 product's
+            # S x n x w buffer, free once the value stage is done
+            rq = exact[2]
+            np.copyto(rq, wide)
+        g_q = np.einsum("sim,sm->im", rq[..., :k], half_dz[:, :k])
+        g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq[..., :k])
+        g_z = 0.25 * rq[..., k].sum(axis=1)
+        g = (g_q, g_ld, g_z)
     return ll, g
 
 

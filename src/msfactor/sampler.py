@@ -161,7 +161,7 @@ def _blocks(vec, s_n, k):
     return vec[:i_z].reshape(s_n, k), vec[i_z:i_lg], vec[i_lg:].reshape(-1, k)
 
 
-def _evaluator(state, data):
+def _evaluator(state, data, grad_dtype=np.float32):
     """U and its gradient at flat positions sharing state's a, b, p and tau.
 
     Returns evaluate(v, with_potential=False, with_grad=True), which
@@ -172,7 +172,16 @@ def _evaluator(state, data):
     taken from the same pass; without with_grad, U alone, from a
     value-only likelihood pass with no backward pass.  Nothing is
     validated; NotPositiveDefiniteError (the rank test) and
-    _DivergenceError (a non-finite frame gradient) propagate.
+    _DivergenceError (a non-finite frame gradient, or log-loadings past
+    what grad_dtype holds as loadings) propagate.
+
+    U is always float64.  The likelihood gradient's S x n x n stage runs
+    at grad_dtype: float32 by default, the force the trajectories
+    integrate, and float64 for potential_grad's exact gradient.  The
+    force is one deterministic function of the position, whichever pass
+    computes it, so leapfrog under it stays reversible and
+    volume-preserving, and the Metropolis test on the float64 U keeps
+    the chain exact (Neal 2011, "MCMC using Hamiltonian dynamics").
     """
     values, probs, tau = state.values, state.probs, state.tau
     b_minus_a = values.b - values.a
@@ -182,6 +191,8 @@ def _evaluator(state, data):
     lab = float(-0.5 * (values.a @ values.a + values.b @ values.b))
     s_n, k = state.subject_params.log_loadings.shape
     gram_weight = state.n_nodes - k - 1
+    # past this, a loading overflows the gradient stage's precision
+    log_loading_max = float(np.log(np.finfo(grad_dtype).max))
     grad = np.empty(s_n * k + s_n + state.logits.size)
     grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
 
@@ -196,7 +207,9 @@ def _evaluator(state, data):
         # stays None, as adding a zero one could turn a -0.0 into 0.0
         ll, g = 0.0, (None, 0.0, 0.0)
         if data is not None:
-            ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad)
+            if with_grad and ld.max() > log_loading_max:
+                raise _DivergenceError("log-loading past the gradient stage's range")
+            ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad, grad_dtype)
         if with_grad:
             g_q, g_ld, g_z = g
             if g_q is not None and not np.isfinite(g_q).all():
@@ -223,10 +236,10 @@ def _evaluator(state, data):
 
 
 def potential_grad(state, data):
-    """Gradient of U over (log_loadings, offsets, logits)."""
+    """Exact gradient of U over (log_loadings, offsets, logits), every stage in float64."""
     s_n, k = state.subject_params.log_loadings.shape
     pos = _pack(state.subject_params, state.logits)
-    return _blocks(_evaluator(state, data)(pos), s_n, k)
+    return _blocks(_evaluator(state, data, np.float64)(pos), s_n, k)
 
 
 def _pack(sp, logits):
@@ -743,7 +756,9 @@ def run_chain(
     for t in range(iterations):
         cur = tempering.retemper(t, cur, data)
         grads_reused += cur.grad is not None
-        hmc = _hmc_step(cur, data, rng, step_size.step, hmc_cfg.leapfrog_steps, kinetic.omega)
+        # the row records the step this trajectory runs at, before adaptation moves it
+        step = step_size.step
+        hmc = _hmc_step(cur, data, rng, step, hmc_cfg.leapfrog_steps, kinetic.omega)
         cur = _exchange_step(hmc, data, exch_cfg, rng, exch_cfg.window * window.scale)
         hmc_tally[hmc.outcome] += 1
         exch_tally[cur.outcome] += 1
@@ -753,7 +768,7 @@ def run_chain(
         if t < warmup:
             kinetic.update(t, cur.state)
             window.update(t, cur.outcome == "accepted")
-        recording.record(t, hmc, cur, step_size.step)
+        recording.record(t, hmc, cur, step)
 
     state, log = cur.state, recording.log
     log.meta = {

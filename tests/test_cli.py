@@ -325,7 +325,7 @@ class TestChainPoolContract:
                 return map(recorded, jobs)
 
         monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(msfactor.cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(msfactor.cli.os, "sched_getaffinity", lambda pid: {0, 1})
         assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
         assert pools == [2]
         assert ran == [(0, os.getpid()), (1, os.getpid())]
@@ -353,13 +353,25 @@ class TestChainPoolContract:
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", recording_pool)
-        monkeypatch.setattr(msfactor.cli.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(msfactor.cli.os, "sched_getaffinity", lambda pid: {0})
         assert main(["fit", "--config", fit, "--out", str(tmp_path / "narrow")]) == 0
         assert pools == [1]
         for chain in ("chain_00", "chain_01"):
             for name in ("trace.csv", "w_trace.csv"):
                 narrow = (tmp_path / "narrow" / chain / name).read_bytes()
                 assert narrow == (tmp_path / "wide" / chain / name).read_bytes()
+
+
+    def test_pool_is_bounded_by_the_affinity_mask(self, monkeypatch):
+        # a narrower mask than the machine's cores, as taskset or a cpuset
+        # leaves it, sizes the pool; without the call, the core count does
+        monkeypatch.setattr(msfactor.cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(msfactor.cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert msfactor.cli._usable_cores() == 1
+        monkeypatch.delattr(msfactor.cli.os, "sched_getaffinity")
+        assert msfactor.cli._usable_cores() == 8
+        monkeypatch.setattr(msfactor.cli.os, "cpu_count", lambda: None)
+        assert msfactor.cli._usable_cores() == 1
 
 
 class TestFailureModes:

@@ -310,17 +310,24 @@ class TestFusedKernel:
             for part, ref in zip(got[1:], grads):
                 _assert_close(part, ref)
 
-    @pytest.mark.parametrize("value, grads", [(True, False), (False, True), (True, True)])
-    def test_warm_pass_allocates_less_than_one_frame_product(self, value, grads):
-        # every S x n x (k + 1) product and the edge gather write into
-        # kept buffers, so a warm call allocates only small results
+    @pytest.mark.parametrize("value, grads, grad_dtype", [
+        pytest.param(True, False, np.float64, id="True-False"),
+        pytest.param(False, True, np.float64, id="False-True"),
+        pytest.param(True, True, np.float64, id="True-True"),
+        pytest.param(False, True, np.float32, id="False-True-float32"),
+        pytest.param(True, True, np.float32, id="True-True-float32"),
+    ])
+    def test_warm_pass_allocates_less_than_one_frame_product(self, value, grads, grad_dtype):
+        # every S x n x (k + 1) product, the float64 copy of a float32
+        # R [q | 1] and the edge gather write into kept buffers, so a warm
+        # call allocates only small results
         n, s, k = 128, 20, 30
         data, q, sp = _random_problem(6, n, s, k)
         d = np.exp(sp.log_loadings)
-        _likelihood_pass(data, q, d, sp.offsets, value, grads)
+        _likelihood_pass(data, q, d, sp.offsets, value, grads, grad_dtype)
         tracemalloc.start()
         try:
-            _likelihood_pass(data, q, d, sp.offsets, value, grads)
+            _likelihood_pass(data, q, d, sp.offsets, value, grads, grad_dtype)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

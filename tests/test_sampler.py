@@ -79,6 +79,18 @@ def _flatten(state):
     return np.concatenate([sp.log_loadings.ravel(), sp.offsets, state.logits.ravel()])
 
 
+def _force(state, data):
+    """A fresh gradient-only pass of the force the trajectories integrate."""
+    return msfactor.sampler._evaluator(state, data)(_flatten(state)).copy()
+
+
+def _force_bound(exact):
+    """How far the force may stray from the exact gradient: 64 float32
+    epsilons, relative to the gradient's largest entry (at least 1).
+    Fixed from the dtype before it was measured."""
+    return 64 * np.finfo(np.float32).eps * max(1.0, np.abs(exact).max())
+
+
 def _reference_potential(state, data):
     """U built term by term, apart from the program: scipy's inverse-gamma
     density of each loading times its log-scale Jacobian d, the N(0, 10^2)
@@ -195,9 +207,9 @@ class TestPotentialPipeline:
             calls.append("whiten_backward")
             return backward(passes, grad_q, grad_log_det)
 
-        def spy_likelihood(data, q, d, z, value, grads):
+        def spy_likelihood(data, q, d, z, value, grads, *precision):
             calls.append(("likelihood", value, grads))
-            return likelihood(data, q, d, z, value, grads)
+            return likelihood(data, q, d, z, value, grads, *precision)
 
         monkeypatch.setattr(sampler, "whiten_backward", spy_backward)
         monkeypatch.setattr(sampler, "_likelihood_pass", spy_likelihood)
@@ -312,8 +324,7 @@ class TestPotentialGrad:
             pos = msfactor.sampler._pack(state.subject_params, state.logits)
             u, grad = msfactor.sampler._evaluator(state, data)(pos, with_potential=True)
             assert u == potential(state, data)
-            ref = np.concatenate([g.ravel() for g in potential_grad(state, data)])
-            np.testing.assert_array_equal(grad, ref)
+            np.testing.assert_array_equal(grad, _force(state, data))
 
     def test_full_scale_central_differences(self):
         # n=128, k=30, S=3 with loadings and offsets large enough that the
@@ -474,9 +485,10 @@ class TestUpdates:
 
     def test_overflowing_frame_gradient_rejects(self, monkeypatch):
         # tiny loadings meet the loading prior's steep pull toward larger
-        # values: one step of 0.8073 lands the log-loadings near 708,
-        # where the frame gradient is still finite but its backward pass
-        # through the whitening overflows
+        # values: one step of 0.8073 lands the log-loadings near 708, past
+        # the log of float32's largest value (about 88.7), so the force's
+        # float32 stage would overflow there; the trajectory rejects before
+        # that position's likelihood or backward pass
         data = _toy_data(12, 2, 31)
         init = initial_state(data, 2, 0.5, np.random.default_rng(3))
         state = dataclasses.replace(
@@ -498,7 +510,8 @@ class TestUpdates:
         out = msfactor.sampler._hmc_step(
             _Step(state, 1.5, None, "start"), data, np.random.default_rng(0), 0.8073, 1, omega
         )
-        assert (True, False) in backward
+        assert backward == [(True, True)]     # the start's pass alone
+        assert out.outcome == "divergence"
         assert out.state is state
         assert out.outcome != "accepted"
         assert out.alpha == 0.0
@@ -510,10 +523,10 @@ class TestUpdates:
         values = []
         original = msfactor.sampler._likelihood_pass
 
-        def counting(data, q, d, z, value, grads):
+        def counting(data, q, d, z, value, grads, *precision):
             if not grads:
                 values.append(value)     # a pass for the potential alone
-            return original(data, q, d, z, value, grads)
+            return original(data, q, d, z, value, grads, *precision)
 
         monkeypatch.setattr(msfactor.sampler, "_likelihood_pass", counting)
         omega = np.ones(_flatten(state).size)
@@ -542,12 +555,12 @@ class TestCarriedGradient:
         hmc_step, exchange_step = sampler._hmc_step, sampler._exchange_step
         evaluator, leapfrog_ = sampler._evaluator, sampler.leapfrog
 
-        def refusing_evaluator(state, data):
+        def refusing_evaluator(state, data, *precision):
             if state.tau in refused:
                 def refuse(v, with_potential=False, with_grad=True):
                     raise NotPositiveDefiniteError(0)
                 return refuse
-            return evaluator(state, data)
+            return evaluator(state, data, *precision)
 
         def recording_hmc(cur, data, rng, step, n_steps, omega):
             carried = None if cur.grad is None else cur.grad.copy()
@@ -596,8 +609,7 @@ class TestCarriedGradient:
                 assert carried is None
                 continue
             assert carried is not None
-            fresh = np.concatenate([g.ravel() for g in potential_grad(state, data)])
-            assert carried.tobytes() == fresh.tobytes()
+            assert carried.tobytes() == _force(state, data).tobytes()
             if annealed:
                 seen.add("annealing step")
             else:
@@ -615,7 +627,7 @@ class TestCarriedGradient:
         data = _toy_data(4, 2, 41)
         omega = np.ones(_flatten(state).size)
         u_cur = potential(state, data)
-        fresh = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+        fresh = _force(state, data)
         out = msfactor.sampler._hmc_step(
             _Step(state, u_cur, None, "start"), data, np.random.default_rng(42), 1000.0, 5, omega
         )
@@ -638,7 +650,8 @@ class TestCarriedGradient:
         assert log.meta["grad_evals"] + log.meta["grads_reused"] == len(requested)
 
     def test_evaluator_matches_potential_grad_across_positions(self):
-        # one evaluator reuses its gradient vector from call to call
+        # one evaluator reuses its gradient vector from call to call, and
+        # gives the force of a fresh pass at every position
         base = _generic_state(37, n=5, k=2, s=3)
         data = _toy_data(5, 3, 38)
         rng = np.random.default_rng(39)
@@ -649,11 +662,76 @@ class TestCarriedGradient:
         saturated[-base.logits.size:] = 800.0 * base.tau * np.sign(base.logits.ravel())
         for v in positions + [saturated]:
             state = _rebuild(base, v)
-            expected = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+            expected = _force(state, data)
             assert evaluate(v).tobytes() == expected.tobytes()
             u, grad = evaluate(v, with_potential=True)
             assert u == potential(state, data)
             assert grad.tobytes() == expected.tobytes()
+            exact = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+            assert np.abs(grad - exact).max() <= _force_bound(exact)
+
+
+def _full_scale_case(seed):
+    """A state and dataset at the fullscale workload's n=128, k=30, S=20."""
+    n, k, s = 128, 30, 20
+    rng = np.random.default_rng(seed)
+    state = dataclasses.replace(
+        initial_state(None, k, 0.2, rng, n=n, n_subjects=s),
+        subject_params=SubjectParams(
+            log_loadings=rng.normal(3.0, 1.0, size=(s, k)), offsets=np.linspace(-4.0, 2.0, s),
+        ),
+    )
+    return state, _toy_data(n, s, seed + 1, density=0.2)
+
+
+class TestForce:
+    """The trajectories integrate a force whose S x n x n stage is float32."""
+
+    @pytest.mark.parametrize("case", ["toy", "full_scale"])
+    def test_within_fixed_bound_of_exact_gradient(self, case):
+        if case == "toy":
+            cases = [(_generic_state(70 + i), _toy_data(4, 2, 80 + i)) for i in range(3)]
+        else:
+            cases = [_full_scale_case(90 + i) for i in range(2)]
+        for state, data in cases:
+            exact = np.concatenate([g.ravel() for g in potential_grad(state, data)])
+            force = _force(state, data)
+            assert force.tobytes() != exact.tobytes()    # the stage did run in float32
+            assert np.abs(force - exact).max() <= _force_bound(exact)
+
+    def test_prior_only_force_is_the_exact_gradient(self):
+        # without data no likelihood stage runs, at either precision
+        state = _generic_state(73)
+        exact = np.concatenate([g.ravel() for g in potential_grad(state, None)])
+        assert _force(state, None).tobytes() == exact.tobytes()
+
+    def test_loading_past_float32_range_diverges(self):
+        # exp(90) / 2 overflows float32: the force rejects that position,
+        # while U and the exact gradient, in float64, still take it
+        state, data = _generic_state(74), _toy_data(4, 2, 75)
+        sp = state.subject_params
+        log_loadings = sp.log_loadings.copy()
+        log_loadings[0, 0] = 90.0
+        state = dataclasses.replace(
+            state, subject_params=SubjectParams(log_loadings=log_loadings, offsets=sp.offsets)
+        )
+        with pytest.raises(msfactor.sampler._DivergenceError):
+            _force(state, data)
+        assert np.isfinite(potential(state, data))
+        assert all(np.isfinite(g).all() for g in potential_grad(state, data))
+
+    def test_full_scale_trajectory_is_reversible(self):
+        # forward, then back from the flipped velocity, under the force
+        state, data = _full_scale_case(94)
+        evaluate = msfactor.sampler._evaluator(state, data)
+        pos = _flatten(state)
+        vel = np.random.default_rng(95).standard_normal(pos.size)
+        omega = np.ones(pos.size)
+        p1, v1 = leapfrog(pos, vel, evaluate, 1e-3, 10, omega)
+        assert np.abs(p1 - pos).max() > 0.1
+        p2, v2 = leapfrog(p1, -v1, evaluate, 1e-3, 10, omega)
+        assert np.abs(p2 - pos).max() <= 1e-12
+        assert np.abs(v2 + vel).max() <= 1e-12
 
 
 class _MetropolisDraw:
@@ -715,7 +793,7 @@ class TestOutcomes:
     def test_hmc_rank(self, monkeypatch):
         # the whitening fails at the trajectory's second gradient pass
         cur, data = self._start(60)
-        fresh = np.concatenate([g.ravel() for g in potential_grad(cur.state, data)])
+        fresh = _force(cur.state, data)
         whitened, passes = msfactor.sampler._whitened, []
 
         def failing_after_one_pass(x):
@@ -970,6 +1048,31 @@ class TestRunChain:
         )
         assert np.all(log.step_sizes == step_size)
         assert log.meta["final_step_size"] == step_size
+
+    def test_each_row_records_the_step_its_trajectory_ran_at(self, monkeypatch):
+        # the step freezes after the moves of iteration warmup, so that
+        # iteration's trajectory runs at the last adapted step
+        warmup, ran = 10, []
+        hmc_step = msfactor.sampler._hmc_step
+
+        def recording(cur, data, rng, step, n_steps, omega):
+            ran.append(step)
+            return hmc_step(cur, data, rng, step, n_steps, omega)
+
+        monkeypatch.setattr(msfactor.sampler, "_hmc_step", recording)
+        data = _toy_data(4, 2, 26)
+        log = run_chain(
+            data,
+            initial_state(data, 2, 0.5, np.random.default_rng(8)),
+            HmcConfig(step_size=0.05, leapfrog_steps=3, warmup=warmup),
+            ExchangeConfig(window=0.25),
+            iterations=16,
+            rng=np.random.default_rng(9),
+        )
+        assert log.step_sizes.tolist() == ran[warmup:]
+        frozen = log.meta["final_step_size"]
+        assert log.step_sizes[0] != frozen
+        assert np.all(log.step_sizes[1:] == frozen)
 
     def test_zero_iterations(self):
         log = self._quick(9, iterations=0, warmup=0)
