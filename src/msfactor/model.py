@@ -124,7 +124,7 @@ class SubjectParams:
 
 @functools.lru_cache(maxsize=1)
 def _dataset_arrays(data):
-    """What the likelihood pass derives from one dataset, kept for the last
+    """What the likelihood stages derive from one dataset, kept for the last
     one asked for; the cache holds that dataset, so no other can take its
     identity meanwhile.  They are 2A - 1 in float32 (its entries are +-1,
     exact at either precision), the flat indices of the pairs i < j within
@@ -184,8 +184,8 @@ def _half_log_odds(work, q, half_dz):
     return np.matmul(wide, q1t, out=psi)
 
 
-def _likelihood_pass(data, q, d, z, value, grads, grad_dtype=np.float64):
-    """One forward pass: (log-likelihood or None, gradients or None).
+def log_likelihood(data, q, d, z):
+    """The Bernoulli log-likelihood, in float64.
 
     Unchecked, on plain arrays: frame q (n x k), loadings d =
     exp(log_loadings) (S x k) and offsets z (S,).  The offsets ride as
@@ -194,72 +194,67 @@ def _likelihood_pass(data, q, d, z, value, grads, grad_dtype=np.float64):
     [q | 1]', taken against a C-contiguous copy of [q | 1]' (numpy's
     batched product is slower with the transposed view).  Products,
     scalings and gathers write into buffers kept per dataset, frame
-    width and precision.  The value stage runs in float64.  With grads,
-    the gradient stage forms its own product at grad_dtype, then the
+    width and precision, which log_likelihood_grads shares: each stage
+    overwrites all it reads, so neither depends on which ran last.  The
+    value is summed over the packed pairs i < j only, each counted once:
+      sum over edges of psi - sum of softplus(psi),
+    with softplus(t) = max(t, 0) + log1p(exp(-|t|)) and sum max(t, 0)
+    = (sum t + sum |t|) / 2.  Scaling by a power of two is exact short
+    of the subnormal range, so both stages carry psi / 2 (and the
+    gradient stage twice the residual) and take the factors back out
+    where a product or a sum is formed anyway.  Every long sum is a
+    numpy reduction, not a BLAS dot: OpenBLAS splits a long dot product
+    across threads, so its rounding would follow the thread count.
+    """
+    _, pairs, packed, edges, at_edges = _dataset_arrays(data)
+    work = _work_arrays(data, q.shape[1] + 1, np.float64)
+    half_dz = 0.5 * np.column_stack((d, z))
+    half = _packed(_half_log_odds(work, q, half_dz), pairs, packed).reshape(-1)
+    on_edges = np.take(half, edges, out=at_edges, mode="clip").sum()   # as in _packed
+    total = half.sum()
+    np.abs(half, out=half)
+    total_abs = half.sum()
+    np.multiply(half, -2.0, out=half)   # -|psi|
+    np.exp(half, out=half)
+    np.log1p(half, out=half)
+    return float(2.0 * on_edges - total - total_abs - half.sum())
+
+
+def log_likelihood_grads(data, q, d, z, dtype):
+    """Gradients (g_q, g_ld, g_z) of the log-likelihood w.r.t. (q,
+    log_loadings, offsets), on log_likelihood's arguments.
+
+    The S x n x n stage runs at dtype: the product psi_s / 2, then the
     symmetric zero-diagonal residual R_s = A_s - sigmoid(psi_s) in
     place through sigmoid(x) = (1 + tanh(x/2)) / 2, as (A_s - 1/2) -
-    tanh(psi_s/2) / 2, and takes RQ_s = R_s [q | 1] once, all at
-    grad_dtype; these S x n x n steps are the pass's bulk, and float32
-    halves their time at n = 128.  RQ_s is then held in float64, its
-    last column R_s's row sums, and the gradients (g_q, g_ld, g_z)
-    w.r.t. (q, log_loadings, offsets) all reduce from it in float64:
+    tanh(psi_s/2) / 2, and RQ_s = R_s [q | 1]; float32 halves its time
+    at n = 128.  RQ_s is then held in float64, in log_likelihood's
+    S x n x w buffer, its last column R_s's row sums, and the gradients
+    all reduce from it in float64:
       d/dq[i, m]          = sum_s d[s, m] * RQ_s[i, m]
       d/dlog_loadings[s,m]= d[s, m] * q[:, m]' RQ_s[:, m] / 2
       d/doffsets[s]       = sum of R_s above the diagonal
                           = sum_i RQ_s[i, k] / 2
     Every off-diagonal pair appears twice in R_s, so upper-triangle
-    sums are halves of full sums.  The stage reads only q, d and z, so
-    its gradient is the same whether or not the value is asked for.
-    The value is summed over the packed pairs i < j only, each counted
-    once:
-      sum over edges of psi - sum of softplus(psi),
-    with softplus(t) = max(t, 0) + log1p(exp(-|t|)) and sum max(t, 0)
-    = (sum t + sum |t|) / 2.  Scaling by a power of two is exact short
-    of the subnormal range, so the pass carries psi / 2 and twice the
-    residual and takes the factors back out where a product or a sum is
-    formed anyway.  Every long sum is a numpy reduction, not a BLAS dot:
-    OpenBLAS splits a long dot product across threads, so its rounding
-    would follow the thread count.
+    sums are halves of full sums.
     """
     k = q.shape[1]
-    a2, pairs, packed, edges, at_edges = _dataset_arrays(data)
-    exact = _work_arrays(data, k + 1, np.float64)
-    half_dz = np.empty((d.shape[0], k + 1))
-    np.multiply(0.5, d, out=half_dz[:, :k])
-    np.multiply(0.5, z, out=half_dz[:, k])
-
-    ll = None
-    if value:
-        half = _packed(_half_log_odds(exact, q, half_dz), pairs, packed).reshape(-1)
-        on_edges = np.take(half, edges, out=at_edges, mode="clip").sum()   # as in _packed
-        total = half.sum()
-        np.abs(half, out=half)
-        total_abs = half.sum()
-        np.multiply(half, -2.0, out=half)   # -|psi|
-        np.exp(half, out=half)
-        np.log1p(half, out=half)
-        ll = float(2.0 * on_edges - total - total_abs - half.sum())
-
-    g = None
-    if grads:
-        stage = _work_arrays(data, k + 1, grad_dtype)
-        q1, _, wide, r = stage
-        # twice the residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
-        _half_log_odds(stage, q, half_dz.astype(grad_dtype, copy=False))
-        np.tanh(r, out=r)
-        np.subtract(a2, r, out=r)
-        _diagonals(r)[:] = 0.0
-        rq = np.matmul(r, q1, out=wide)
-        if stage is not exact:
-            # the reductions run in float64, from the float64 product's
-            # S x n x w buffer, free once the value stage is done
-            rq = exact[2]
-            np.copyto(rq, wide)
-        g_q = np.einsum("sim,sm->im", rq[..., :k], half_dz[:, :k])
-        g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq[..., :k])
-        g_z = 0.25 * rq[..., k].sum(axis=1)
-        g = (g_q, g_ld, g_z)
-    return ll, g
+    a2 = _dataset_arrays(data)[0]
+    half_dz = 0.5 * np.column_stack((d, z))
+    stage = _work_arrays(data, k + 1, dtype)
+    q1, _, wide, r = stage
+    # twice the residual A - sigmoid(psi) = (A - 1/2) - tanh(psi / 2) / 2
+    _half_log_odds(stage, q, half_dz.astype(dtype, copy=False))
+    np.tanh(r, out=r)
+    np.subtract(a2, r, out=r)
+    _diagonals(r)[:] = 0.0
+    # at float64 the two buffers are one, and numpy skips the self-copy
+    rq = _work_arrays(data, k + 1, np.float64)[2]
+    np.copyto(rq, np.matmul(r, q1, out=wide))
+    g_q = np.einsum("sim,sm->im", rq[..., :k], half_dz[:, :k])
+    g_ld = 0.25 * d * np.einsum("im,sim->sm", q, rq[..., :k])
+    g_z = 0.25 * rq[..., k].sum(axis=1)
+    return g_q, g_ld, g_z
 
 
 def simulate_dataset(w, values, sp, rng):

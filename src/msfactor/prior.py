@@ -19,6 +19,9 @@ import numpy as np
 from .partition import random_partition
 from .whitening import rank_ok
 
+# random_partition draws random_full_rank_partition makes before it gives up
+PARTITION_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class ColumnValues:
@@ -77,5 +80,6 @@ def full_rank_pattern(draw, values, max_attempts):
 
 
 def random_full_rank_partition(n, k, values, rng):
-    """W of the first of 1000 random_partition draws that is full rank under values, or None."""
-    return full_rank_pattern(lambda: random_partition(n, k, rng), values, 1000)
+    """W of the first of PARTITION_ATTEMPTS random_partition draws that is
+    full rank under values, or None."""
+    return full_rank_pattern(lambda: random_partition(n, k, rng), values, PARTITION_ATTEMPTS)

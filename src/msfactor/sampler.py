@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import prior
 from .csvtext import csv_rows, g17_slots
-from .model import SubjectParams, _expit, _likelihood_pass, _logit
+from .model import SubjectParams, _expit, _logit, log_likelihood, log_likelihood_grads
 from .prior import (
     ColumnValues,
     MixtureProbs,
@@ -168,9 +169,10 @@ def _evaluator(state, data, grad_dtype=np.float32):
     reads log-loadings, offsets and logits as views of the position v
     (laid out by _pack) and writes the gradient into one vector
     allocated here: every call returns that vector and the next call
-    overwrites it.  With with_potential it returns (U, gradient), U
-    taken from the same pass; without with_grad, U alone, from a
-    value-only likelihood pass with no backward pass.  Nothing is
+    overwrites it.  With with_potential it returns (U, gradient), the
+    likelihood's value from log_likelihood and its gradients from
+    log_likelihood_grads; without with_grad, U alone, with neither the
+    gradient stage nor the backward pass.  Nothing is
     validated; NotPositiveDefiniteError (the rank test) and
     _DivergenceError (a non-finite frame gradient, or log-loadings past
     what grad_dtype holds as loadings) propagate.
@@ -202,18 +204,17 @@ def _evaluator(state, data, grad_dtype=np.float32):
         q, log_det, passes = _whitened(build_x(w, values))
         d = np.exp(ld)
         rate_d = LOADING_RATE / d
-        # a prior-only chain's likelihood terms are zero, and x - 0.0 is x for
-        # every float, so both cases share one assembly; its frame gradient
-        # stays None, as adding a zero one could turn a -0.0 into 0.0
-        ll, g = 0.0, (None, 0.0, 0.0)
-        if data is not None:
-            if with_grad and ld.max() > log_loading_max:
-                raise _DivergenceError("log-loading past the gradient stage's range")
-            ll, g = _likelihood_pass(data, q, d, z, with_potential, with_grad, grad_dtype)
         if with_grad:
-            g_q, g_ld, g_z = g
-            if g_q is not None and not np.isfinite(g_q).all():
-                raise _DivergenceError("non-finite frame gradient")
+            # a prior-only chain's likelihood gradients are zero, and x - 0.0
+            # is x for every float, so both cases share one assembly; its frame
+            # gradient stays None, as adding a zero one could turn a -0.0 into 0.0
+            g_q, g_ld, g_z = None, 0.0, 0.0
+            if data is not None:
+                if ld.max() > log_loading_max:
+                    raise _DivergenceError("log-loading past the gradient stage's range")
+                g_q, g_ld, g_z = log_likelihood_grads(data, q, d, z, grad_dtype)
+                if not np.isfinite(g_q).all():
+                    raise _DivergenceError("non-finite frame gradient")
             np.subtract(LOADING_SHAPE - g_ld, rate_d, out=grad_ld)
             np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
             # -dU/dX: the likelihood's part through the frame plus the
@@ -223,6 +224,7 @@ def _evaluator(state, data, grad_dtype=np.float32):
             np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
             if not with_potential:
                 return grad
+        ll = 0.0 if data is None else log_likelihood(data, q, d, z)
         # inverse-gamma loadings on the log scale, normal offsets
         lp = float((_LOADING_LOG_NORM - LOADING_SHAPE * ld - rate_d).sum()
                    - 0.5 * (z / OFFSET_SD) @ (z / OFFSET_SD))
@@ -427,7 +429,9 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None):
     values = ColumnValues(a=np.ones(k), b=-np.ones(k))
     w = random_full_rank_partition(n, k, values, rng)
     if w is None:
-        raise InitializationError(f"no full-rank starting pattern in 1000 attempts (n={n}, k={k})")
+        raise InitializationError(
+            f"no full-rank starting pattern in {prior.PARTITION_ATTEMPTS} attempts (n={n}, k={k})"
+        )
     relaxed = 0.05 + 0.9 * w
     logits = tau * _logit(relaxed)
     sp = SubjectParams(

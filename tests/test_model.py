@@ -14,8 +14,9 @@ from msfactor.model import (
     NetworkDataset,
     SubjectParams,
     _expit,
-    _likelihood_pass,
     _logit,
+    log_likelihood,
+    log_likelihood_grads,
     simulate_dataset,
 )
 from msfactor.partition import random_partition
@@ -28,18 +29,15 @@ def _empty_data(n, s):
 
 
 def _log_likelihood(data, q, sp):
-    """The likelihood pass's value alone."""
-    return _likelihood_pass(
-        data, q, np.exp(sp.log_loadings), sp.offsets, value=True, grads=False
-    )[0]
+    """The value stage."""
+    return log_likelihood(data, q, np.exp(sp.log_loadings), sp.offsets)
 
 
 def _grads(data, q, sp, with_value=False):
-    """Likelihood gradients (g_q, g_ld, g_z), led by the value with with_value."""
-    ll, g = _likelihood_pass(
-        data, q, np.exp(sp.log_loadings), sp.offsets, value=with_value, grads=True
-    )
-    return (ll, *g) if with_value else g
+    """The float64 gradient stage's (g_q, g_ld, g_z); with with_value the
+    value stage runs first, and its result leads."""
+    ll = (_log_likelihood(data, q, sp),) if with_value else ()
+    return (*ll, *log_likelihood_grads(data, q, np.exp(sp.log_loadings), sp.offsets, np.float64))
 
 
 def _identity_frame(n, k):
@@ -265,9 +263,9 @@ class TestFusedKernel:
         assert _log_likelihood(data, q, sp) == pytest.approx(value, rel=1e-12, abs=0.0)
         for got, ref in zip(_grads(data, q, sp), grads):
             _assert_close(got, ref)
-        fused = _grads(data, q, sp, with_value=True)
-        assert fused[0] == _log_likelihood(data, q, sp)
-        for got, ref in zip(fused[1:], grads):
+        paired = _grads(data, q, sp, with_value=True)
+        assert paired[0] == _log_likelihood(data, q, sp)
+        for got, ref in zip(paired[1:], grads):
             _assert_close(got, ref)
 
     def test_interleaved_datasets_leave_earlier_results_intact(self):
@@ -310,6 +308,37 @@ class TestFusedKernel:
             for part, ref in zip(got[1:], grads):
                 _assert_close(part, ref)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_stages_agree_in_either_order(self, dtype):
+        # the gradient stage writes R [q | 1] into the float64 S x n x (k + 1)
+        # buffer that the value stage keeps, so each stage must overwrite
+        # all it reads: the force is one function of the position, whichever
+        # pass computes it
+        data, q, sp = _random_problem(12, 9, 3, 4, offset_scale=2.0)
+        _, q2, sp2 = _random_problem(13, 9, 3, 4, log_mean=1.0)
+        d, z = np.exp(sp.log_loadings), sp.offsets
+        d2, z2 = np.exp(sp2.log_loadings), sp2.offsets
+        values, grads = [], []
+
+        def value():
+            values.append(log_likelihood(data, q, d, z).hex())
+
+        def gradient():
+            grads.append(b"".join(g.tobytes() for g in log_likelihood_grads(data, q, d, z, dtype)))
+
+        def elsewhere():
+            log_likelihood_grads(data, q2, d2, z2, dtype)
+            log_likelihood(data, q2, d2, z2)
+
+        for sequence in ((gradient, value, gradient), (value, gradient, value)):
+            for stage in sequence:
+                stage()
+            for stage in sequence:
+                elsewhere()
+                stage()
+        assert len(values) == 6 and len(set(values)) == 1
+        assert len(grads) == 6 and len(set(grads)) == 1
+
     @pytest.mark.parametrize("value, grads, grad_dtype", [
         pytest.param(True, False, np.float64, id="True-False"),
         pytest.param(False, True, np.float64, id="False-True"),
@@ -320,14 +349,22 @@ class TestFusedKernel:
     def test_warm_pass_allocates_less_than_one_frame_product(self, value, grads, grad_dtype):
         # every S x n x (k + 1) product, the float64 copy of a float32
         # R [q | 1] and the edge gather write into kept buffers, so a warm
-        # call allocates only small results
+        # call of either stage allocates only small results; True-True runs
+        # both stages, value first, as an evaluation of U and its force does
         n, s, k = 128, 20, 30
         data, q, sp = _random_problem(6, n, s, k)
         d = np.exp(sp.log_loadings)
-        _likelihood_pass(data, q, d, sp.offsets, value, grads, grad_dtype)
+
+        def evaluate():
+            if value:
+                log_likelihood(data, q, d, sp.offsets)
+            if grads:
+                log_likelihood_grads(data, q, d, sp.offsets, grad_dtype)
+
+        evaluate()
         tracemalloc.start()
         try:
-            _likelihood_pass(data, q, d, sp.offsets, value, grads, grad_dtype)
+            evaluate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

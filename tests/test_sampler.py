@@ -10,9 +10,11 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import invgamma
 
+import msfactor.prior
 import msfactor.sampler
 from msfactor.diagnostics import ess_batch_means
 from msfactor.model import NetworkDataset, SubjectParams
+from msfactor.partition import random_partition
 from msfactor.prior import ColumnValues, MixtureProbs, build_x
 from msfactor.sampler import (
     ChainState,
@@ -201,18 +203,12 @@ class TestPotentialPipeline:
     def _spied(self, monkeypatch):
         sampler = msfactor.sampler
         calls = []
-        backward, likelihood = sampler.whiten_backward, sampler._likelihood_pass
+        for name in ("whiten_backward", "log_likelihood", "log_likelihood_grads"):
+            def spy(*args, name=name, original=getattr(sampler, name)):
+                calls.append(name)
+                return original(*args)
 
-        def spy_backward(passes, grad_q, grad_log_det):
-            calls.append("whiten_backward")
-            return backward(passes, grad_q, grad_log_det)
-
-        def spy_likelihood(data, q, d, z, value, grads, *precision):
-            calls.append(("likelihood", value, grads))
-            return likelihood(data, q, d, z, value, grads, *precision)
-
-        monkeypatch.setattr(sampler, "whiten_backward", spy_backward)
-        monkeypatch.setattr(sampler, "_likelihood_pass", spy_likelihood)
+            monkeypatch.setattr(sampler, name, spy)
         return calls
 
     def test_potential_runs_no_backward_or_gradient_pass(self, monkeypatch):
@@ -221,7 +217,7 @@ class TestPotentialPipeline:
         for state in (_generic_state(47, n=6), _saturated(_generic_state(48, n=6))):
             potential(state, data)
             potential(state, None)
-        assert calls == [("likelihood", True, False)] * 2
+        assert calls == ["log_likelihood"] * 2
 
     def test_exchange_step_runs_no_backward_or_gradient_pass(self, monkeypatch):
         calls = self._spied(monkeypatch)
@@ -235,7 +231,7 @@ class TestPotentialPipeline:
             outcomes.add(cur.outcome == "accepted")
         assert outcomes == {True, False}
         assert calls
-        assert set(calls) == {("likelihood", True, False)}
+        assert set(calls) == {"log_likelihood"}
 
 
 def _frame_of(state):
@@ -520,22 +516,28 @@ class TestUpdates:
     def test_trajectory_end_reuses_last_gradient_pass(self, monkeypatch):
         state = _generic_state(32)
         data = _toy_data(4, 2, 33)
-        values = []
-        original = msfactor.sampler._likelihood_pass
+        calls = []
 
-        def counting(data, q, d, z, value, grads, *precision):
-            if not grads:
-                values.append(value)     # a pass for the potential alone
-            return original(data, q, d, z, value, grads, *precision)
+        def recording(name):
+            original = getattr(msfactor.sampler, name)
 
-        monkeypatch.setattr(msfactor.sampler, "_likelihood_pass", counting)
+            def stage(data, q, *args):
+                calls.append((name, q.copy()))   # the frame each stage runs on
+                return original(data, q, *args)
+
+            return stage
+
+        for name in ("log_likelihood", "log_likelihood_grads"):
+            monkeypatch.setattr(msfactor.sampler, name, recording(name))
         omega = np.ones(_flatten(state).size)
         u_cur = potential(state, data)
-        values.clear()
+        calls.clear()
         out = msfactor.sampler._hmc_step(
             _Step(state, u_cur, None, "start"), data, np.random.default_rng(5), 0.05, 4, omega
         )
-        assert values == []
+        names = [name for name, _ in calls]
+        assert names == ["log_likelihood_grads"] * 5 + ["log_likelihood"]
+        np.testing.assert_array_equal(calls[-1][1], calls[-2][1])
         assert out.outcome == "accepted"
         assert out.u == potential(out.state, data)
 
@@ -1003,6 +1005,21 @@ class TestInitialState:
             initial_state(
                 None, 2, 0.5, np.random.default_rng(0), n=2, n_subjects=1
             )
+
+    def test_exhausted_start_names_the_draws_made(self, monkeypatch):
+        prior = msfactor.prior
+        draws = []
+
+        def counting(n, k, rng):
+            draws.append(1)
+            return random_partition(n, k, rng)
+
+        monkeypatch.setattr(prior, "PARTITION_ATTEMPTS", 7)
+        monkeypatch.setattr(prior, "random_partition", counting)
+        with pytest.raises(InitializationError) as err:
+            initial_state(None, 2, 0.5, np.random.default_rng(0), n=2, n_subjects=1)
+        assert len(draws) == 7
+        assert f"in {len(draws)} attempts" in str(err.value)
 
 
 class TestRunChain:
