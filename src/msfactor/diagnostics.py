@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import partition_distance
 from .prior import ColumnValues, build_x
 from .whitening import NotPositiveDefiniteError, whiten
 
@@ -68,8 +67,9 @@ def partition_recovery(w_prob, w_truth, level):
     """Agreement between thresholded posterior assignments and a split.
 
     Hard-assigns node i to side1 when w_prob[i, level-1] > 0.5 and
-    scores 1 - partition_distance against column level-1 of the
-    reference membership matrix w_truth (n x k, 0/1).
+    returns the share of nodes on the same side as in column level-1
+    of the reference membership matrix w_truth (n x k, 0/1), under the
+    better of the two side labelings: max(same, n - same) / n.
     """
     w_prob = np.asarray(w_prob, dtype=np.float64)
     n, k = w_truth.shape
@@ -77,8 +77,8 @@ def partition_recovery(w_prob, w_truth, level):
         raise ValueError(f"level {level} out of range 1..{k}")
     if w_prob.shape[0] != n:
         raise ValueError(f"w_prob has {w_prob.shape[0]} rows, partition has {n} nodes")
-    est = (w_prob[:, level - 1] > 0.5).astype(np.int64)
-    return 1.0 - partition_distance(est, w_truth[:, level - 1])
+    same = int(np.count_nonzero((w_prob[:, level - 1] > 0.5) == w_truth[:, level - 1]))
+    return max(same, n - same) / n
 
 
 @dataclass

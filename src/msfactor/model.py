@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prior import build_x
-from .whitening import whiten
+from .whitening import _ignore_fp_errors, whiten
 
 
 def _expit(x):
     """Logistic sigmoid; an overflowed exp gives exactly 0, without a warning."""
-    with np.errstate(over="ignore"):
+    with _ignore_fp_errors():
         return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -80,9 +80,9 @@ class NetworkDataset:
             raise ValueError(f"nonzero diagonal at subject {s}, node {i}")
 
     def edge_density(self):
-        pairs = self.n * (self.n - 1) / 2
-        upper = np.triu_indices(self.n, k=1)
-        return float(self.adjacency[:, upper[0], upper[1]].mean()) if pairs else 0.0
+        """The share of edges among all subjects' pairs i < j."""
+        _, _, packed, edges, _ = _dataset_arrays(self)
+        return edges.size / packed.size if packed.size else 0.0
 
     def to_json(self):
         return json.dumps({

@@ -6,9 +6,6 @@ W[i, j] is 1 iff node i is on side1 of split j+1.  No tree is stored;
 the level-j cells are the groups of nodes that agree on the first j
 columns of W.  RecursivePartition is the codec of truth.json's
 "partition" entry, which lists each split's two sides.
-
-partition_distance scores two binary labelings by their best agreement
-under relabeling, which is the identity or the swap.
 """
 
 from __future__ import annotations
@@ -76,24 +73,3 @@ def random_partition(n, k, rng):
         w[:, j] = mask
     return w
 
-
-def partition_distance(labels_a, labels_b):
-    """1 - (best-case label agreement under relabeling) / n.
-
-    Zero iff the two labelings induce the same partition.  Each side
-    may use at most two labels, so the best bijection is the identity
-    or the swap: the agreement is max(same, n - same).
-    """
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"label vectors must share 1-d shape, got {a.shape} vs {b.shape}")
-    n = a.size
-    if n == 0:
-        raise ValueError("empty label vectors")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    if max(ai.max(), bi.max()) > 1:
-        raise ValueError("partition_distance compares at most two labels per side")
-    same = int(np.count_nonzero(ai == bi))
-    return 1.0 - max(same, n - same) / n

@@ -37,6 +37,7 @@ from .prior import (
 )
 from .whitening import (
     NotPositiveDefiniteError,
+    _ignore_fp_errors,
     _whitened,
     rank_ok,
     whiten_backward,
@@ -285,12 +286,6 @@ def _kinetic(vel, omega):
     return sum(half[i:i + c] @ scaled[i:i + c] for i in range(0, vel.size, c))
 
 
-def _diverging():
-    # overflow inside a divergent trajectory is expected; the proposal
-    # is rejected rather than letting inf/nan escape
-    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
-
-
 def _hmc_step(cur, data, rng, step, n_steps, omega):
     """One HMC trajectory from cur, from its gradient if known; a
     non-finite position, gradient or log-alpha rejects as "divergence"."""
@@ -325,7 +320,7 @@ def _hmc_step(cur, data, rng, step, n_steps, omega):
         return g
 
     try:
-        with _diverging():
+        with _ignore_fp_errors():
             pos1, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
             kin1 = _kinetic(vel1, omega)
     except NotPositiveDefiniteError:
@@ -629,7 +624,7 @@ class _Tempering:
         retempered = dataclasses.replace(cur.state, tau=tau)
         pos = _pack(retempered.subject_params, retempered.logits)
         try:
-            with _diverging():
+            with _ignore_fp_errors():
                 u, grad = _evaluator(retempered, data)(pos, with_potential=True)
             return _Step(retempered, u, grad, "accepted")
         except NotPositiveDefiniteError:

@@ -30,10 +30,14 @@ class NotPositiveDefiniteError(ValueError):
     """Cholesky pivot at or below the relative floor; doubles as the rank test."""
 
 
-def _lapack_errstate():
-    # np.linalg's own state around these kernels, except that the
-    # invalid flag of a failed factor (which comes back filled with NaN)
-    # is ignored rather than raised: the NaN pivot fails the floor
+def _ignore_fp_errors():
+    """The program's one floating-point error state: every flag ignored.
+
+    Each caller checks what it computes instead.  A failed factor comes
+    back filled with NaN, and the NaN pivot fails the floor; a sigmoid's
+    overflowed exp gives exactly 0; a trajectory rejects a non-finite
+    position, gradient or energy as a divergence.
+    """
     return np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore")
 
 
@@ -43,9 +47,9 @@ def _factor_or_none(s):
     The factor is rejected when a pivot is <= PIVOT_EPS * max(diag(s)).
     Its squared pivots are the loop's pivots, so the floor is applied to
     the smallest afterwards; a failed or NaN factor makes the minimum
-    NaN, which fails it.  The caller holds _lapack_errstate().
+    NaN, which fails it.  The caller holds _ignore_fp_errors().
     """
-    floor = PIVOT_EPS * max(s.diagonal().max(), 0.0)
+    floor = PIVOT_EPS * s.diagonal().max()
     low = _umath_linalg.cholesky_lo(s, signature="d->d")
     return low if low.diagonal().min() ** 2 > floor else None
 
@@ -74,7 +78,7 @@ def _whitened(x):
     and passes = [(q1, low1, linv1), (q2, low2, linv2)], linv the
     lower-triangular inverse of low, for whiten_backward.
     """
-    with _lapack_errstate():
+    with _ignore_fp_errors():
         first = _whiten_pass(x)
         second = _whiten_pass(first[0])
     log_det = float(np.log(first[1].diagonal()).sum())
@@ -97,7 +101,7 @@ def rank_ok(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < x.shape[1]:
         return False
-    with _lapack_errstate():
+    with _ignore_fp_errors():
         return _factor_or_none(x.T @ x) is not None
 
 

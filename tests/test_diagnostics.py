@@ -179,6 +179,55 @@ class TestPartitionRecovery:
         with pytest.raises(ValueError, match="rows"):
             partition_recovery(np.full((5, 1), 0.5), self.W, 1)
 
+    def test_crossed_labels(self):
+        a, b = np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]])
+        assert partition_recovery(a, b, 1) == 0.5
+
+    def test_symmetry(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            a = rng.integers(0, 2, size=(15, 1))
+            b = rng.integers(0, 2, size=(15, 1))
+            assert partition_recovery(a, b, 1) == partition_recovery(b, a, 1)
+
+
+def _assignment_agreement(labels_a, labels_b):
+    """Reference: best label bijection by assignment, for any label count."""
+    from scipy.optimize import linear_sum_assignment
+
+    _, ai = np.unique(np.asarray(labels_a), return_inverse=True)
+    _, bi = np.unique(np.asarray(labels_b), return_inverse=True)
+    m = max(ai.max(), bi.max()) + 1
+    confusion = np.zeros((m, m), dtype=np.int64)
+    np.add.at(confusion, (ai, bi), 1)
+    rows, cols = linear_sum_assignment(-confusion)
+    return confusion[rows, cols].sum() / ai.size
+
+
+class TestPartitionRecoveryAgainstAssignment:
+    """partition_recovery scores one 0/1 level against another: the
+    thresholded posterior column against the truth's."""
+
+    def test_random_binary_labels(self):
+        rng = np.random.default_rng(43)
+        for _ in range(400):
+            n = int(rng.integers(1, 25))
+            a = rng.integers(0, 2, size=n)
+            b = rng.integers(0, 2, size=n)
+            assert partition_recovery(a[:, None], b[:, None], 1) == _assignment_agreement(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([0], [0]),
+        ([0], [1]),
+        ([1, 1, 1], [1, 1, 1]),
+        ([0, 0, 0, 0], [0, 1, 1, 0]),
+        ([0, 1, 1, 0, 0], [1, 1, 1, 1, 1]),
+    ])
+    def test_single_label_vectors(self, a, b):
+        col_a, col_b = np.array(a)[:, None], np.array(b)[:, None]
+        assert partition_recovery(col_a, col_b, 1) == _assignment_agreement(a, b)
+        assert partition_recovery(col_b, col_a, 1) == _assignment_agreement(b, a)
+
 
 class TestSummarize:
     def test_single_draw_reproduces_itself(self):

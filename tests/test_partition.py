@@ -1,15 +1,11 @@
-"""Membership matrix draws, their cells, the truth-file codec, and distance."""
+"""Membership matrix draws, their cells, and the truth-file codec."""
 
 import json
 
 import numpy as np
 import pytest
 
-from msfactor.partition import (
-    RecursivePartition,
-    partition_distance,
-    random_partition,
-)
+from msfactor.partition import RecursivePartition, random_partition
 
 
 def _rp(n, splits):
@@ -223,66 +219,3 @@ class TestJsonRoundTrip:
         payload = json.loads(rp.to_json())
         assert payload == {"n": 3, "levels": [[[0, 2], [1]]]}
 
-
-class TestPartitionDistance:
-    def test_identity(self):
-        assert partition_distance([0, 0, 1, 1], [0, 0, 1, 1]) == 0.0
-
-    def test_relabeling_invariance(self):
-        assert partition_distance([0, 0, 1, 1], [1, 1, 0, 0]) == 0.0
-
-    def test_crossed_labels(self):
-        assert partition_distance([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            partition_distance([0, 1], [0, 1, 0])
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            a = rng.integers(0, 2, size=15)
-            b = rng.integers(0, 2, size=15)
-            assert partition_distance(a, b) == pytest.approx(partition_distance(b, a))
-
-
-def _assignment_distance(labels_a, labels_b):
-    """Reference: best label bijection by assignment, for any label count."""
-    from scipy.optimize import linear_sum_assignment
-
-    _, ai = np.unique(np.asarray(labels_a), return_inverse=True)
-    _, bi = np.unique(np.asarray(labels_b), return_inverse=True)
-    m = max(ai.max(), bi.max()) + 1
-    confusion = np.zeros((m, m), dtype=np.int64)
-    np.add.at(confusion, (ai, bi), 1)
-    rows, cols = linear_sum_assignment(-confusion)
-    return 1.0 - confusion[rows, cols].sum() / ai.size
-
-
-class TestPartitionDistanceAgainstAssignment:
-    def test_random_binary_labels(self):
-        rng = np.random.default_rng(43)
-        for _ in range(400):
-            n = int(rng.integers(1, 25))
-            a = rng.integers(0, 2, size=n)
-            b = rng.integers(0, 2, size=n)
-            assert partition_distance(a, b) == _assignment_distance(a, b)
-
-    @pytest.mark.parametrize("a, b", [
-        ([0], [0]),
-        ([0], [1]),
-        ([1, 1, 1], [1, 1, 1]),
-        ([0, 0, 0, 0], [0, 1, 1, 0]),
-        ([3, 7, 7, 3, 3], [5, 5, 5, 5, 5]),
-    ])
-    def test_single_label_vectors(self, a, b):
-        assert partition_distance(a, b) == _assignment_distance(a, b)
-        assert partition_distance(b, a) == _assignment_distance(b, a)
-
-    def test_more_than_two_labels(self):
-        # the program compares binary levels only; a third label is an error
-        for a, b in [([0, 1, 2], [0, 0, 1]), ([0, 1, 1], [4, 5, 6])]:
-            with pytest.raises(ValueError, match="at most two labels"):
-                partition_distance(a, b)
-            with pytest.raises(ValueError, match="at most two labels"):
-                partition_distance(b, a)
