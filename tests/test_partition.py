@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from msfactor.diagnostics import partition_recovery
 from msfactor.partition import RecursivePartition, random_partition
 
 
@@ -201,6 +202,20 @@ class TestMembershipMatrix:
         assert np.array_equal(w, [[1], [1], [0], [0]])
         assert not np.array_equal(w, _w(4, [({2, 3}, {0, 1})]))
         assert w.shape != _w(4, [({0, 1}, {2, 3}), ({0, 1}, {2, 3})]).shape
+
+
+class TestPartitionDistance:
+    """The distance between two splits is 1 - partition_recovery."""
+
+    def test_identity(self):
+        w = _w(4, [({0, 1}, {2, 3})])
+        assert 1.0 - partition_recovery(w, w, 1) == 0.0
+
+    def test_relabeling_invariance(self):
+        w = _w(4, [({0, 1}, {2, 3})])
+        swapped = _w(4, [({2, 3}, {0, 1})])
+        assert 1.0 - partition_recovery(w, swapped, 1) == 0.0
+        assert 1.0 - partition_recovery(swapped, w, 1) == 0.0
 
 
 class TestJsonRoundTrip:
