@@ -35,13 +35,10 @@ from .sampler import (
 from .whitening import NotPositiveDefiniteError
 
 
-def __getattr__(name):
-    # the process pool loads only when a fit runs chains in parallel; tests
-    # and the benchmark's serial run replace cli.ProcessPoolExecutor
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the class that runs a fit's chains in parallel; None means concurrent.futures'
+# process pool, loaded only when a fit first needs it. Tests and the
+# benchmark's serial run set this to a replacement.
+ProcessPoolExecutor = None
 
 
 class ConfigError(ValueError):
@@ -254,9 +251,10 @@ def cmd_fit(cfg):
     if chains == 1:
         results = [_fit_single_chain(jobs[0])]
     else:
-        # fork starts every worker at the first submit, so never more than the
-        # cores; the pool is looked up on the module, where a replacement goes
-        pool_type = sys.modules[__name__].ProcessPoolExecutor
+        # fork starts every worker at the first submit, so never more than the cores
+        pool_type = ProcessPoolExecutor
+        if pool_type is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_type
         with pool_type(max_workers=min(chains, _usable_cores())) as pool:
             results = list(pool.map(_fit_single_chain, jobs))
     elapsed = time.perf_counter() - start

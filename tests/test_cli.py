@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: simulate -> fit -> summarize."""
 
 import ast
+import concurrent.futures
 import json
 import math
 import os
@@ -295,14 +296,14 @@ class TestDatasetParsing:
 
 class TestChainPoolContract:
     def test_every_chain_goes_through_the_module_pool(self, tmp_path, monkeypatch):
-        """Chains run through the pool class cmd_fit finds on msfactor.cli.
+        """Chains run through the pool class that msfactor.cli.ProcessPoolExecutor names.
 
         The benchmark's traced run (perfbench/tracing.py::run_pipeline)
-        swaps cli.ProcessPoolExecutor for a serial pool, so that every
+        sets cli.ProcessPoolExecutor to a serial pool, so that every
         chain runs in the benchmark's own process, under its tracer.
-        The name resolves lazily (a module __getattr__), and cmd_fit
-        looks it up on the module when it starts the pool, so a swapped
-        name is the one used.
+        The attribute is an ordinary module global, None until set, and
+        cmd_fit reads it when it starts the pool, so a class set there
+        is the one used.
         """
         sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
@@ -346,11 +347,10 @@ class TestChainPoolContract:
         assert main(["fit", "--config", fit, "--out", str(tmp_path / "wide")]) == 0
 
         pools = []
-        real_pool = msfactor.cli.ProcessPoolExecutor
 
         def recording_pool(max_workers):
             pools.append(max_workers)
-            return real_pool(max_workers=max_workers)
+            return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
         monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", recording_pool)
         monkeypatch.setattr(msfactor.cli.os, "sched_getaffinity", lambda pid: {0})
@@ -918,13 +918,28 @@ class TestStartup:
         code = "import sys, msfactor.cli; assert 'scipy.optimize' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
 
-    def test_cli_import_does_not_load_the_process_pool(self):
-        # the pool's module loads when a fit first runs chains in parallel
+    def test_cli_import_does_not_load_the_process_pool(self, pipeline):
+        # the pool's module loads when a fit first runs chains in parallel,
+        # and the attribute stays None, so each such fit imports the pool
+        root, sim_dir, _, _ = pipeline
+        out = root / "pooled_startup"
+        cfg = _write(root / "fit_pooled.json", {
+            "data": str(sim_dir / "dataset.json"), "k": 2, "seed": 3,
+            "iterations": 4, "warmup": 2, "chains": 2,
+        })
+        args = ["fit", "--config", cfg, "--out", str(out)]
         code = ("import sys, msfactor.cli; "
                 "assert 'concurrent.futures.process' not in sys.modules; "
-                "import concurrent.futures as cf; "
-                "assert msfactor.cli.ProcessPoolExecutor is cf.ProcessPoolExecutor")
-        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=60)
+                "assert msfactor.cli.ProcessPoolExecutor is None; "
+                f"assert msfactor.cli.main({args!r}) == 0; "
+                "assert 'concurrent.futures.process' in sys.modules; "
+                "assert msfactor.cli.ProcessPoolExecutor is None")
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, timeout=120,
+                       capture_output=True)
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert set(meta["chains"]) == {"chain_00", "chain_01"}
+        for chain in meta["chains"]:
+            assert (out / chain / "trace.csv").exists()
 
     def test_summarize_with_truth_does_not_load_scipy_optimize(self, pipeline):
         root, sim_dir, fit_dir, _ = pipeline

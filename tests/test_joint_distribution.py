@@ -29,9 +29,12 @@ from msfactor.model import SubjectParams, simulate_dataset
 from msfactor.sampler import (
     ExchangeConfig,
     HmcConfig,
-    exchange_update,
-    hmc_update,
+    _exchange_step,
+    _hmc_step,
+    _pack,
+    _Step,
     initial_state,
+    potential,
 )
 
 N, K, S, TAU = 4, 2, 2, 0.5
@@ -59,11 +62,13 @@ def successive_conditional(seed, iterations, offset_shift=0.0, log_loading_shift
     """(iterations x 4) draws of z_1, z_2, log d_11 and log d_22.
 
     Each iteration draws a dataset from the current relaxed state, then
-    runs hmc_update and exchange_update on it.  The shifts plant a fault
-    in the simulator's inputs; a correct check fails them.
+    runs the chain's own HMC step (unit mass) and hands its result to the
+    exchange step, as run_chain does.  The shifts plant a fault in the
+    simulator's inputs; a correct check fails them.
     """
     rng = np.random.default_rng(seed)
     state = initial_state(None, K, TAU, rng, n=N, n_subjects=S)
+    omega = np.ones(_pack(state.subject_params, state.logits).size)
     draws = np.empty((iterations, 4))
     for t in range(iterations):
         sp = state.subject_params
@@ -71,8 +76,10 @@ def successive_conditional(seed, iterations, offset_shift=0.0, log_loading_shift
             log_loadings=sp.log_loadings + log_loading_shift, offsets=sp.offsets + offset_shift
         )
         data, _ = simulate_dataset(state.relaxed_weights(), state.values, planted, rng)
-        state, _ = hmc_update(state, data, HMC, rng)
-        state, _ = exchange_update(state, data, EXCHANGE, rng)
+        # a new dataset changes U, so each iteration starts from a fresh one
+        start = _Step(state, potential(state, data), None, "start")
+        hmc = _hmc_step(start, data, rng, HMC.step_size, HMC.leapfrog_steps, omega)
+        state = _exchange_step(hmc, data, EXCHANGE, rng, EXCHANGE.window).state
         sp = state.subject_params
         draws[t] = sp.offsets[0], sp.offsets[1], sp.log_loadings[0, 0], sp.log_loadings[1, 1]
     return draws
