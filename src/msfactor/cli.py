@@ -196,8 +196,7 @@ _FIT_FIELDS = {
     "iterations": (int, _REQUIRED), "warmup": (int, lambda got: got["iterations"] // 2),
     "thin": (int, 1), "tau": (float, 0.2), "anneal_from": (float, None),
     "step_size": (float, HmcConfig.step_size), "leapfrog_steps": (int, HmcConfig.leapfrog_steps),
-    "target_accept": (float, HmcConfig.target_accept), "window": (float, ExchangeConfig.window),
-    "max_rejection_attempts": (int, ExchangeConfig.max_rejection_attempts),
+    "window": (float, ExchangeConfig.window),
     "out": (str, "."),
 }
 

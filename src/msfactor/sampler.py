@@ -49,6 +49,8 @@ OFFSET_SD = 10.0      # normal prior sd for each offset
 # the inverse-gamma log-density's constant, shape log(rate) - log Gamma(shape)
 _LOADING_LOG_NORM = LOADING_SHAPE * np.log(LOADING_RATE) - math.lgamma(LOADING_SHAPE)
 PROB_FLOOR = 1e-12  # keeps exchanged rates strictly inside (0, 1)
+TARGET_ACCEPT = 0.7  # the HMC acceptance rate warmup adapts the step toward
+AUX_ATTEMPTS = 100   # auxiliary patterns an exchange move draws before "aux_exhausted"
 # |logit / tau| beyond which a relaxed weight is within e^-30 of 0 or 1,
 # so its HMC gradient has all but vanished; run_meta.json reports the
 # share of such logits at the end of a chain
@@ -118,7 +120,6 @@ class _Step(NamedTuple):
 class HmcConfig:
     step_size: float = 0.05
     leapfrog_steps: int = 10
-    target_accept: float = 0.7
     warmup: int = 1000
 
     def __post_init__(self):
@@ -126,8 +127,6 @@ class HmcConfig:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.leapfrog_steps < 1:
             raise ValueError(f"leapfrog_steps must be >= 1, got {self.leapfrog_steps}")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError(f"target_accept must be in (0, 1), got {self.target_accept}")
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
@@ -135,16 +134,11 @@ class HmcConfig:
 @dataclass(frozen=True)
 class ExchangeConfig:
     window: float = 0.25            # uniform half-width for the a, b proposals
-    max_rejection_attempts: int = 100
 
     def __post_init__(self):
         # zero freezes a, b (identity proposal), still a valid kernel on p
         if self.window < 0.0:
             raise ValueError(f"window must be >= 0, got {self.window}")
-        if self.max_rejection_attempts < 1:
-            raise ValueError(
-                f"max_rejection_attempts must be >= 1, got {self.max_rejection_attempts}"
-            )
 
 
 def potential(state, data):
@@ -345,7 +339,7 @@ def hmc_update(state, data, cfg, rng):
     return step.state, step.outcome == "accepted"
 
 
-def _exchange_step(cur, data, cfg, rng, window):
+def _exchange_step(cur, data, rng, window):
     """One exchange move on (a, b, p) from cur; an acceptance drops the gradient,
     and a rejection keeps cur's state, U and gradient."""
     state = cur.state
@@ -364,7 +358,7 @@ def _exchange_step(cur, data, cfg, rng, window):
     aux = full_rank_pattern(
         lambda: (rng.random((n, k)) < p_star).astype(np.float64),
         values_star,
-        cfg.max_rejection_attempts,
+        AUX_ATTEMPTS,
     )
     if aux is None:
         return _Step(state, cur.u, cur.grad, "aux_exhausted")
@@ -401,7 +395,7 @@ def _exchange_step(cur, data, cfg, rng, window):
 def exchange_update(state, data, cfg, rng):
     """One exchange transition on (a, b, p) at the configured window."""
     cur = _Step(state, potential(state, data), None, "start")
-    step = _exchange_step(cur, data, cfg, rng, cfg.window)
+    step = _exchange_step(cur, data, rng, cfg.window)
     return step.state, step.outcome == "accepted"
 
 
@@ -635,11 +629,11 @@ class _Tempering:
 
 
 class _StepSize:
-    """Dual averaging of the HMC step toward target_accept (Hoffman &
+    """Dual averaging of the HMC step toward TARGET_ACCEPT (Hoffman &
     Gelman 2014, section 3.2), frozen at its average at t == warmup."""
 
-    def __init__(self, step, target_accept, warmup):
-        self.step, self.target, self.warmup = step, target_accept, warmup
+    def __init__(self, step, warmup):
+        self.step, self.warmup = step, warmup
         self.mu = np.log(10.0 * step)
         self.log_avg = np.log(step)
         self.stat = 0.0
@@ -647,7 +641,7 @@ class _StepSize:
     def update(self, t, alpha):
         if t < self.warmup:
             t1 = t + 1
-            self.stat += (self.target - alpha - self.stat) / (t1 + 10.0)
+            self.stat += (TARGET_ACCEPT - alpha - self.stat) / (t1 + 10.0)
             log_step = self.mu - np.sqrt(t1) / 0.05 * self.stat
             eta = t1 ** -0.75
             self.log_avg = eta * log_step + (1.0 - eta) * self.log_avg
@@ -745,7 +739,7 @@ def run_chain(
 
     warmup = hmc_cfg.warmup
     tempering = _Tempering(anneal_from, init.tau, warmup)
-    step_size = _StepSize(hmc_cfg.step_size, hmc_cfg.target_accept, warmup)
+    step_size = _StepSize(hmc_cfg.step_size, warmup)
     kinetic = _KineticDiagonal(_pack(init.subject_params, init.logits).size, warmup)
     window = _ExchangeWindow()
     recording = _Recording(init, warmup, iterations, thin)
@@ -758,7 +752,7 @@ def run_chain(
         # the row records the step this trajectory runs at, before adaptation moves it
         step = step_size.step
         hmc = _hmc_step(cur, data, rng, step, hmc_cfg.leapfrog_steps, kinetic.omega)
-        cur = _exchange_step(hmc, data, exch_cfg, rng, exch_cfg.window * window.scale)
+        cur = _exchange_step(hmc, data, rng, exch_cfg.window * window.scale)
         hmc_tally[hmc.outcome] += 1
         exch_tally[cur.outcome] += 1
         grad_evals += hmc.evals

@@ -2,9 +2,11 @@
 
 import ast
 import concurrent.futures
+import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -108,14 +110,16 @@ class TestPipeline:
 
 
 class TestOutcomes:
-    def test_counts_match_the_trace(self, tmp_path):
+    def test_counts_match_the_trace(self, tmp_path, monkeypatch):
         """With warmup 0 and thin 1 every move is a trace row."""
+        # one auxiliary attempt per exchange move, so some moves are skipped
+        monkeypatch.setattr(msfactor.sampler, "AUX_ATTEMPTS", 1)
         sim = _write(tmp_path / "sim.json", {"n": 5, "k": 3, "subjects": 2, "seed": 4})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
         fit = _write(tmp_path / "fit.json", {
             "data": str(tmp_path / "sim" / "dataset.json"), "k": 3, "seed": 6,
             "iterations": 60, "warmup": 0, "thin": 1, "tau": 0.3, "leapfrog_steps": 3,
-            "window": 0.5, "max_rejection_attempts": 1,
+            "window": 0.5,
         })
         assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
         meta = json.loads((tmp_path / "fit" / "run_meta.json").read_text())["chains"]["chain_00"]
@@ -546,6 +550,9 @@ class TestFailureModes:
     @pytest.mark.parametrize("command, field", [
         ("simulate", "subject"),
         ("fit", "warmpu"),
+        # settings retired to sampler constants
+        ("fit", "target_accept"),
+        ("fit", "max_rejection_attempts"),
         ("summarize", "burnin"),
     ])
     def test_unknown_config_field_exits_2(self, pipeline, tmp_path, capsys, command, field):
@@ -571,7 +578,7 @@ class TestFailureModes:
         ("fit", "anneal_from", math.inf),
         ("fit", "window", math.inf),
         ("fit", "step_size", math.inf),
-        ("fit", "target_accept", -math.inf),
+        ("fit", "step_size", -math.inf),
         ("fit", "seed", -1),
         # an int beyond the largest float, which json reads exactly
         pytest.param("simulate", "offset", 10**400, id="simulate-offset-int_beyond_float"),
@@ -630,8 +637,7 @@ class TestFailureModes:
             }, "dataset.json"),
             ("fit", {"data": fit_data, "k": 2, "seed": 11, "iterations": 4}, {
                 "chains": 1, "warmup": 2, "thin": 1, "tau": 0.2, "anneal_from": None,
-                "step_size": 0.05, "leapfrog_steps": 10, "target_accept": 0.7,
-                "window": 0.25, "max_rejection_attempts": 100,
+                "step_size": 0.05, "leapfrog_steps": 10, "window": 0.25,
             }, "chain_00/trace.csv"),
             ("summarize", {"fit_dir": str(fit_dir)}, {"burn_in": 0.5}, "summary.json"),
         ):
@@ -1002,6 +1008,25 @@ class TestRuntimeDependencies:
         assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
 
 
+class TestReadmeConfigTable:
+    def test_table_names_exactly_each_subcommands_fields(self):
+        # a row with an empty first cell continues the subcommand above it,
+        # and "all" adds its fields to every subcommand
+        readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = readme.index("| subcommand | field | kind | default |") + 2
+        tables = {"simulate": msfactor.cli._SIMULATE_FIELDS, "fit": msfactor.cli._FIT_FIELDS,
+                  "summarize": msfactor.cli._SUMMARIZE_FIELDS}
+        listed, command = {name: [] for name in tables}, None
+        for line in itertools.takewhile(lambda line: line.startswith("|"), readme[start:]):
+            first, fields = line.split("|")[1:3]
+            command = first.strip().strip("`") or command
+            for name in tables if command == "all" else [command]:
+                listed[name] += re.findall(r"`([^`]+)`", fields)
+        assert {name: sorted(names) for name, names in listed.items()} == {
+            name: sorted(table) for name, table in tables.items()
+        }
+
+
 # test-only code left in the package on purpose, each with the ROADMAP
 # item that moves it out
 _UNCALLED_ALLOWED = set()
@@ -1192,9 +1217,7 @@ class TestChainFailures:
     @pytest.mark.parametrize("field, value", [
         ("step_size", 0.0),
         ("leapfrog_steps", 0),
-        ("target_accept", 1.5),
         ("window", -0.1),
-        ("max_rejection_attempts", 0),
         ("thin", 0),
         ("tau", 0.0),
         ("anneal_from", -1.0),

@@ -79,7 +79,7 @@ def successive_conditional(seed, iterations, offset_shift=0.0, log_loading_shift
         # a new dataset changes U, so each iteration starts from a fresh one
         start = _Step(state, potential(state, data), None, "start")
         hmc = _hmc_step(start, data, rng, HMC.step_size, HMC.leapfrog_steps, omega)
-        state = _exchange_step(hmc, data, EXCHANGE, rng, EXCHANGE.window).state
+        state = _exchange_step(hmc, data, rng, EXCHANGE.window).state
         sp = state.subject_params
         draws[t] = sp.offsets[0], sp.offsets[1], sp.log_loadings[0, 0], sp.log_loadings[1, 1]
     return draws

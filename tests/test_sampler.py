@@ -227,7 +227,7 @@ class TestPotentialPipeline:
         rng = np.random.default_rng(51)
         outcomes = set()
         for _ in range(30):
-            cur = msfactor.sampler._exchange_step(cur, data, ExchangeConfig(), rng, 0.5)
+            cur = msfactor.sampler._exchange_step(cur, data, rng, 0.5)
             outcomes.add(cur.outcome == "accepted")
         assert outcomes == {True, False}
         assert calls
@@ -767,8 +767,8 @@ class TestOutcomes:
         return msfactor.sampler._hmc_step(cur, data, rng, step, 4, omega)
 
     @staticmethod
-    def _exchange(cur, data, rng, cfg=ExchangeConfig(), window=0.25):
-        return msfactor.sampler._exchange_step(cur, data, cfg, rng, window)
+    def _exchange(cur, data, rng, window=0.25):
+        return msfactor.sampler._exchange_step(cur, data, rng, window)
 
     @staticmethod
     def _assert_kept(cur, out):
@@ -825,7 +825,7 @@ class TestOutcomes:
         assert out.outcome == "mh"
         self._assert_kept(cur, out)
 
-    def test_exchange_aux_exhausted(self):
+    def test_exchange_aux_exhausted(self, monkeypatch):
         # a_j - b_j of 1e-9 leaves every pattern's matrix below the pivot
         # floor, and the zero window keeps those values in the proposal
         state, data = _generic_state(64), _toy_data(4, 2, 65)
@@ -835,8 +835,8 @@ class TestOutcomes:
         assert not rank_ok(build_x(state.hard_weights(), state.values))
         cur = _Step(state, 0.0, None, "start")
         rng = _MetropolisDraw(0.0, 66)
-        out = self._exchange(cur, data, rng, cfg=ExchangeConfig(max_rejection_attempts=1),
-                             window=0.0)
+        monkeypatch.setattr(msfactor.sampler, "AUX_ATTEMPTS", 1)
+        out = self._exchange(cur, data, rng, window=0.0)
         assert out.outcome == "aux_exhausted"
         assert rng.sizes == [(4, 2)]     # one auxiliary pattern drawn
         self._assert_kept(cur, out)
@@ -960,8 +960,9 @@ class TestExchangeTargets:
         assert np.all(log.b == init.values.b)
         assert np.unique(log.p).size > 10
 
-    def test_auxiliary_exhaustion_is_survivable(self):
+    def test_auxiliary_exhaustion_is_survivable(self, monkeypatch):
         # with one rejection attempt some moves must be skipped, not fail
+        monkeypatch.setattr(msfactor.sampler, "AUX_ATTEMPTS", 1)
         values = ColumnValues(a=np.array([0.9, 1.7]), b=np.array([-1.1, 0.4]))
         w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         init = ChainState(
@@ -975,7 +976,7 @@ class TestExchangeTargets:
             data=None,
             init=init,
             hmc_cfg=HmcConfig(step_size=0.1, leapfrog_steps=1, warmup=0),
-            exch_cfg=ExchangeConfig(window=0.0, max_rejection_attempts=1),
+            exch_cfg=ExchangeConfig(window=0.0),
             iterations=200,
             rng=np.random.default_rng(9),
         )
@@ -1212,7 +1213,7 @@ class TestRunChain:
     def test_exchange_window_adapts_after_each_50_warmup_iterations(self, monkeypatch):
         windows = []
 
-        def refusing_exchange(cur, data, cfg, rng, window):
+        def refusing_exchange(cur, data, rng, window):
             windows.append(window)
             return _Step(cur.state, cur.u, cur.grad, "mh")
 
@@ -1293,10 +1294,10 @@ class TestRunChain:
 
 class TestStepSize:
     def test_dual_averaging_follows_its_recursion_and_freezes(self):
-        step0, target, warmup = 0.05, 0.7, 300
+        step0, target, warmup = 0.05, msfactor.sampler.TARGET_ACCEPT, 300
         alphas = np.random.default_rng(50).uniform(size=warmup)
         alphas[::7], alphas[3::11] = 0.0, 1.0
-        part = msfactor.sampler._StepSize(step0, target, warmup)
+        part = msfactor.sampler._StepSize(step0, warmup)
         # Hoffman & Gelman 2014, section 3.2, with gamma 0.05, t0 10, kappa 0.75
         mu, log_avg, stat = np.log(10.0 * step0), np.log(step0), 0.0
         for t, alpha in enumerate(alphas.tolist()):
@@ -1381,15 +1382,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HmcConfig(leapfrog_steps=0)
         with pytest.raises(ValueError):
-            HmcConfig(target_accept=1.0)
-        with pytest.raises(ValueError):
             HmcConfig(warmup=-1)
 
     def test_exchange_config(self):
         with pytest.raises(ValueError):
             ExchangeConfig(window=-0.1)
-        with pytest.raises(ValueError):
-            ExchangeConfig(max_rejection_attempts=0)
         ExchangeConfig(window=0.0)
 
     def test_state_validation(self):
@@ -1471,8 +1468,9 @@ class TestSampleLogCsv:
         w_header = w_trace.read_text().splitlines()[0].split(",")
         assert w_header == ["iteration", "w_0_1", "w_1_1", "w_2_1"]
 
-    def test_exch_skipped_round_trip(self, tmp_path):
+    def test_exch_skipped_round_trip(self, tmp_path, monkeypatch):
         # one auxiliary attempt per move, so some moves are skipped
+        monkeypatch.setattr(msfactor.sampler, "AUX_ATTEMPTS", 1)
         values = ColumnValues(a=np.array([0.9, 1.7]), b=np.array([-1.1, 0.4]))
         w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         init = ChainState(
@@ -1486,7 +1484,7 @@ class TestSampleLogCsv:
             data=None,
             init=init,
             hmc_cfg=HmcConfig(step_size=0.1, leapfrog_steps=1, warmup=0),
-            exch_cfg=ExchangeConfig(window=0.0, max_rejection_attempts=1),
+            exch_cfg=ExchangeConfig(window=0.0),
             iterations=60,
             rng=np.random.default_rng(9),
         )
