@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate -> fit -> summarize.
 
-Each subcommand reads a JSON config, applies flag overrides, writes its
-effective config next to its outputs, and is deterministic given the
-seed.  Exit codes: 0 success, 2 config, data or I/O problem outside a
-chain, 3 runtime failure (rank, initialization, or any error in a chain).
+Each subcommand reads a JSON config, with --out in place of its out
+field, writes its effective config next to its outputs, and is
+deterministic given the seed.  Exit codes: 0 success, 2 config, data
+or I/O problem outside a chain, 3 runtime failure (rank,
+initialization, or any error in a chain).
 """
 
 from __future__ import annotations
@@ -23,15 +24,8 @@ from .csvtext import csv_rows, g17_slots
 from .diagnostics import partition_recovery, subspace_error, summarize
 from .model import NetworkDataset, SubjectParams, _logit, simulate_dataset
 from .partition import RecursivePartition
-from .prior import ColumnValues, random_full_rank_partition
-from .sampler import (
-    ExchangeConfig,
-    HmcConfig,
-    InitializationError,
-    SampleLog,
-    initial_state,
-    run_chain,
-)
+from .prior import ColumnValues, InitializationError, random_full_rank_partition
+from .sampler import ExchangeConfig, HmcConfig, SampleLog, initial_state, run_chain
 from .whitening import NotPositiveDefiniteError
 
 
@@ -90,11 +84,8 @@ def _fields(cfg, table):
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(f"config field {name} must be {kind.__name__}")
         # json reads NaN, Infinity and ints beyond the largest float, which no
-        # field can use; every int field is a size, a count or a seed, and a
-        # list holds numbers (a bool is not)
-        if (kind is int and value < 0 or kind is float and not abs(value) <= _FLOAT_MAX
-                or kind is list and not all(type(v) in (int, float) and abs(v) <= _FLOAT_MAX
-                                            for v in value)):
+        # field can use; every int field is a size, a count or a seed
+        if kind is int and value < 0 or kind is float and not abs(value) <= _FLOAT_MAX:
             raise ConfigError(f"config field {name} cannot be {json.dumps(value)}")
         got[name] = float(value) if kind is float else value
     return got
@@ -112,47 +103,39 @@ def _write_json(path, payload):
 
 _SIMULATE_FIELDS = {
     "n": (int, _REQUIRED), "k": (int, _REQUIRED), "subjects": (int, _REQUIRED),
-    "seed": (int, _REQUIRED), "loading_min": (float, 20.0), "loading_max": (float, 40.0),
-    "offset": (float, float(_logit(0.1))),
-    "a": (list, lambda got: [1.0] * got["k"]), "b": (list, lambda got: [-1.0] * got["k"]),
-    "out": (str, "."),
+    "seed": (int, _REQUIRED), "out": (str, "."),
 }
+# the simulated design: each subject's loadings uniform on LOADINGS, every
+# offset OFFSET (edge probability 0.1 where the factor term is 0), and
+# each level's two values LEVEL_VALUES
+LOADINGS = (20.0, 40.0)
+OFFSET = float(_logit(0.1))
+LEVEL_VALUES = (1.0, -1.0)
 
 
 def cmd_simulate(cfg):
     got = _fields(cfg, _SIMULATE_FIELDS)
     n, k, n_subjects, seed = got["n"], got["k"], got["subjects"], got["seed"]
-    lo, hi, offset = got["loading_min"], got["loading_max"], got["offset"]
     if n < 2 or k < 1 or k > n:
         raise ConfigError("config fields n, k must satisfy n >= 2 and 1 <= k <= n")
     if n_subjects < 1:
         raise ConfigError("config field subjects must be >= 1")
-    if not 0.0 < lo <= hi:
-        raise ConfigError("config fields loading_min, loading_max must satisfy 0 < min <= max")
 
     rng = np.random.default_rng(seed)
-    a = np.asarray(got["a"], dtype=np.float64)
-    b = np.asarray(got["b"], dtype=np.float64)
-    if a.size != k or b.size != k:
-        raise ConfigError("config fields a, b must hold k values")
-    values = ColumnValues(a=a, b=b)
+    values = ColumnValues(a=np.full(k, LEVEL_VALUES[0]), b=np.full(k, LEVEL_VALUES[1]))
     sp = SubjectParams(
-        log_loadings=np.log(rng.uniform(lo, hi, size=(n_subjects, k))),
-        offsets=np.full(n_subjects, offset),
+        log_loadings=np.log(rng.uniform(*LOADINGS, size=(n_subjects, k))),
+        offsets=np.full(n_subjects, OFFSET),
     )
-
     w = random_full_rank_partition(n, k, values, rng)
-    if w is None:
-        raise InitializationError(f"no full-rank partition found for n={n}, k={k}")
-
     data, truth = simulate_dataset(w, values, sp, rng)
     out = Path(got["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "dataset.json").write_text(data.to_json())
     _write_json(out / "truth.json", {
         "partition": json.loads(RecursivePartition(w).to_json()),
-        "a": a.tolist(),
-        "b": b.tolist(),
+        "a": values.a.tolist(),
+        "b": values.b.tolist(),
         "p": [0.5] * k,
         "frame": truth["frame"].tolist(),
         "log_loadings": sp.log_loadings.tolist(),
@@ -377,9 +360,6 @@ def build_parser():
         p[name] = sub.add_parser(name, help=helptext)
         p[name].add_argument("--config", required=True, help="JSON config file")
         p[name].add_argument("--out", default=None, help="output directory")
-    for name in ("simulate", "fit"):
-        p[name].add_argument("--seed", type=int, help="override config seed")
-    p["fit"].add_argument("--chains", type=int, help="override chain count")
     p["summarize"].add_argument("--truth", help="truth file for recovery metrics")
     return parser
 
@@ -388,9 +368,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        for name in ("seed", "chains", "out"):  # the one place a flag enters the config
-            if getattr(args, name, None) is not None:
-                cfg[name] = getattr(args, name)
+        if args.out is not None:  # the one place a flag enters the config
+            cfg["out"] = args.out
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "fit":

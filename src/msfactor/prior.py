@@ -23,6 +23,10 @@ from .whitening import rank_ok
 PARTITION_ATTEMPTS = 1000
 
 
+class InitializationError(RuntimeError):
+    """No valid starting partition or state could be constructed."""
+
+
 @dataclass(frozen=True)
 class ColumnValues:
     """Per-level value pair (a[j], b[j]) for the two sides."""
@@ -81,5 +85,10 @@ def full_rank_pattern(draw, values, max_attempts):
 
 def random_full_rank_partition(n, k, values, rng):
     """W of the first of PARTITION_ATTEMPTS random_partition draws that is
-    full rank under values, or None."""
-    return full_rank_pattern(lambda: random_partition(n, k, rng), values, PARTITION_ATTEMPTS)
+    full rank under values; InitializationError when none is."""
+    w = full_rank_pattern(lambda: random_partition(n, k, rng), values, PARTITION_ATTEMPTS)
+    if w is None:
+        raise InitializationError(
+            f"no full-rank partition in {PARTITION_ATTEMPTS} attempts (n={n}, k={k})"
+        )
+    return w

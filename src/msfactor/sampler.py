@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import prior
 from .csvtext import csv_rows, g17_slots
 from .model import SubjectParams, _expit, _logit, log_likelihood, log_likelihood_grads
 from .prior import (
     ColumnValues,
+    InitializationError,
     MixtureProbs,
     build_x,
     full_rank_pattern,
@@ -58,10 +58,6 @@ SATURATED_LOGIT = 30.0
 # every outcome of a move, in the order run_meta.json lists their counts
 HMC_OUTCOMES = ("accepted", "mh", "rank", "divergence")
 EXCHANGE_OUTCOMES = ("accepted", "mh", "rank", "reverse_rank", "aux_exhausted", "divergence")
-
-
-class InitializationError(RuntimeError):
-    """No valid starting state could be constructed."""
 
 
 class _DivergenceError(FloatingPointError):
@@ -417,10 +413,6 @@ def initial_state(data, k, tau, rng, n=None, n_subjects=None):
         z0 = 0.0
     values = ColumnValues(a=np.ones(k), b=-np.ones(k))
     w = random_full_rank_partition(n, k, values, rng)
-    if w is None:
-        raise InitializationError(
-            f"no full-rank starting pattern in {prior.PARTITION_ATTEMPTS} attempts (n={n}, k={k})"
-        )
     relaxed = 0.05 + 0.9 * w
     logits = tau * _logit(relaxed)
     sp = SubjectParams(

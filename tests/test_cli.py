@@ -18,7 +18,7 @@ import pytest
 import msfactor.cli
 from msfactor.cli import main
 from msfactor.diagnostics import summarize
-from msfactor.model import NetworkDataset, _logit
+from msfactor.model import NetworkDataset
 from msfactor.sampler import SampleLog
 from msfactor.whitening import NotPositiveDefiniteError
 
@@ -66,6 +66,19 @@ class TestPipeline:
         assert len(truth["frame"]) == 12
         assert len(truth["partition"]["levels"]) == 2
         assert (sim_dir / "effective_config.json").exists()
+
+    def test_simulate_reads_the_design_constants(self, tmp_path, monkeypatch):
+        # truth.json records the design each run used
+        monkeypatch.setattr(msfactor.cli, "LOADINGS", (2.0, 3.0))
+        monkeypatch.setattr(msfactor.cli, "OFFSET", -1.5)
+        monkeypatch.setattr(msfactor.cli, "LEVEL_VALUES", (0.5, -2.0))
+        cfg = _write(tmp_path / "sim.json", {"n": 10, "k": 2, "subjects": 3, "seed": 7})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+        truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+        assert truth["a"] == [0.5, 0.5] and truth["b"] == [-2.0, -2.0]
+        assert truth["offsets"] == [-1.5, -1.5, -1.5]
+        loadings = np.exp(truth["log_loadings"])
+        assert loadings.shape == (3, 2) and np.all((loadings >= 2.0) & (loadings <= 3.0))
 
     def test_fit_outputs(self, pipeline):
         _, _, fit_dir, _ = pipeline
@@ -170,15 +183,13 @@ class TestDeterminism:
     def test_seed_override_changes_draws(self, tmp_path):
         sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 3})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
-        fit = _write(tmp_path / "fit.json", {
-            "data": str(tmp_path / "sim" / "dataset.json"),
-            "k": 1, "seed": 5, "iterations": 40, "warmup": 20,
-            "tau": 0.3, "leapfrog_steps": 3,
-        })
-        assert main(["fit", "--config", fit, "--out", str(tmp_path / "s5")]) == 0
-        assert main([
-            "fit", "--config", fit, "--out", str(tmp_path / "s6"), "--seed", "6",
-        ]) == 0
+        for seed in (5, 6):
+            fit = _write(tmp_path / "fit.json", {
+                "data": str(tmp_path / "sim" / "dataset.json"),
+                "k": 1, "seed": seed, "iterations": 40, "warmup": 20,
+                "tau": 0.3, "leapfrog_steps": 3,
+            })
+            assert main(["fit", "--config", fit, "--out", str(tmp_path / f"s{seed}")]) == 0
         assert (tmp_path / "s5" / "chain_00" / "trace.csv").read_text() != (
             tmp_path / "s6" / "chain_00" / "trace.csv"
         ).read_text()
@@ -186,18 +197,18 @@ class TestDeterminism:
 
 class TestMultiChain:
     @staticmethod
-    def _fit_args(tmp_path):
+    def _fit_args(tmp_path, chains):
         sim = _write(tmp_path / "sim.json", {"n": 8, "k": 1, "subjects": 2, "seed": 13})
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
         fit = _write(tmp_path / "fit.json", {
             "data": str(tmp_path / "sim" / "dataset.json"),
             "k": 1, "seed": 17, "iterations": 30, "warmup": 10,
-            "tau": 0.3, "leapfrog_steps": 2,
+            "tau": 0.3, "leapfrog_steps": 2, "chains": chains,
         })
         return ["fit", "--config", fit, "--out", str(tmp_path / "fit")]
 
     def test_two_chains_fit_and_pool(self, tmp_path):
-        assert main([*self._fit_args(tmp_path), "--chains", "2"]) == 0
+        assert main(self._fit_args(tmp_path, chains=2)) == 0
         assert (tmp_path / "fit" / "chain_00" / "trace.csv").exists()
         assert (tmp_path / "fit" / "chain_01" / "trace.csv").exists()
         meta = json.loads((tmp_path / "fit" / "run_meta.json").read_text())
@@ -212,9 +223,8 @@ class TestMultiChain:
     def test_summarize_reads_the_chains_run_meta_lists(self, tmp_path):
         # a 1-chain fit into the directory of a 2-chain fit leaves chain_01
         # behind; the summary is the 1-chain fit's alone
-        fit_args = self._fit_args(tmp_path)
-        assert main([*fit_args, "--chains", "2"]) == 0
-        assert main([*fit_args, "--chains", "1"]) == 0
+        assert main(self._fit_args(tmp_path, chains=2)) == 0
+        assert main(self._fit_args(tmp_path, chains=1)) == 0
         assert (tmp_path / "fit" / "chain_01" / "trace.csv").exists()
         cfg = _write(tmp_path / "sum.json", {"fit_dir": str(tmp_path / "fit")})
         assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 0
@@ -390,6 +400,12 @@ class TestFailureModes:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.json", [1, 2])
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config {cfg} must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         cfg = _write(tmp_path / "fit.json", {
             "data": str(tmp_path / "absent.json"), "k": 1, "seed": 0, "iterations": 10,
@@ -447,7 +463,8 @@ class TestFailureModes:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "warmup" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [{"n": 4}, [1, 2]])
+    # the last is a well-formed dataset of one node, which no fit can use
+    @pytest.mark.parametrize("payload", [{"n": 4}, [1, 2], {"n": 1, "subjects": [[[0]]]}])
     def test_malformed_dataset(self, tmp_path, capsys, payload):
         data = tmp_path / "data.json"
         data.write_text(json.dumps(payload))
@@ -455,7 +472,7 @@ class TestFailureModes:
             "data": str(data), "k": 1, "seed": 0, "iterations": 10,
         })
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
-        assert "data file" in capsys.readouterr().err
+        assert f"data file {data} " in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
     def test_non_integer_n_in_dataset(self, tmp_path, capsys):
@@ -504,6 +521,38 @@ class TestFailureModes:
         assert loads == []
         assert not (tmp_path / "sum").exists()
 
+    def test_truth_frame_of_other_shape_exits_2_before_any_trace(self, pipeline, tmp_path,
+                                                                 capsys, monkeypatch):
+        def drop_a_row(truth):
+            truth["frame"].pop()
+
+        code, loads = self._summarize_with_edited_truth(pipeline, tmp_path, monkeypatch, drop_a_row)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"truth file {tmp_path / 'truth.json'}" in err
+        assert "frame must be 12 x 2, got shape (11, 2)" in err
+        assert loads == []
+        assert not (tmp_path / "sum").exists()
+
+    def test_fit_dir_that_is_not_a_directory_exits_2(self, tmp_path, capsys):
+        absent = tmp_path / "absent"
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(absent)})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
+        assert f"config field fit_dir does not name a directory: {absent}" in capsys.readouterr().err
+        assert not (tmp_path / "sum").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", '{"chains": [1]}', '{"chain": {}}'],
+                             ids=["not-json", "chains-not-an-object", "no-chains-key"])
+    def test_unreadable_run_meta_exits_2(self, pipeline, tmp_path, capsys, text):
+        _, _, fit_dir, _ = pipeline
+        copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, copy)
+        (copy / "run_meta.json").write_text(text)
+        cfg = _write(tmp_path / "sum.json", {"fit_dir": str(copy)})
+        assert main(["summarize", "--config", cfg, "--out", str(tmp_path / "sum")]) == 2
+        assert f"cannot read the fit's sizes from {copy / 'run_meta.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "sum").exists()
+
     def test_missing_truth_file(self, pipeline, tmp_path, capsys):
         _, _, fit_dir, _ = pipeline
         cfg = _write(tmp_path / "sum.json", {"fit_dir": str(fit_dir)})
@@ -540,6 +589,10 @@ class TestFailureModes:
         ("simulate", ["--chains", "2"]),
         ("fit", ["--truth", "x"]),
         ("summarize", ["--seed", "3"]),
+        # flags retired in favour of the config fields seed and chains
+        ("fit", ["--seed", "3"]),
+        ("fit", ["--chains", "2"]),
+        ("simulate", ["--seed", "3"]),
     ])
     def test_subcommand_rejects_flags_it_does_not_read(self, tmp_path, capsys, command, flag):
         with pytest.raises(SystemExit) as exit_info:
@@ -553,6 +606,12 @@ class TestFailureModes:
         # settings retired to sampler constants
         ("fit", "target_accept"),
         ("fit", "max_rejection_attempts"),
+        # the simulated design, retired to cli constants
+        ("simulate", "loading_min"),
+        ("simulate", "loading_max"),
+        ("simulate", "offset"),
+        ("simulate", "a"),
+        ("simulate", "b"),
         ("summarize", "burnin"),
     ])
     def test_unknown_config_field_exits_2(self, pipeline, tmp_path, capsys, command, field):
@@ -568,12 +627,11 @@ class TestFailureModes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, field, value", [
-        ("simulate", "loading_max", math.inf),
-        ("simulate", "offset", math.nan),
-        ("simulate", "loading_min", -math.inf),
-        ("simulate", "a", [True, 1]),
-        ("simulate", "b", ["x", 1]),
         ("simulate", "seed", -1),
+        ("simulate", "subjects", 0),
+        ("fit", "chains", 0),
+        ("fit", "iterations", 0),
+        ("fit", "k", 0),
         ("fit", "tau", math.inf),
         ("fit", "anneal_from", math.inf),
         ("fit", "window", math.inf),
@@ -581,8 +639,6 @@ class TestFailureModes:
         ("fit", "step_size", -math.inf),
         ("fit", "seed", -1),
         # an int beyond the largest float, which json reads exactly
-        pytest.param("simulate", "offset", 10**400, id="simulate-offset-int_beyond_float"),
-        pytest.param("simulate", "a", [1, 10**400], id="simulate-a-int_beyond_float"),
         pytest.param("fit", "tau", 10**400, id="fit-tau-int_beyond_float"),
     ])
     def test_unusable_value_exits_2_naming_the_field(
@@ -631,10 +687,7 @@ class TestFailureModes:
         _, sim_dir, fit_dir, _ = pipeline
         fit_data = str(sim_dir / "dataset.json")
         for command, given, defaults, output in (
-            ("simulate", {"n": 12, "k": 2, "subjects": 3, "seed": 101}, {
-                "loading_min": 20.0, "loading_max": 40.0, "offset": float(_logit(0.1)),
-                "a": [1.0, 1.0], "b": [-1.0, -1.0],
-            }, "dataset.json"),
+            ("simulate", {"n": 12, "k": 2, "subjects": 3, "seed": 101}, {}, "dataset.json"),
             ("fit", {"data": fit_data, "k": 2, "seed": 11, "iterations": 4}, {
                 "chains": 1, "warmup": 2, "thin": 1, "tau": 0.2, "anneal_from": None,
                 "step_size": 0.05, "leapfrog_steps": 10, "window": 0.25,
@@ -747,6 +800,12 @@ class TestTraceValidation:
         code, err = self._summarize(pipeline, tmp_path, capsys, trace=renamed)
         assert code == 2
         assert "trace.csv" in err and "column U" in err
+
+    def test_non_numeric_trace_cell(self, pipeline, tmp_path, capsys):
+        code, err = self._summarize(pipeline, tmp_path, capsys, trace=_set_cell("U", "energy"))
+        assert code == 2
+        assert "trace.csv" in err and "energy" in err
+        assert not (tmp_path / "sum").exists()
 
     @pytest.mark.parametrize("column", ["hmc_accept", "exch_accept", "exch_skipped"])
     def test_non_binary_flag(self, pipeline, tmp_path, capsys, column):

@@ -811,6 +811,67 @@ class TestOutcomes:
         assert out.state is cur.state and out.u == cur.u
         assert out.grad.tobytes() == fresh.tobytes()
 
+    def test_hmc_divergence_at_a_non_finite_position(self):
+        # a known, finite but huge gradient throws the first drift to -inf;
+        # the next pass refuses that position before any evaluation
+        cur, data = self._start(60)
+        cur = cur._replace(grad=np.full(_flatten(cur.state).size, 1e300))
+        out = self._hmc(cur, data, np.random.default_rng(63), step=1e10)
+        assert out.outcome == "divergence" and out.alpha == 0.0 and out.evals == 0
+        assert out.state is cur.state and out.u == cur.u and out.grad is cur.grad
+
+    def test_hmc_divergence_at_a_non_finite_log_alpha(self, monkeypatch):
+        # the trajectory completes, and the kinetic energy at its end overflows
+        cur, data = self._start(60)
+        fresh = _force(cur.state, data)
+        kinetic, energies = msfactor.sampler._kinetic, []
+
+        def overflowing_at_the_end(vel, omega):
+            energies.append(math.inf if energies else kinetic(vel, omega))
+            return energies[-1]
+
+        monkeypatch.setattr(msfactor.sampler, "_kinetic", overflowing_at_the_end)
+        out = self._hmc(cur, data, _MetropolisDraw(0.0, 62))
+        assert out.outcome == "divergence" and out.alpha == 0.0 and out.evals == 5
+        assert len(energies) == 2
+        assert out.state is cur.state and out.u == cur.u
+        assert out.grad.tobytes() == fresh.tobytes()
+
+    def test_hmc_divergence_at_a_non_finite_frame_gradient(self, monkeypatch):
+        # the likelihood's frame gradient turns NaN at the second pass
+        cur, data = self._start(60)
+        fresh = _force(cur.state, data)
+        grads, passes = msfactor.sampler.log_likelihood_grads, []
+
+        def nan_frame_after_one_pass(data, q, d, z, dtype):
+            passes.append(q)
+            g_q, g_ld, g_z = grads(data, q, d, z, dtype)
+            return (g_q if len(passes) == 1 else np.full_like(g_q, np.nan)), g_ld, g_z
+
+        monkeypatch.setattr(msfactor.sampler, "log_likelihood_grads", nan_frame_after_one_pass)
+        out = self._hmc(cur, data, np.random.default_rng(63))
+        assert out.outcome == "divergence" and out.alpha == 0.0 and out.evals == 2
+        assert out.state is cur.state and out.u == cur.u
+        assert out.grad.tobytes() == fresh.tobytes()
+        # the evaluator itself names the cause, before the backward pass
+        with pytest.raises(msfactor.sampler._DivergenceError, match="non-finite frame gradient"):
+            msfactor.sampler._evaluator(cur.state, data)(_flatten(cur.state))
+
+    def test_retemper_divergence_keeps_the_retempered_state_without_a_gradient(
+        self, monkeypatch
+    ):
+        cur, data = self._start(60)     # at tau 0.7
+        monkeypatch.setattr(msfactor.sampler, "log_likelihood_grads",
+                            lambda data, q, d, z, dtype: (np.full_like(q, np.nan), 0.0, 0.0))
+        tempering = msfactor.sampler._Tempering(anneal_from=0.5, target=0.7, warmup=10)
+        out = tempering.retemper(0, cur, data)
+        retempered = dataclasses.replace(cur.state, tau=0.5)
+        assert out.outcome == "divergence" and out.grad is None
+        assert out.state.tau == 0.5
+        for name in ("logits", "values", "probs", "subject_params"):
+            assert getattr(out.state, name) is getattr(cur.state, name)
+        assert out.u == potential(retempered, data) != cur.u
+
     def test_exchange_accepted(self):
         cur, data = self._start(64)
         cur = cur._replace(grad=np.zeros(_flatten(cur.state).size))
