@@ -233,12 +233,18 @@ def cmd_fit(cfg):
     if chains == 1:
         results = [_fit_single_chain(jobs[0])]
     else:
+        from concurrent.futures import BrokenExecutor
+
         # fork starts every worker at the first submit, so never more than the cores
         pool_type = ProcessPoolExecutor
         if pool_type is None:
             from concurrent.futures import ProcessPoolExecutor as pool_type
-        with pool_type(max_workers=min(chains, _usable_cores())) as pool:
-            results = list(pool.map(_fit_single_chain, jobs))
+        try:
+            with pool_type(max_workers=min(chains, _usable_cores())) as pool:
+                results = list(pool.map(_fit_single_chain, jobs))
+        except BrokenExecutor as err:
+            # a worker that exits without raising, say under the OOM killer
+            raise ChainError(f"a chain worker died: {err}") from err
     elapsed = time.perf_counter() - start
     per_chain = {f"chain_{c:02d}": meta for c, meta in enumerate(results)}
     effective = _effective(cfg, got, out)

@@ -8,7 +8,8 @@ The chain alternates two moves:
        normalizing constant of the rank-constrained assignment prior
        by rejection-sampling an auxiliary assignment pattern.
 
-The shared potential, each term's value beside its gradient in _evaluator, is
+The shared potential, evaluated in _evaluator by a value stage and a force
+stage over one whitened frame, is
   U = -log-likelihood - log prior(log-loadings, offsets) - log Bernoulli(p)
       mass(relaxed weights) - ((n - k - 1)/2) log det X'X + sum(a^2 + b^2)/2,
 and a Cholesky failure anywhere (the rank test) invalidates the proposal
@@ -101,8 +102,8 @@ class ChainState:
 
 
 class _Step(NamedTuple):
-    """A move's result: the state, its U, its gradient (None if unknown), the
-    outcome ("start" before any move), and for HMC alpha and the gradient passes."""
+    """A move's result: the state, its U, its finite gradient (None if unknown),
+    the outcome ("start" before any move), and for HMC alpha and the passes."""
 
     state: ChainState
     u: float
@@ -142,8 +143,8 @@ def potential(state, data):
 
     data may be None, dropping the likelihood term (prior-only chain).
     """
-    pos = _pack(state.subject_params, state.logits)
-    return _evaluator(state, data)(pos, with_potential=True, with_grad=False)
+    value, _ = _evaluator(state, data)(_pack(state.subject_params, state.logits))
+    return value()
 
 
 def _blocks(vec, s_n, k):
@@ -154,19 +155,16 @@ def _blocks(vec, s_n, k):
 
 
 def _evaluator(state, data, grad_dtype=np.float32):
-    """U and its gradient at flat positions sharing state's a, b, p and tau.
+    """Passes over flat positions sharing state's a, b, p and tau.
 
-    Returns evaluate(v, with_potential=False, with_grad=True), which
-    reads log-loadings, offsets and logits as views of the position v
-    (laid out by _pack) and writes the gradient into one vector
-    allocated here: every call returns that vector and the next call
-    overwrites it.  With with_potential it returns (U, gradient), the
-    likelihood's value from log_likelihood and its gradients from
-    log_likelihood_grads; without with_grad, U alone, with neither the
-    gradient stage nor the backward pass.  Nothing is
-    validated; NotPositiveDefiniteError (the rank test) and
-    _DivergenceError (a non-finite frame gradient, or log-loadings past
-    what grad_dtype holds as loadings) propagate.
+    Returns at(v), which reads log-loadings, offsets and logits as views
+    of the position v (laid out by _pack), whitens v's frame once, and
+    returns the pass's two stages (value, force): value() gives U, the
+    likelihood's from log_likelihood, and force() the gradient of U as a
+    new vector, from log_likelihood_grads and the backward pass.  at
+    raises NotPositiveDefiniteError (the rank test), and force
+    _DivergenceError at a non-finite gradient or frame gradient, or at
+    log-loadings past what grad_dtype holds as loadings.
 
     U is always float64.  The likelihood gradient's S x n x n stage runs
     at grad_dtype: float32 by default, the force the trajectories
@@ -186,16 +184,25 @@ def _evaluator(state, data, grad_dtype=np.float32):
     gram_weight = state.n_nodes - k - 1
     # past this, a loading overflows the gradient stage's precision
     log_loading_max = float(np.log(np.finfo(grad_dtype).max))
-    grad = np.empty(s_n * k + s_n + state.logits.size)
-    grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
 
-    def evaluate(v, with_potential=False, with_grad=True):
+    def at(v):
         ld, z, logits = _blocks(v, s_n, k)
         w = _expit(logits / tau)
         q, log_det, passes = _whitened(build_x(w, values))
         d = np.exp(ld)
         rate_d = LOADING_RATE / d
-        if with_grad:
+
+        def value():
+            ll = 0.0 if data is None else log_likelihood(data, q, d, z)
+            # inverse-gamma loadings on the log scale, normal offsets
+            lp = float((_LOADING_LOG_NORM - LOADING_SHAPE * ld - rate_d).sum()
+                       - 0.5 * (z / OFFSET_SD) @ (z / OFFSET_SD))
+            # the relaxed weights plugged into the Bernoulli(p) mass as they are
+            lg = float(np.sum(w * log_p + (1.0 - w) * log_1m_p))
+            gram = gram_weight * log_det    # log_det = log det(X'X) / 2
+            return -(ll + lp + lg + gram + lab)
+
+        def force():
             # a prior-only chain's likelihood gradients are zero, and x - 0.0
             # is x for every float, so both cases share one assembly; its frame
             # gradient stays None, as adding a zero one could turn a -0.0 into 0.0
@@ -206,6 +213,8 @@ def _evaluator(state, data, grad_dtype=np.float32):
                 g_q, g_ld, g_z = log_likelihood_grads(data, q, d, z, grad_dtype)
                 if not np.isfinite(g_q).all():
                     raise _DivergenceError("non-finite frame gradient")
+            grad = np.empty_like(v)
+            grad_ld, grad_z, grad_lg = _blocks(grad, s_n, k)
             np.subtract(LOADING_SHAPE - g_ld, rate_d, out=grad_ld)
             np.subtract(z / OFFSET_SD**2, g_z, out=grad_z)
             # -dU/dX: the likelihood's part through the frame plus the
@@ -213,26 +222,19 @@ def _evaluator(state, data, grad_dtype=np.float32):
             gx = whiten_backward(passes, g_q, gram_weight)
             sig_slope = w * (1.0 - w) / tau
             np.multiply(gx * b_minus_a - logit_p, sig_slope, out=grad_lg)
-            if not with_potential:
-                return grad
-        ll = 0.0 if data is None else log_likelihood(data, q, d, z)
-        # inverse-gamma loadings on the log scale, normal offsets
-        lp = float((_LOADING_LOG_NORM - LOADING_SHAPE * ld - rate_d).sum()
-                   - 0.5 * (z / OFFSET_SD) @ (z / OFFSET_SD))
-        # the relaxed weights plugged into the Bernoulli(p) mass as they are
-        lg = float(np.sum(w * log_p + (1.0 - w) * log_1m_p))
-        gram = gram_weight * log_det    # log_det = log det(X'X) / 2
-        u = -(ll + lp + lg + gram + lab)
-        return (u, grad) if with_grad else u
+            if not np.isfinite(grad).all():
+                raise _DivergenceError("non-finite gradient")
+            return grad
 
-    return evaluate
+        return value, force
+
+    return at
 
 
 def potential_grad(state, data):
     """Exact gradient of U over (log_loadings, offsets, logits), every stage in float64."""
-    s_n, k = state.subject_params.log_loadings.shape
-    pos = _pack(state.subject_params, state.logits)
-    return _blocks(_evaluator(state, data, np.float64)(pos), s_n, k)
+    _, force = _evaluator(state, data, np.float64)(_pack(state.subject_params, state.logits))
+    return _blocks(force(), *state.subject_params.log_loadings.shape)
 
 
 def _pack(sp, logits):
@@ -248,24 +250,25 @@ def _unpack(vec, state):
     )
 
 
-def leapfrog(position, velocity, grad_fn, step, n_steps, omega):
+def leapfrog(position, velocity, grad, grad_fn, step, n_steps, omega):
     """Stoermer-Verlet integration of ds/dt = omega*v, dv/dt = -grad U(s).
 
     omega is the diagonal of the kinetic form v' Omega v / 2 (velocity
-    covariance Omega^-1).  grad_fn is called n_steps + 1 times, the last
-    time at the returned position.  Exceptions from grad_fn propagate so
-    the caller can reject the whole trajectory.
+    covariance Omega^-1).  grad is grad U at position.  Returns (pos,
+    vel, grad) after n_steps calls of grad_fn, grad the last, at pos.
+    Exceptions from grad_fn propagate so the caller can reject the whole
+    trajectory.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     drift = step * omega
-    vel = velocity - 0.5 * step * grad_fn(position)
+    vel = velocity - 0.5 * step * grad
     pos = position + drift * vel
     for _ in range(n_steps - 1):
         vel = vel - step * grad_fn(pos)
         pos = pos + drift * vel
-    vel = vel - 0.5 * step * grad_fn(pos)
-    return pos, vel
+    grad = grad_fn(pos)
+    return pos, vel - 0.5 * step * grad, grad
 
 
 def _kinetic(vel, omega):
@@ -277,54 +280,42 @@ def _kinetic(vel, omega):
 
 
 def _hmc_step(cur, data, rng, step, n_steps, omega):
-    """One HMC trajectory from cur, from its gradient if known; a
-    non-finite position, gradient or log-alpha rejects as "divergence"."""
+    """One HMC trajectory from cur, from its gradient if known; a non-finite
+    position, gradient or log-alpha rejects as "divergence".  evals counts
+    the positions whitened."""
     state = cur.state
-    evaluate = _evaluator(state, data)
+    at = _evaluator(state, data)
     pos = _pack(state.subject_params, state.logits)
     vel = rng.standard_normal(pos.size) / np.sqrt(omega)
     kin0 = _kinetic(vel, omega)
-    calls = evals = 0
-    first = cur.grad
-    u_prop = g_prop = None
+    grad = cur.grad
+    potentials = []     # the value stage of each position whitened, in order
 
     def grad_fn(v):
-        nonlocal calls, evals, first, u_prop, g_prop
         if not np.isfinite(v).all():
             raise _DivergenceError("non-finite position")
-        calls += 1
-        if calls == 1 and first is not None:
-            g = first
-        else:
-            evals += 1
-            if calls == n_steps + 1:
-                # the last pass is at the proposal and also yields its potential
-                u_prop, g_prop = evaluate(v, with_potential=True)
-                g = g_prop
-            else:
-                g = evaluate(v)
-            if calls == 1:
-                first = g.copy()    # the next pass overwrites g
-        if not np.isfinite(g).all():
-            raise _DivergenceError("non-finite gradient")
-        return g
+        value, force = at(v)
+        potentials.append(value)
+        return force()
 
     try:
         with _ignore_fp_errors():
-            pos1, vel1 = leapfrog(pos, vel, grad_fn, step, n_steps, omega)
+            if grad is None:
+                grad = grad_fn(pos)
+            pos1, vel1, grad1 = leapfrog(pos, vel, grad, grad_fn, step, n_steps, omega)
             kin1 = _kinetic(vel1, omega)
+            u_prop = potentials[-1]()
     except NotPositiveDefiniteError:
-        # the last pass failed at the whitening and computed no gradient
-        return _Step(state, cur.u, first, "rank", 0.0, evals - 1)
+        return _Step(state, cur.u, grad, "rank", 0.0, len(potentials))
     except _DivergenceError:
-        return _Step(state, cur.u, first, "divergence", 0.0, evals)
+        return _Step(state, cur.u, grad, "divergence", 0.0, len(potentials))
     log_alpha = (cur.u - u_prop) + (kin0 - kin1)
     if not np.isfinite(log_alpha):
-        return _Step(state, cur.u, first, "divergence", 0.0, evals)
+        return _Step(state, cur.u, grad, "divergence", 0.0, len(potentials))
     alpha = float(np.exp(min(0.0, log_alpha)))
     if rng.random() < alpha:
-        return _Step(_unpack(pos1, state), u_prop, g_prop, "accepted", alpha, evals)
-    return _Step(state, cur.u, first, "mh", alpha, evals)
+        return _Step(_unpack(pos1, state), u_prop, grad1, "accepted", alpha, len(potentials))
+    return _Step(state, cur.u, grad, "mh", alpha, len(potentials))
 
 
 def hmc_update(state, data, cfg, rng):
@@ -603,7 +594,8 @@ class _Tempering:
         self.target, self.warmup = target, warmup
 
     def retemper(self, t, cur, data):
-        """cur's state at t's temperature; a rank failure keeps cur."""
+        """cur's state at t's temperature, from one pass; a rank failure
+        keeps cur, and a non-finite force keeps no gradient."""
         tau = self.start + (self.target - self.start) * min(1.0, t / max(self.warmup, 1))
         if tau == cur.state.tau:
             return cur
@@ -611,13 +603,14 @@ class _Tempering:
         pos = _pack(retempered.subject_params, retempered.logits)
         try:
             with _ignore_fp_errors():
-                u, grad = _evaluator(retempered, data)(pos, with_potential=True)
-            return _Step(retempered, u, grad, "accepted")
+                value, force = _evaluator(retempered, data)(pos)
+                u = value()
+                return _Step(retempered, u, force(), "accepted")
         except NotPositiveDefiniteError:
             return cur
         except _DivergenceError:
-            # whitenable, but the next trajectory will reject
-            return _Step(retempered, potential(retempered, data), None, "divergence")
+            # only the force diverges: whitenable, but the next trajectory will reject
+            return _Step(retempered, u, None, "divergence")
 
 
 class _StepSize:

@@ -188,8 +188,8 @@ def test_leapfrog_reversible_and_second_order():
     pos0 = _flatten(state)
     vel0 = rng.standard_normal(pos0.size)
     omega = rng.uniform(0.5, 2.0, size=pos0.size)
-    pos1, vel1 = leapfrog(pos0, vel0, grad_fn, 0.05, 25, omega)
-    pos2, vel2 = leapfrog(pos1, -vel1, grad_fn, 0.05, 25, omega)
+    pos1, vel1, grad1 = leapfrog(pos0, vel0, grad_fn(pos0), grad_fn, 0.05, 25, omega)
+    pos2, vel2, _ = leapfrog(pos1, -vel1, grad1, grad_fn, 0.05, 25, omega)
     assert np.max(np.abs(pos2 - pos0)) < 1e-8
     assert np.max(np.abs(vel2 + vel0)) < 1e-8
 
@@ -199,8 +199,8 @@ def test_leapfrog_reversible_and_second_order():
     h0 = 0.5 * (1.3 ** 2 + 0.4 ** 2)
     errors = []
     for step in h_grid:
-        pos, vel = leapfrog(
-            np.array([1.3]), np.array([0.4]), lambda v: v,
+        pos, vel, _ = leapfrog(
+            np.array([1.3]), np.array([0.4]), np.array([1.3]), lambda v: v,
             step, int(round(2.0 / step)), unit,
         )
         errors.append(abs(0.5 * (pos[0] ** 2 + vel[0] ** 2) - h0))

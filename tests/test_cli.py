@@ -5,6 +5,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -1272,6 +1273,23 @@ class TestChainFailures:
         err = capfd.readouterr().err
         assert "error: chain_00: ValueError: array must not contain infs or NaNs" in err
         assert "Traceback" in err
+
+    def test_dead_chain_worker_is_a_runtime_failure(self, tmp_path, capfd, monkeypatch, fit_cfg):
+        # a worker that exits without raising, as under the OOM killer,
+        # breaks the pool; forked workers inherit the patched run_chain
+        pools = []
+
+        def forked_pool(max_workers):
+            pools.append(max_workers)
+            return concurrent.futures.ProcessPoolExecutor(
+                max_workers=max_workers, mp_context=multiprocessing.get_context("fork"))
+
+        monkeypatch.setattr(msfactor.cli, "ProcessPoolExecutor", forked_pool)
+        monkeypatch.setattr(msfactor.cli, "run_chain", lambda *args, **kwargs: os._exit(9))
+        cfg = fit_cfg(chains=2)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 3
+        assert "error: a chain worker died" in capfd.readouterr().err
+        assert len(pools) == 1 and pools[0] <= 2
 
     @pytest.mark.parametrize("field, value", [
         ("step_size", 0.0),

@@ -82,8 +82,9 @@ def _flatten(state):
 
 
 def _force(state, data):
-    """A fresh gradient-only pass of the force the trajectories integrate."""
-    return msfactor.sampler._evaluator(state, data)(_flatten(state)).copy()
+    """A fresh force-only pass of the force the trajectories integrate."""
+    _, force = msfactor.sampler._evaluator(state, data)(_flatten(state))
+    return force()
 
 
 def _force_bound(exact):
@@ -179,7 +180,7 @@ class TestPotentialPipeline:
     @pytest.mark.parametrize("saturate", [False, True])
     def test_equals_stagewise_assembly_bit_for_bit(self, seed, with_data, saturate):
         # U matches the reference assembled term by term, and the value-only
-        # pass gives the paired pass's U bit for bit
+        # pass gives the U of a pass that also ran its force bit for bit
         state = _generic_state(200 + seed, n=7, k=3, s=3)
         if saturate:
             state = _saturated(state)
@@ -188,8 +189,9 @@ class TestPotentialPipeline:
         u = potential(state, data)
         assert u == pytest.approx(_reference_potential(state, data), rel=1e-12)
         pos = msfactor.sampler._pack(state.subject_params, state.logits)
-        paired, _ = msfactor.sampler._evaluator(state, data)(pos, with_potential=True)
-        assert u.hex() == paired.hex()
+        value, force = msfactor.sampler._evaluator(state, data)(pos)
+        force()
+        assert u.hex() == value().hex()
 
     def test_rank_deficient_state_raises(self):
         # every node on side1 of both levels: two equal constant columns
@@ -303,8 +305,8 @@ class TestPotentialGrad:
 
 
     def test_with_potential_matches_separate_calls(self):
-        # the evaluator's paired pass, which the last leapfrog step uses,
-        # at toy size and at the full-scale workload's n=128, k=30, S=20
+        # both stages of one evaluator pass, as a trajectory's last pass runs
+        # them, at toy size and at the full-scale workload's n=128, k=30, S=20
         cases = [(_generic_state(16), _toy_data(4, 2, 17))]
         n, k, s = 128, 30, 20
         state = _generic_state(18, n=n, k=k, s=s, tau=0.2)
@@ -318,7 +320,9 @@ class TestPotentialGrad:
         cases.append((state, _toy_data(n, s, 20, density=0.2)))
         for state, data in cases:
             pos = msfactor.sampler._pack(state.subject_params, state.logits)
-            u, grad = msfactor.sampler._evaluator(state, data)(pos, with_potential=True)
+            value, force = msfactor.sampler._evaluator(state, data)(pos)
+            grad = force()
+            u = value()
             assert u == potential(state, data)
             np.testing.assert_array_equal(grad, _force(state, data))
 
@@ -393,8 +397,8 @@ class TestLeapfrog:
         vel = rng.standard_normal(3)
         omega = np.array([1.0, 2.0, 0.5])
         grad = lambda q: q
-        p1, v1 = leapfrog(pos, vel, grad, 0.1, 25, omega)
-        p2, v2 = leapfrog(p1, -v1, grad, 0.1, 25, omega)
+        p1, v1, g1 = leapfrog(pos, vel, grad(pos), grad, 0.1, 25, omega)
+        p2, v2, _ = leapfrog(p1, -v1, g1, grad, 0.1, 25, omega)
         np.testing.assert_allclose(p2, pos, atol=1e-12)
         np.testing.assert_allclose(-v2, vel, atol=1e-12)
 
@@ -405,7 +409,7 @@ class TestLeapfrog:
             q = np.array([1.3])
             v = np.array([0.4])
             h0 = 0.5 * (q[0] ** 2 + v[0] ** 2)
-            q1, v1 = leapfrog(q, v, lambda s: s, h, steps, np.ones(1))
+            q1, v1, _ = leapfrog(q, v, q, lambda s: s, h, steps, np.ones(1))
             return abs(0.5 * (q1[0] ** 2 + v1[0] ** 2) - h0)
 
         hs = np.array([0.2, 0.1, 0.05, 0.025])
@@ -415,7 +419,8 @@ class TestLeapfrog:
         assert 1.9 < slope < 2.1
 
     def test_energy_drift_small_at_working_step(self):
-        q1, v1 = leapfrog(np.array([1.3]), np.array([0.4]), lambda s: s, 0.1, 10, np.ones(1))
+        q1, v1, _ = leapfrog(np.array([1.3]), np.array([0.4]), np.array([1.3]), lambda s: s,
+                             0.1, 10, np.ones(1))
         h0 = 0.5 * (1.3**2 + 0.4**2)
         assert abs(0.5 * (q1[0] ** 2 + v1[0] ** 2) - h0) < 1e-2
 
@@ -426,21 +431,48 @@ class TestLeapfrog:
         omega = np.array([2.0, 0.5])
         cols = []
         for e in np.eye(4):
-            p1, v1 = leapfrog(e[:2], e[2:], lambda q: a @ q, 0.3, 7, omega)
+            p1, v1, _ = leapfrog(e[:2], e[2:], a @ e[:2], lambda q: a @ q, 0.3, 7, omega)
             cols.append(np.concatenate([p1, v1]))
         det = np.linalg.det(np.column_stack(cols))
         assert det == pytest.approx(1.0, abs=1e-10)
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(1), np.zeros(1), lambda q: q, 0.1, 0, np.ones(1))
+            leapfrog(np.zeros(1), np.zeros(1), np.zeros(1), lambda q: q, 0.1, 0, np.ones(1))
 
     def test_gradient_exceptions_propagate(self):
         def broken(_):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            leapfrog(np.zeros(1), np.zeros(1), broken, 0.1, 3, np.ones(1))
+            leapfrog(np.zeros(1), np.zeros(1), np.zeros(1), broken, 0.1, 3, np.ones(1))
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    def test_calls_grad_fn_once_a_step_and_returns_its_last_force(self, n_steps):
+        # the force at the start is given, so each step makes one call, and
+        # the force returned is grad_fn's at the position returned
+        a = np.array([[2.0, 0.3], [0.3, 1.0]])
+        calls = []
+
+        def grad_fn(q):
+            calls.append(q)
+            return a @ q
+
+        start = np.array([0.7, -0.2])
+        pos, _, grad = leapfrog(start, np.array([0.1, 0.5]), a @ start, grad_fn, 0.2, n_steps,
+                                np.array([1.0, 2.0]))
+        assert len(calls) == n_steps
+        assert calls[-1] is pos
+        assert grad.tobytes() == (a @ pos).tobytes()
+
+    def test_first_half_kick_uses_the_given_force(self):
+        # one step from rest drifts by -(step^2 / 2) omega grad, whatever grad_fn
+        # gives at the start
+        omega, step = np.array([1.0, 4.0]), 0.5
+        given = np.array([3.0, -1.0])
+        pos, _, _ = leapfrog(np.zeros(2), np.zeros(2), given, lambda q: np.zeros(2), step, 1,
+                             omega)
+        np.testing.assert_array_equal(pos, -0.5 * step * step * omega * given)
 
 
 class TestUpdates:
@@ -559,7 +591,7 @@ class TestCarriedGradient:
 
         def refusing_evaluator(state, data, *precision):
             if state.tau in refused:
-                def refuse(v, with_potential=False, with_grad=True):
+                def refuse(v):
                     raise NotPositiveDefiniteError(0)
                 return refuse
             return evaluator(state, data, *precision)
@@ -575,12 +607,15 @@ class TestCarriedGradient:
             exchanges.append(out.outcome == "accepted")
             return out
 
-        def counting_leapfrog(position, velocity, grad_fn, *args):
+        def counting_leapfrog(position, velocity, grad, grad_fn, *args):
+            # the start's force, carried or computed, is a request too
+            requested.append(grad.size)
+
             def counted(v):
                 if np.isfinite(v).all():
                     requested.append(v.size)
                 return grad_fn(v)
-            return leapfrog_(position, velocity, counted, *args)
+            return leapfrog_(position, velocity, grad, counted, *args)
 
         monkeypatch.setattr(sampler, "_evaluator", refusing_evaluator)
         monkeypatch.setattr(sampler, "_hmc_step", recording_hmc)
@@ -651,9 +686,47 @@ class TestCarriedGradient:
         assert log.meta["grads_reused"] > 0
         assert log.meta["grad_evals"] + log.meta["grads_reused"] == len(requested)
 
+    def test_no_step_the_chain_hands_on_carries_a_non_finite_gradient(self, monkeypatch):
+        # a third of the likelihood gradients, drawn at random, overflow the
+        # loading block, so retempered states, trajectory starts and
+        # proposals all meet it
+        sampler = msfactor.sampler
+        grads, hmc_step, exchange_step = (
+            sampler.log_likelihood_grads, sampler._hmc_step, sampler._exchange_step)
+        faults, handed = np.random.default_rng(37), []
+
+        def overflowing(data, q, d, z, dtype):
+            g_q, g_ld, g_z = grads(data, q, d, z, dtype)
+            return g_q, (np.inf if faults.random() < 1 / 3 else g_ld), g_z
+
+        def recording(move):
+            def step(cur, *args):
+                out = move(cur, *args)
+                handed.extend([cur, out])
+                return out
+            return step
+
+        monkeypatch.setattr(sampler, "log_likelihood_grads", overflowing)
+        monkeypatch.setattr(sampler, "_hmc_step", recording(hmc_step))
+        monkeypatch.setattr(sampler, "_exchange_step", recording(exchange_step))
+        data = _toy_data(6, 2, 35)
+        rng = np.random.default_rng(36)
+        run_chain(
+            data,
+            initial_state(data, 2, self.TAU, rng),
+            HmcConfig(step_size=0.3, leapfrog_steps=4, warmup=self.WARMUP),
+            ExchangeConfig(window=0.5),
+            iterations=40,
+            rng=rng,
+            anneal_from=self.ANNEAL_FROM,
+        )
+        carried = [step.grad for step in handed if step.grad is not None]
+        assert carried and any(step.outcome == "divergence" for step in handed)
+        assert all(np.isfinite(grad).all() for grad in carried)
+
     def test_evaluator_matches_potential_grad_across_positions(self):
-        # one evaluator reuses its gradient vector from call to call, and
-        # gives the force of a fresh pass at every position
+        # one evaluator gives the force and U of a fresh pass at every
+        # position, whether a pass runs its force alone or both stages
         base = _generic_state(37, n=5, k=2, s=3)
         data = _toy_data(5, 3, 38)
         rng = np.random.default_rng(39)
@@ -665,9 +738,10 @@ class TestCarriedGradient:
         for v in positions + [saturated]:
             state = _rebuild(base, v)
             expected = _force(state, data)
-            assert evaluate(v).tobytes() == expected.tobytes()
-            u, grad = evaluate(v, with_potential=True)
-            assert u == potential(state, data)
+            assert evaluate(v)[1]().tobytes() == expected.tobytes()
+            value, force = evaluate(v)
+            grad = force()
+            assert value() == potential(state, data)
             assert grad.tobytes() == expected.tobytes()
             exact = np.concatenate([g.ravel() for g in potential_grad(state, data)])
             assert np.abs(grad - exact).max() <= _force_bound(exact)
@@ -726,12 +800,13 @@ class TestForce:
         # forward, then back from the flipped velocity, under the force
         state, data = _full_scale_case(94)
         evaluate = msfactor.sampler._evaluator(state, data)
+        force_at = lambda v: evaluate(v)[1]()
         pos = _flatten(state)
         vel = np.random.default_rng(95).standard_normal(pos.size)
         omega = np.ones(pos.size)
-        p1, v1 = leapfrog(pos, vel, evaluate, 1e-3, 10, omega)
+        p1, v1, g1 = leapfrog(pos, vel, force_at(pos), force_at, 1e-3, 10, omega)
         assert np.abs(p1 - pos).max() > 0.1
-        p2, v2 = leapfrog(p1, -v1, evaluate, 1e-3, 10, omega)
+        p2, v2, _ = leapfrog(p1, -v1, g1, force_at, 1e-3, 10, omega)
         assert np.abs(p2 - pos).max() <= 1e-12
         assert np.abs(v2 + vel).max() <= 1e-12
 
@@ -853,9 +928,10 @@ class TestOutcomes:
         assert out.outcome == "divergence" and out.alpha == 0.0 and out.evals == 2
         assert out.state is cur.state and out.u == cur.u
         assert out.grad.tobytes() == fresh.tobytes()
-        # the evaluator itself names the cause, before the backward pass
+        # the force stage itself names the cause, before the backward pass
+        _, force = msfactor.sampler._evaluator(cur.state, data)(_flatten(cur.state))
         with pytest.raises(msfactor.sampler._DivergenceError, match="non-finite frame gradient"):
-            msfactor.sampler._evaluator(cur.state, data)(_flatten(cur.state))
+            force()
 
     def test_retemper_divergence_keeps_the_retempered_state_without_a_gradient(
         self, monkeypatch
@@ -871,6 +947,32 @@ class TestOutcomes:
         for name in ("logits", "values", "probs", "subject_params"):
             assert getattr(out.state, name) is getattr(cur.state, name)
         assert out.u == potential(retempered, data) != cur.u
+
+    def test_retemper_divergence_whitens_once(self, monkeypatch):
+        # U comes from the frame the failed force was assembled on
+        cur, data = self._start(60)
+        monkeypatch.setattr(msfactor.sampler, "log_likelihood_grads",
+                            lambda data, q, d, z, dtype: (np.full_like(q, np.nan), 0.0, 0.0))
+        whitened, frames = msfactor.sampler._whitened, []
+
+        def counting(x):
+            frames.append(x)
+            return whitened(x)
+
+        monkeypatch.setattr(msfactor.sampler, "_whitened", counting)
+        tempering = msfactor.sampler._Tempering(anneal_from=0.5, target=0.7, warmup=10)
+        out = tempering.retemper(0, cur, data)
+        assert out.outcome == "divergence" and len(frames) == 1
+
+    def test_retemper_with_a_non_finite_force_keeps_no_gradient(self, monkeypatch):
+        # a finite frame gradient, but a loading gradient that overflows
+        cur, data = self._start(60)
+        monkeypatch.setattr(msfactor.sampler, "log_likelihood_grads",
+                            lambda data, q, d, z, dtype: (np.zeros_like(q), np.inf, 0.0))
+        tempering = msfactor.sampler._Tempering(anneal_from=0.5, target=0.7, warmup=10)
+        out = tempering.retemper(0, cur, data)
+        assert out.outcome == "divergence" and out.grad is None
+        assert out.u == potential(dataclasses.replace(cur.state, tau=0.5), data)
 
     def test_exchange_accepted(self):
         cur, data = self._start(64)
@@ -1252,11 +1354,11 @@ class TestRunChain:
         def evaluator_at_target_only(state, data):
             evaluate = original_evaluator(state, data)
 
-            def refusing(v, with_potential=False, with_grad=True):
+            def refusing(v):
                 if state.tau != init.tau:
                     refused.append(state.tau)
                     raise NotPositiveDefiniteError(0)
-                return evaluate(v, with_potential, with_grad)
+                return evaluate(v)
 
             return refusing
 
